@@ -60,7 +60,6 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
   serverCfg.ioThreads = 2;
   serverCfg.workers = 2;
   serverCfg.serverId = enforced ? "sc-enforced" : "sc-unbounded";
-  serverCfg.fanoutBatching = true;
   serverCfg.metrics = &registry;
   serverCfg.backpressure.softWatermark = 128 * 1024;
   serverCfg.backpressure.lowWatermark = 16 * 1024;

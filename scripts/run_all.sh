@@ -34,12 +34,18 @@ cmake -B build-tsan -G Ninja -DMD_SANITIZE=thread \
   && cmake --build build-tsan --target obs_test core_test || exit 1
 ./build-tsan/tests/obs_test || exit 1
 
-# Fan-out leg: the CoW subscriber-snapshot churn test under TSan (writers
-# hammer Subscribe/Unsubscribe/DropClient against concurrent snapshot
-# readers), then a small bench_fanout sweep as a delivery smoke check — the
-# binary exits nonzero unless delivered == expected on both data paths.
+# Fan-out leg: the CoW subscriber-snapshot churn test and the Worker-batch
+# hand-off ordering tests under TSan (writers hammer Subscribe/Unsubscribe/
+# DropClient against concurrent snapshot readers; outboxes cross from Worker
+# to IoThread), the hand-off and slow-consumer tests under ASan (sessions and
+# shared wire buffers live in an outbox until its batch is written, including
+# across eviction), then a small bench_fanout sweep as a delivery smoke check
+# — the binary exits nonzero unless delivered == expected on every row.
 ./build-tsan/tests/core_test \
   --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*' || exit 1
+cmake --build build-asan --target core_test || exit 1
+./build-asan/tests/core_test \
+  --gtest_filter='*ServerFanoutTest*:*SlowConsumer*' || exit 1
 MD_BENCH_FANOUT_CLIENTS=64 MD_BENCH_FANOUT_TOPICS=4 MD_BENCH_FANOUT_BURSTS=10 \
   MD_BENCH_FANOUT_OUT=/dev/null MD_BENCH_MONITOR_OUT=/dev/null \
   ./build/bench/bench_fanout || exit 1

@@ -1,6 +1,7 @@
 #include "core/server.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "proto/http_stream.hpp"
@@ -136,6 +137,7 @@ Status Server::Start() {
 
   for (int i = 0; i < cfg_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
+    worker->outboxes.resize(ioThreads_.size());
     workers_.push_back(std::move(worker));
   }
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -501,20 +503,26 @@ void Server::WorkerMain(std::size_t index) {
       if (!job.frame) {
         DropSession(job.session);
       } else {
-        HandleFrame(job.session, *job.frame);
+        HandleFrame(worker, job.session, *job.frame);
       }
+    }
+    // The batch is the flush boundary: one hand-off per IoThread, however
+    // many acks and fan-outs the batch produced.
+    for (std::size_t io = 0; io < worker.outboxes.size(); ++io) {
+      FlushOutbox(worker, io);
     }
   }
 }
 
-void Server::HandleFrame(const SessionPtr& session, const Frame& frame) {
+void Server::HandleFrame(Worker& w, const SessionPtr& session,
+                         const Frame& frame) {
   if (const auto* connect = std::get_if<ConnectFrame>(&frame)) {
     session->clientId = connect->clientId;
-    SendFrame(session, ConnAckFrame{cfg_.serverId});
+    Reply(w, session, ConnAckFrame{cfg_.serverId});
     return;
   }
   if (const auto* sub = std::get_if<SubscribeFrame>(&frame)) {
-    HandleSubscribe(session, *sub);
+    HandleSubscribe(w, session, *sub);
     return;
   }
   if (const auto* unsub = std::get_if<UnsubscribeFrame>(&frame)) {
@@ -523,41 +531,50 @@ void Server::HandleFrame(const SessionPtr& session, const Frame& frame) {
     return;
   }
   if (const auto* pub = std::get_if<PublishFrame>(&frame)) {
-    HandlePublish(session, *pub);
+    HandlePublish(w, session, *pub);
     return;
   }
   if (const auto* ping = std::get_if<PingFrame>(&frame)) {
-    SendFrame(session, PongFrame{ping->nonce});
+    Reply(w, session, PongFrame{ping->nonce});
     return;
   }
-  if (std::get_if<DisconnectFrame>(&frame) != nullptr) {
-    session->conn->Close();
-    return;
+  // Closes go through the outbox too: they run on the session's IoThread,
+  // after the frames this Worker queued for it earlier.
+  if (std::get_if<DisconnectFrame>(&frame) == nullptr) {
+    // Cluster frames are not valid on a single-node client port.
+    MD_DEBUG("closing session %llu: unexpected frame type",
+             static_cast<unsigned long long>(session->handle));
+    m_.protoErrors.Inc();
   }
-  // Cluster frames are not valid on a single-node client port.
-  FailSession(session, Err(ErrorCode::kProtocol, "unexpected frame type"));
+  Enqueue(w, session, Egress{.kind = EgressKind::kClose});
 }
 
-void Server::HandleSubscribe(const SessionPtr& session, const SubscribeFrame& sub) {
+void Server::HandleSubscribe(Worker& w, const SessionPtr& session,
+                             const SubscribeFrame& sub) {
   registry_.Subscribe(sub.topic, session->handle);
   // A (re)subscribe starts a fresh logical stream — the resume backfill may
   // legitimately replay positions an earlier subscription already emitted.
   if (monitor_) monitor_->Forget(session->handle, sub.topic);
-  SendFrame(session, SubAckFrame{sub.topic, true});
-  if (sub.hasResumePos) {
-    // Recovery: replay everything cached after the client's last position.
-    for (const Message& missed : cache_.GetAfter(sub.topic, sub.resumeAfter)) {
-      m_.delivered.Inc();
-      if (monitor_) {
-        monitor_->OnDelivery(session->handle, missed.topic, PosOf(missed),
-                             missed.pubId);
-      }
-      SendFrame(session, DeliverFrame{missed});
+  Reply(w, session, SubAckFrame{sub.topic, true});
+  if (!sub.hasResumePos) return;
+  // Recovery: replay everything cached after the client's last position.
+  for (const Message& missed : cache_.GetAfter(sub.topic, sub.resumeAfter)) {
+    m_.delivered.Inc();
+    if (monitor_) {
+      monitor_->OnDelivery(session->handle, missed.topic, PosOf(missed),
+                           missed.pubId);
     }
+    Reply(w, session, DeliverFrame{missed});
   }
+  // Live fan-out from other Workers may reach this session from the moment
+  // it entered the registry; hand the backfill over now rather than at the
+  // end of the batch, so it is not overtaken (the client drops replayed
+  // positions below one it has already seen).
+  FlushOutbox(w, session->ioIndex);
 }
 
-void Server::HandlePublish(const SessionPtr& session, const PublishFrame& pub) {
+void Server::HandlePublish(Worker& w, const SessionPtr& session,
+                           const PublishFrame& pub) {
   const obs::TraceKey traceKey{pub.pubId.clientHash, pub.pubId.counter};
   tracer_.Begin(traceKey);
 
@@ -566,7 +583,7 @@ void Server::HandlePublish(const SessionPtr& session, const PublishFrame& pub) {
   if (!pos) {
     tracer_.Discard(traceKey);
     if (pub.wantAck) {
-      SendFrame(session, PubAckFrame{pub.pubId, PubAckCode::kFailed});
+      Reply(w, session, PubAckFrame{pub.pubId, PubAckCode::kFailed});
     }
     return;
   }
@@ -586,34 +603,29 @@ void Server::HandlePublish(const SessionPtr& session, const PublishFrame& pub) {
   // Acknowledge after the message is durably cached (single-node guarantee;
   // the cluster version acks after replication to 2 servers — see
   // src/cluster).
-  if (pub.wantAck) SendFrame(session, PubAckFrame{pub.pubId, PubAckCode::kOk});
+  if (pub.wantAck) Reply(w, session, PubAckFrame{pub.pubId, PubAckCode::kOk});
 
   // Fan-out: grab the topic's CoW subscriber snapshot (lock-brief shared_ptr
-  // copy), resolve handles through the sharded session table, and group the
-  // live targets by their IoThread.
+  // copy) and resolve handles through the sharded session table.
   const SubscriberSnapshot subscribers = registry_.Snapshot(pub.topic);
   if (!subscribers || subscribers->empty()) {
     tracer_.Discard(traceKey);
     return;
   }
-
-  const Frame deliver{DeliverFrame{std::move(msg)}};
-
-  std::vector<std::vector<SessionPtr>> byIo(ioThreads_.size());
-  std::size_t live = 0;
+  std::vector<SessionPtr>& live = w.fanout;
   for (const ClientHandle h : *subscribers) {
     SessionPtr target = FindSession(h);
     if (!target || !target->open.load(std::memory_order_relaxed)) continue;
-    byIo[target->ioIndex].push_back(std::move(target));
-    ++live;
+    live.push_back(std::move(target));
   }
-  if (live == 0) {
+  if (live.empty()) {
     tracer_.Discard(traceKey);  // every subscriber already closed
     return;
   }
-
   tracer_.Stamp(traceKey, obs::Stage::kFannedOut);
 
+  const Frame deliver{DeliverFrame{std::move(msg)}};
+  const Message& delivered = std::get<DeliverFrame>(deliver).msg;
   std::shared_ptr<const Message> sharedMsg;
   if (cfg_.enableConflation ||
       cfg_.backpressure.policy == OverflowPolicy::kConflate) {
@@ -622,120 +634,40 @@ void Server::HandlePublish(const SessionPtr& session, const PublishFrame& pub) {
     // intentionally never delivered). The kConflate overflow policy also
     // needs the message alongside the wire bytes: sessions over their soft
     // watermark divert to their conflator at write time.
-    sharedMsg = std::make_shared<const Message>(std::get<DeliverFrame>(deliver).msg);
+    sharedMsg = std::make_shared<const Message>(delivered);
   }
-  if (cfg_.fanoutBatching) {
-    FanOutBatched(std::move(byIo), deliver, sharedMsg, traceKey);
-  } else {
-    FanOutPerSubscriber(byIo, deliver, sharedMsg, traceKey);
+
+  if (cfg_.enableConflation) {
+    // Emission is decoupled from this publish, so its trace ends here.
+    tracer_.Discard(traceKey);
+    const Egress offer{.kind = EgressKind::kOfferConflated, .msg = sharedMsg};
+    for (const SessionPtr& target : live) Enqueue(w, target, offer);
+    live.clear();
+    return;
   }
-}
 
-void Server::FanOutBatched(std::vector<std::vector<SessionPtr>>&& byIo,
-                           const Frame& deliver,
-                           const std::shared_ptr<const Message>& sharedMsg,
-                           obs::TraceKey traceKey) {
-  // Encode once per transport flavour present among the targets; the fixed
-  // array (indexed by Session::Mode) is shared across every IoThread batch.
-  std::array<std::shared_ptr<const Bytes>, Session::kModeCount> wires{};
-
-  bool traceAttached = false;
-  for (std::size_t io = 0; io < byIo.size(); ++io) {
-    std::vector<SessionPtr>& targets = byIo[io];
-    if (targets.empty()) continue;
-    NetLoop* loop = ioThreads_[io]->loop.get();
-
-    if (sharedMsg && cfg_.enableConflation) {
-      // Conflated delivery: one task per loop offering the message to each
-      // target's conflator (traces are discarded below, as on the per-
-      // subscriber path — conflation decouples emission from this publish).
-      loop->Post([this, targets = std::move(targets), sharedMsg] {
-        for (const SessionPtr& s : targets) OfferConflatedOnLoop(s, *sharedMsg);
-      });
-      continue;
+  // Encode once per transport flavour present among the targets; every
+  // subscriber on every IoThread queues a reference to the same bytes. The
+  // first live socket write finalizes the trace (first-subscriber latency).
+  std::array<Egress, Session::kModeCount> frames{};
+  std::optional<obs::TraceKey> trace = traceKey;
+  for (const SessionPtr& target : live) {
+    const auto mode = static_cast<std::size_t>(target->CurrentMode());
+    Egress& frame = frames[mode];
+    if (!frame.wire) {
+      auto bytes = AcquireWireBuffer();
+      EncodeForMode(deliver, static_cast<std::uint8_t>(mode), *bytes);
+      frame = Egress{.deliverClass = true, .wire = std::move(bytes),
+                     .msg = sharedMsg};
     }
-
-    for (const SessionPtr& target : targets) {
-      const auto modeKey = static_cast<std::size_t>(target->CurrentMode());
-      std::shared_ptr<const Bytes>& wire = wires[modeKey];
-      if (!wire) {
-        // Encode once into a pooled wire buffer; every subscriber on every
-        // IoThread queues a reference to these same bytes.
-        auto bytes = AcquireWireBuffer();
-        EncodeForMode(deliver, static_cast<std::uint8_t>(modeKey), *bytes);
-        wire = std::move(bytes);
-      }
-      m_.delivered.Inc();
-      if (monitor_) {
-        const Message& msg = std::get<DeliverFrame>(deliver).msg;
-        monitor_->OnDelivery(target->handle, msg.topic, PosOf(msg), msg.pubId);
-      }
+    if (monitor_) {
+      monitor_->OnDelivery(target->handle, delivered.topic, PosOf(delivered),
+                           delivered.pubId);
     }
-
-    // The first live socket write finalizes the trace (first-subscriber
-    // latency); only the first batch carries the key.
-    const std::optional<obs::TraceKey> trace =
-        traceAttached ? std::nullopt : std::optional<obs::TraceKey>(traceKey);
-    traceAttached = true;
-    loop->Post([this, targets = std::move(targets), wires, sharedMsg, trace] {
-      bool stamped = false;
-      for (const SessionPtr& s : targets) {
-        if (!s->open.load(std::memory_order_relaxed)) continue;
-        if (sharedMsg && s->overSoft && s->conflator) {
-          // kConflate overflow policy: while this session is over its soft
-          // watermark it gets the newest value per topic, not the backlog.
-          scm_.conflated.Inc();
-          OfferConflatedOnLoop(s, *sharedMsg);
-          continue;
-        }
-        const auto& wire = wires[static_cast<std::size_t>(s->CurrentMode())];
-        if (!wire) continue;
-        WriteOutShared(s, wire, /*deliverClass=*/true);
-        if (trace && !stamped) {
-          tracer_.Stamp(*trace, obs::Stage::kSocketWritten);
-          stamped = true;
-        }
-      }
-      if (trace && !stamped) tracer_.Discard(*trace);  // all closed meanwhile
-    });
+    Enqueue(w, target, frame, std::exchange(trace, std::nullopt));
   }
-  if (!traceAttached) tracer_.Discard(traceKey);  // conflated fan-out
-}
-
-void Server::FanOutPerSubscriber(const std::vector<std::vector<SessionPtr>>& byIo,
-                                 const Frame& deliver,
-                                 const std::shared_ptr<const Message>& sharedMsg,
-                                 obs::TraceKey traceKey) {
-  // Pre-batching path: one posted closure (and eventfd wakeup) per
-  // subscriber. Kept behind ServerConfig::fanoutBatching=false so the
-  // bench_fanout ablation can measure exactly what batching buys.
-  std::array<std::shared_ptr<const Bytes>, Session::kModeCount> wires{};
-  bool traced = false;
-  for (const std::vector<SessionPtr>& targets : byIo) {
-    for (const SessionPtr& target : targets) {
-      if (sharedMsg && cfg_.enableConflation) {
-        SendDeliverConflated(target, sharedMsg);
-        continue;
-      }
-      const auto modeKey = static_cast<std::size_t>(target->CurrentMode());
-      std::shared_ptr<const Bytes>& wire = wires[modeKey];
-      if (!wire) {
-        auto bytes = AcquireWireBuffer();
-        EncodeForMode(deliver, static_cast<std::uint8_t>(modeKey), *bytes);
-        wire = std::move(bytes);
-      }
-      m_.delivered.Inc();
-      if (monitor_) {
-        const Message& msg = std::get<DeliverFrame>(deliver).msg;
-        monitor_->OnDelivery(target->handle, msg.topic, PosOf(msg), msg.pubId);
-      }
-      SendEncoded(target, wire,
-                  traced ? std::nullopt : std::optional<obs::TraceKey>(traceKey),
-                  /*deliverClass=*/true, sharedMsg);
-      traced = true;
-    }
-  }
-  if (!traced) tracer_.Discard(traceKey);  // conflated fan-out
+  m_.delivered.Inc(live.size());
+  live.clear();
 }
 
 void Server::DropSession(const SessionPtr& session) {
@@ -746,36 +678,70 @@ void Server::DropSession(const SessionPtr& session) {
 }
 
 // ---------------------------------------------------------------------------
-// Send path
+// Worker -> IoThread hand-off, then the send path (IoThread only)
 // ---------------------------------------------------------------------------
 
-void Server::SendFrame(const SessionPtr& session, const Frame& frame) {
+void Server::Reply(Worker& w, const SessionPtr& session, const Frame& frame) {
   auto wire = AcquireWireBuffer();
   EncodeForMode(frame, static_cast<std::uint8_t>(session->CurrentMode()), *wire);
-  SendEncoded(session, std::move(wire));
+  Enqueue(w, session, Egress{.wire = std::move(wire)});
 }
 
-void Server::SendEncoded(const SessionPtr& session,
-                         const std::shared_ptr<const Bytes>& wire,
-                         std::optional<obs::TraceKey> trace, bool deliverClass,
-                         std::shared_ptr<const Message> msgForConflate) {
+void Server::Enqueue(Worker& w, const SessionPtr& target, const Egress& frame,
+                     std::optional<obs::TraceKey> trace) {
+  Outbox& box = w.outboxes[target->ioIndex];
+  const auto at = static_cast<std::uint32_t>(box.targets.size());
+  box.targets.push_back(target);
+  if (!trace && !box.entries.empty()) {
+    Egress& last = box.entries.back();
+    if (last.end == at && last.kind == frame.kind && last.wire == frame.wire &&
+        last.msg == frame.msg && last.deliverClass == frame.deliverClass) {
+      last.end = at + 1;
+      return;
+    }
+  }
+  Egress& entry = box.entries.emplace_back(frame);
+  entry.begin = at;
+  entry.end = at + 1;
+  entry.trace = trace;
+}
+
+void Server::FlushOutbox(Worker& w, std::size_t io) {
+  Outbox& box = w.outboxes[io];
+  if (box.entries.empty()) return;
+  auto batch = std::make_shared<const Outbox>(std::move(box));
+  box.targets.clear();  // moved-from: make the empty state explicit
+  box.entries.clear();
+  ioThreads_[io]->loop->Post([this, batch] { WriteOutbox(*batch); });
+}
+
+void Server::WriteOutbox(const Outbox& box) {
   // All writes funnel through the session's IoThread: the connection, the
-  // batcher and the conflator are only ever touched there.
-  session->loop->Post([this, session, wire, trace, deliverClass,
-                       msgForConflate = std::move(msgForConflate)] {
-    if (!session->open.load(std::memory_order_relaxed)) {
-      if (trace) tracer_.Discard(*trace);
-      return;
+  // batcher and the conflator are only ever touched here.
+  for (const Egress& e : box.entries) {
+    bool stamped = false;
+    for (std::uint32_t i = e.begin; i < e.end; ++i) {
+      const SessionPtr& s = box.targets[i];
+      if (!s->open.load(std::memory_order_relaxed)) continue;
+      if (e.kind == EgressKind::kClose) {
+        s->conn->Close();
+      } else if (e.kind == EgressKind::kOfferConflated) {
+        OfferConflatedOnLoop(s, *e.msg);
+      } else if (e.msg && s->overSoft && s->conflator) {
+        // kConflate overflow policy: while this session is over its soft
+        // watermark it gets the newest value per topic, not the backlog.
+        scm_.conflated.Inc();
+        OfferConflatedOnLoop(s, *e.msg);
+      } else {
+        WriteOutShared(s, e.wire, e.deliverClass);
+        if (e.trace && !stamped) {
+          tracer_.Stamp(*e.trace, obs::Stage::kSocketWritten);
+          stamped = true;
+        }
+      }
     }
-    if (msgForConflate && session->overSoft && session->conflator) {
-      scm_.conflated.Inc();
-      OfferConflatedOnLoop(session, *msgForConflate);
-      if (trace) tracer_.Discard(*trace);
-      return;
-    }
-    WriteOutShared(session, wire, deliverClass);
-    if (trace) tracer_.Stamp(*trace, obs::Stage::kSocketWritten);
-  });
+    if (e.trace && !stamped) tracer_.Discard(*e.trace);  // all closed meanwhile
+  }
 }
 
 void Server::WriteOut(const SessionPtr& session, BytesView wire,
@@ -908,12 +874,6 @@ void Server::EvictSlowConsumer(const SessionPtr& session) {
   }
   (void)session->conn->Send(BytesView(notice));
   session->conn->CloseAfterFlush();
-}
-
-void Server::SendDeliverConflated(const SessionPtr& session,
-                                  const std::shared_ptr<const Message>& msg) {
-  session->loop->Post(
-      [this, session, msg] { OfferConflatedOnLoop(session, *msg); });
 }
 
 void Server::OfferConflatedOnLoop(const SessionPtr& session, const Message& msg) {

@@ -12,7 +12,9 @@
 //     assignment, cache appends, matching and fan-out.
 //
 // IoThread -> Worker: decoded frames are enqueued on the client's Worker
-// queue. Worker -> IoThread: encoded bytes are posted to the client's loop.
+// queue. Worker -> IoThread: every frame a Worker produces goes into its
+// outbox for the target's IoThread, and each non-empty outbox is handed over
+// in one posted task when the Worker's batch ends (DESIGN.md §9).
 //
 // Clients speak either the raw framed protocol or WebSocket (auto-detected
 // from the first bytes). Optional batching coalesces deliveries per client.
@@ -66,15 +68,10 @@ struct ServerConfig {
   /// the newest message of each of its topics.
   bool enableConflation = false;
   ConflateConfig conflate;
-  /// Per-IoThread delivery batching: fan-out posts one task per IoThread
-  /// carrying the shared wire bytes and that loop's target list, instead of
-  /// one closure + wakeup per subscriber. Off = legacy per-subscriber posts
-  /// (kept for the bench_fanout ablation).
-  bool fanoutBatching = true;
   /// Zero-copy egress: deliveries queue a reference to the shared wire
   /// buffer on each subscriber connection (SendQueue + scatter-gather
   /// flush) instead of memcpy'ing into a per-session buffer. Off = legacy
-  /// copying sends (the bench_fanout ablation's middle row).
+  /// copying sends (the bench_fanout ablation's `batched` row).
   bool zeroCopyEgress = true;
   /// Which real-network event loop backend the IoThreads run. io_uring
   /// falls back to epoll (with a warning) when the kernel can't run it.
@@ -161,9 +158,37 @@ class Server {
     std::thread thread;
   };
 
+  /// What the loop-side writer does with an outbox entry's targets.
+  enum class EgressKind : std::uint8_t {
+    kWrite,           // queue `wire`; kConflate policy diverts over-soft ones
+    kOfferConflated,  // enableConflation: offer `msg` to each conflator
+    kClose,           // close the connection behind the frames queued before
+  };
+
+  /// One frame a Worker produced, addressed to a run of targets on one
+  /// IoThread: an ack or control frame has one target, a publish's fan-out
+  /// every subscriber there that shares its transport flavour.
+  struct Egress {
+    EgressKind kind = EgressKind::kWrite;
+    bool deliverClass = false;
+    std::shared_ptr<const Bytes> wire;
+    std::shared_ptr<const Message> msg;  // conflation only
+    std::uint32_t begin = 0;             // [begin, end) in Outbox::targets
+    std::uint32_t end = 0;
+    std::optional<obs::TraceKey> trace;  // stamped on the first live write
+  };
+
+  /// A Worker's frames for one IoThread, in the order it produced them.
+  struct Outbox {
+    std::vector<SessionPtr> targets;
+    std::vector<Egress> entries;
+  };
+
   struct Worker {
     MpscQueue<Job> queue{262144};
     std::thread thread;
+    std::vector<Outbox> outboxes;    // one per IoThread, flushed per batch
+    std::vector<SessionPtr> fanout;  // HandlePublish's live targets, reused
   };
 
   // Called on the session's IoThread.
@@ -181,33 +206,26 @@ class Server {
 
   // Called on the session's Worker thread.
   void WorkerMain(std::size_t index);
-  void HandleFrame(const SessionPtr& session, const Frame& frame);
-  void HandlePublish(const SessionPtr& session, const PublishFrame& pub);
-  void HandleSubscribe(const SessionPtr& session, const SubscribeFrame& sub);
+  void HandleFrame(Worker& w, const SessionPtr& session, const Frame& frame);
+  void HandlePublish(Worker& w, const SessionPtr& session,
+                     const PublishFrame& pub);
+  void HandleSubscribe(Worker& w, const SessionPtr& session,
+                       const SubscribeFrame& sub);
   void DropSession(const SessionPtr& session);
 
-  /// Batched fan-out: targets are grouped by IoThread and each loop gets ONE
-  /// posted task carrying the shared wire bytes plus its target list.
-  void FanOutBatched(std::vector<std::vector<SessionPtr>>&& byIo,
-                     const Frame& deliver,
-                     const std::shared_ptr<const Message>& sharedMsg,
-                     obs::TraceKey traceKey);
-  /// Legacy fan-out: one posted closure per subscriber (ablation baseline).
-  void FanOutPerSubscriber(const std::vector<std::vector<SessionPtr>>& byIo,
-                           const Frame& deliver,
-                           const std::shared_ptr<const Message>& sharedMsg,
-                           obs::TraceKey traceKey);
+  // Worker -> IoThread hand-off (Worker side).
+  /// Encodes `frame` in the session's transport flavour into its outbox.
+  void Reply(Worker& w, const SessionPtr& session, const Frame& frame);
+  /// Appends `target` to its IoThread's outbox, extending the last entry
+  /// when it carries the same frame (a fan-out run).
+  void Enqueue(Worker& w, const SessionPtr& target, const Egress& frame,
+               std::optional<obs::TraceKey> trace = std::nullopt);
+  /// Posts the outbox for IoThread `io` as one task, if it holds anything.
+  void FlushOutbox(Worker& w, std::size_t io);
+  /// The loop-side writer: runs a flushed outbox on its IoThread.
+  void WriteOutbox(const Outbox& box);
 
-  // Send path (any thread -> session's IoThread).
-  void SendFrame(const SessionPtr& session, const Frame& frame);
-  void SendEncoded(const SessionPtr& session,
-                   const std::shared_ptr<const Bytes>& wire,
-                   std::optional<obs::TraceKey> trace = std::nullopt,
-                   bool deliverClass = false,
-                   std::shared_ptr<const Message> msgForConflate = nullptr);
-  void SendDeliverConflated(const SessionPtr& session,
-                            const std::shared_ptr<const Message>& msg);
-  /// IoThread-side half of conflated delivery (batch tasks call it directly).
+  // Send path (IoThread only).
   void OfferConflatedOnLoop(const SessionPtr& session, const Message& msg);
   void FlushBatch(const SessionPtr& session);
   void FlushConflator(const SessionPtr& session);

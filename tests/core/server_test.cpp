@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -338,20 +344,116 @@ TEST(ServerBatchingTest, BatchingReducesWritesButDeliversAll) {
   server.Stop();
 }
 
+// The Worker -> IoThread hand-off: every frame a Worker produces waits in
+// its per-IoThread outbox until the Worker's batch ends. These tests pin the
+// ordering that hand-off must keep.
+class ServerFanoutTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ServerConfig cfg;
+    cfg.ioThreads = 2;
+    cfg.workers = 2;
+    // Own registry: raw clients close without waiting for the server to see
+    // it, and a gauge left behind must not leak into other tests' counts.
+    cfg.metrics = &registry;
+    server = std::make_unique<Server>(cfg);
+    ASSERT_TRUE(server->Start().ok());
+  }
+
+  void TearDown() override { server->Stop(); }
+
+  obs::MetricsRegistry registry;
+  std::unique_ptr<Server> server;
+};
+
+/// A blocking raw-framed client on a plain socket: it can put any number of
+/// frames into ONE send(), so they tend to reach the server's Worker in one
+/// batch, and it reads back the exact frame sequence the server wrote.
+class RawFramedClient {
+ public:
+  explicit RawFramedClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+    timeval timeout{20, 0};  // same ceiling as ClientLoopThread::WaitFor
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~RawFramedClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawFramedClient(const RawFramedClient&) = delete;
+  RawFramedClient& operator=(const RawFramedClient&) = delete;
+
+  [[nodiscard]] bool connected() const { return connected_; }
+
+  /// Encodes the frames back to back and writes them with one send() (a
+  /// loop only in case the kernel takes a partial write).
+  bool SendAll(const std::vector<Frame>& frames) {
+    Bytes wire;
+    for (const Frame& frame : frames) EncodeFramed(frame, wire);
+    std::size_t sent = 0;
+    while (sent < wire.size()) {
+      const ssize_t n =
+          ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// The next frame from the server; nullopt on timeout, close or garbage.
+  std::optional<Frame> Next() {
+    while (true) {
+      auto r = ExtractFrame(in_);
+      if (!r.status.ok()) return std::nullopt;
+      if (r.frame) return std::move(r.frame);
+      std::array<std::uint8_t, 64 * 1024> buf;
+      const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+      if (n <= 0) return std::nullopt;
+      in_.Append(BytesView(buf.data(), static_cast<std::size_t>(n)));
+    }
+  }
+
+  /// Reads the next frame and requires it to be a T.
+  template <typename T>
+  std::optional<T> Expect() {
+    auto frame = Next();
+    if (!frame || !std::holds_alternative<T>(*frame)) return std::nullopt;
+    return std::get<T>(*frame);
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  ByteQueue in_;
+};
+
+PublishFrame Publication(const std::string& topic, std::uint64_t counter) {
+  PublishFrame pub;
+  pub.topic = topic;
+  pub.payload = Bytes{static_cast<std::uint8_t>(counter)};
+  pub.pubId = PublicationId{Fnv1a64("raw-pub"), counter};
+  pub.wantAck = true;
+  return pub;
+}
+
+std::vector<Frame> Publications(const std::string& topic, std::uint64_t first,
+                                 std::uint64_t count) {
+  std::vector<Frame> frames;
+  for (std::uint64_t c = first; c < first + count; ++c) {
+    frames.emplace_back(Publication(topic, c));
+  }
+  return frames;
+}
+
 // Per-subscriber in-order delivery across the fan-out path, with enough
 // subscribers to span both IoThreads and enough messages to interleave
-// batched posts. Runs once with per-IoThread batching (the default) and once
-// on the legacy per-subscriber path, so both stay correct and comparable.
-class ServerFanoutTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ServerFanoutTest, BatchedFanOutPreservesPerSubscriberOrder) {
-  ServerConfig cfg;
-  cfg.ioThreads = 2;
-  cfg.workers = 2;
-  cfg.fanoutBatching = GetParam();
-  Server server(cfg);
-  ASSERT_TRUE(server.Start().ok());
-
+// Worker batches.
+TEST_F(ServerFanoutTest, BatchedFanOutPreservesPerSubscriberOrder) {
   constexpr int kSubs = 8;
   constexpr int kMessages = 100;
   ClientLoopThread lt;
@@ -364,7 +466,7 @@ TEST_P(ServerFanoutTest, BatchedFanOutPreservesPerSubscriberOrder) {
   lt.RunOnLoop([&] {
     for (int i = 0; i < kSubs; ++i) {
       auto c = std::make_unique<client::Client>(
-          lt.loop(), MakeClientConfig(server.Port(), "fo-sub-" + std::to_string(i)));
+          lt.loop(), MakeClientConfig(server->Port(), "fo-sub-" + std::to_string(i)));
       c->Subscribe(
           "ladder",
           [&, i, next = std::uint64_t(1)](const Message& m) mutable {
@@ -379,7 +481,7 @@ TEST_P(ServerFanoutTest, BatchedFanOutPreservesPerSubscriberOrder) {
   ClientLoopThread::WaitFor([&] { return subscribed.load() == kSubs; });
 
   auto pub = std::make_unique<client::Client>(
-      lt.loop(), MakeClientConfig(server.Port(), "fo-pub"));
+      lt.loop(), MakeClientConfig(server->Port(), "fo-pub"));
   lt.RunOnLoop([&] { pub->Start(); });
   ClientLoopThread::WaitFor([&] { return pub->IsConnected(); });
 
@@ -397,20 +499,116 @@ TEST_P(ServerFanoutTest, BatchedFanOutPreservesPerSubscriberOrder) {
   for (int i = 0; i < kSubs; ++i) {
     EXPECT_TRUE(ordered[i].load()) << "subscriber " << i << " saw out-of-order seq";
   }
-  EXPECT_GE(server.Stats().delivered,
+  EXPECT_GE(server->Stats().delivered,
             static_cast<std::uint64_t>(kSubs) * kMessages);
 
   lt.RunOnLoop([&] {
     for (auto& c : subs) c->Stop();
     pub->Stop();
   });
-  server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPaths, ServerFanoutTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Batched" : "PerSubscriber";
-                         });
+// A publisher subscribed to its own topic gets, per publish, the ack before
+// the delivery and both before the next publish's ack: acks and fan-out of
+// one batch share the session's outbox and leave in production order.
+TEST_F(ServerFanoutTest, AckPrecedesDeliveryForEveryPublishOfOneWrite) {
+  constexpr std::uint64_t kPublishes = 300;
+  RawFramedClient raw(server->Port());
+  ASSERT_TRUE(raw.connected());
+  std::vector<Frame> write{Frame(ConnectFrame{"raw-pub"}),
+                           Frame(SubscribeFrame{"echo", false, {}})};
+  for (Frame& f : Publications("echo", 1, kPublishes)) write.push_back(std::move(f));
+  ASSERT_TRUE(raw.SendAll(write));
+
+  ASSERT_TRUE(raw.Expect<ConnAckFrame>());
+  const auto subAck = raw.Expect<SubAckFrame>();
+  ASSERT_TRUE(subAck && subAck->topic == "echo");
+  for (std::uint64_t i = 1; i <= kPublishes; ++i) {
+    const auto ack = raw.Expect<PubAckFrame>();
+    ASSERT_TRUE(ack) << "frame " << i << " is not the PubAck";
+    ASSERT_EQ(ack->pubId.counter, i);
+    ASSERT_TRUE(ack->ok());
+    const auto deliver = raw.Expect<DeliverFrame>();
+    ASSERT_TRUE(deliver) << "frame after PubAck " << i << " is not its Deliver";
+    ASSERT_EQ(deliver->msg.pubId.counter, i);
+    ASSERT_EQ(deliver->msg.seq, i);
+  }
+}
+
+// Subscribers elsewhere receive the same one-write burst gap-free and in
+// order. Six subscriber connections land on the publisher's IoThread and on
+// the other one (all six share the publisher's with probability 2^-6).
+TEST_F(ServerFanoutTest, WholeBurstReachesEverySubscriberInOrder) {
+  constexpr std::uint64_t kPublishes = 300;
+  constexpr int kSubs = 6;
+  std::vector<std::unique_ptr<RawFramedClient>> subs;
+  for (int i = 0; i < kSubs; ++i) {
+    auto sub = std::make_unique<RawFramedClient>(server->Port());
+    ASSERT_TRUE(sub->connected());
+    ASSERT_TRUE(sub->SendAll({Frame(SubscribeFrame{"burst", false, {}})}));
+    ASSERT_TRUE(sub->Expect<SubAckFrame>());
+    subs.push_back(std::move(sub));
+  }
+
+  RawFramedClient pub(server->Port());
+  ASSERT_TRUE(pub.connected());
+  ASSERT_TRUE(pub.SendAll(Publications("burst", 1, kPublishes)));
+  for (std::uint64_t i = 1; i <= kPublishes; ++i) {
+    const auto ack = pub.Expect<PubAckFrame>();
+    ASSERT_TRUE(ack && ack->ok());
+    ASSERT_EQ(ack->pubId.counter, i);
+  }
+  for (int s = 0; s < kSubs; ++s) {
+    for (std::uint64_t i = 1; i <= kPublishes; ++i) {
+      const auto deliver = subs[s]->Expect<DeliverFrame>();
+      ASSERT_TRUE(deliver) << "subscriber " << s << " stopped at " << i;
+      ASSERT_EQ(deliver->msg.seq, i) << "subscriber " << s;
+      ASSERT_EQ(deliver->msg.pubId.counter, i) << "subscriber " << s;
+    }
+  }
+}
+
+// A resume subscribe written together with live publishes to the same topic
+// gets its whole backfill before the first live delivery.
+TEST_F(ServerFanoutTest, ResumeBackfillPrecedesLiveDeliveriesOfSameWrite) {
+  constexpr std::uint64_t kHistory = 20;
+  constexpr std::uint64_t kResumeAfter = 5;
+  constexpr std::uint64_t kLive = 50;
+  {
+    RawFramedClient history(server->Port());
+    ASSERT_TRUE(history.connected());
+    ASSERT_TRUE(history.SendAll(Publications("resume", 1, kHistory)));
+    for (std::uint64_t i = 1; i <= kHistory; ++i) {
+      ASSERT_TRUE(history.Expect<PubAckFrame>());
+    }
+  }
+
+  RawFramedClient raw(server->Port());
+  ASSERT_TRUE(raw.connected());
+  std::vector<Frame> write{
+      Frame(SubscribeFrame{"resume", true, StreamPos{1, kResumeAfter}})};
+  for (Frame& f : Publications("resume", kHistory + 1, kLive)) {
+    write.push_back(std::move(f));
+  }
+  ASSERT_TRUE(raw.SendAll(write));
+
+  ASSERT_TRUE(raw.Expect<SubAckFrame>());
+  // Backfill: seq 6..20, nothing interleaved.
+  for (std::uint64_t seq = kResumeAfter + 1; seq <= kHistory; ++seq) {
+    const auto deliver = raw.Expect<DeliverFrame>();
+    ASSERT_TRUE(deliver) << "backfill interrupted before seq " << seq;
+    ASSERT_EQ(deliver->msg.seq, seq);
+  }
+  // Live: each publish's ack, then its delivery.
+  for (std::uint64_t seq = kHistory + 1; seq <= kHistory + kLive; ++seq) {
+    const auto ack = raw.Expect<PubAckFrame>();
+    ASSERT_TRUE(ack && ack->ok());
+    ASSERT_EQ(ack->pubId.counter, seq);
+    const auto deliver = raw.Expect<DeliverFrame>();
+    ASSERT_TRUE(deliver);
+    ASSERT_EQ(deliver->msg.seq, seq);
+  }
+}
 
 TEST(ServerStatsTest, CountsConnectionsAndTraffic) {
   ServerConfig cfg;

@@ -113,7 +113,6 @@ ServerConfig SmallWatermarkConfig(obs::MetricsRegistry* metrics) {
   cfg.ioThreads = 2;
   cfg.workers = 2;
   cfg.serverId = "bp-server";
-  cfg.fanoutBatching = true;
   cfg.backpressure.softWatermark = 64 * 1024;
   cfg.backpressure.hardWatermark = 200 * 1024;
   cfg.backpressure.lowWatermark = 8 * 1024;

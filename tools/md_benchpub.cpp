@@ -37,7 +37,9 @@ md::client::Transport ParseTransport(const std::string& name) {
 
 int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
-  const md::tools::Flags flags(argc, argv);
+  const md::tools::Flags flags(
+      argc, argv,
+      {"id", "rate", "seconds", "server", "size", "topics", "transport"});
 
   md::client::ClientConfig cfg;
   for (const std::string& server : flags.GetAll("server")) {

@@ -40,7 +40,10 @@ md::client::Transport ParseTransport(const std::string& name) {
 
 int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
-  const md::tools::Flags flags(argc, argv);
+  const md::tools::Flags flags(
+      argc, argv,
+      {"clients", "io-threads", "seconds", "seed", "server", "topics",
+       "transport"});
 
   std::vector<md::client::ServerAddress> servers;
   for (const std::string& server : flags.GetAll("server")) {

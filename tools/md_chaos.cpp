@@ -130,7 +130,12 @@ bool PlanNeedsDurability(const FaultPlan& plan) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  md::tools::Flags flags(argc, argv);
+  md::tools::Flags flags(
+      argc, argv,
+      {"crash", "durability", "elastic", "events", "first", "inject",
+       "min-events", "monitor", "no-minimize", "plan", "publications",
+       "publishers", "quiet", "seed", "seeds", "servers", "subscribers",
+       "topics", "trace"});
 
   ChaosOptions base;
   base.servers = static_cast<std::size_t>(flags.GetInt("servers", 3));

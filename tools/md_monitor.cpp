@@ -132,7 +132,10 @@ double FeedExposition(md::verify::Monitor& monitor, const std::string& body,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const md::tools::Flags flags(argc, argv);
+  const md::tools::Flags flags(
+      argc, argv,
+      {"canary-ms", "duration-ms", "expect", "host", "inject", "port",
+       "scrape-ms", "server-inject", "topic"});
   const std::string host = flags.Get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(flags.GetInt("port", 8800));
   const std::string topic = flags.Get("topic", "monitor/canary");

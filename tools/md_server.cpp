@@ -195,7 +195,14 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
   md::SetLogLevel(md::LogLevel::kInfo);
 
-  const md::tools::Flags flags(argc, argv);
+  const md::tools::Flags flags(
+      argc, argv,
+      {"ack-copies", "batch-delay-ms", "batching", "cache-messages",
+       "client-port", "conflate-ms", "conflation", "coord-port", "event-loop",
+       "help", "id", "io-threads", "no-zero-copy", "node", "peer", "peer-port",
+       "port", "seed", "verify", "verify-budget", "verify-inject",
+       "verify-sample", "wal-dir", "wal-flush-ms", "wal-fsync", "wal-retain",
+       "wal-segment-mb", "workers"});
   if (flags.GetBool("help")) {
     std::printf("see the header comment of tools/md_server.cpp\n");
     return 0;
