@@ -81,19 +81,23 @@ void ExpectWithinBucketError(std::int64_t got, std::int64_t oracle) {
       << "quantile drifted by more than one bucket";
 }
 
-class HistogramOracleTest
-    : public ::testing::TestWithParam<std::vector<std::int64_t> (*)(void)> {};
+// A plain enum rather than a function pointer, so gtest prints the parameter
+// as a stable integer instead of an address that changes from run to run.
+enum Distribution { kExponential, kUniform, kBimodal };
 
-std::vector<std::int64_t> Exponential() {
-  return ExponentialSample(11, 20'000, 2'000'000.0);
+std::vector<std::int64_t> Sample(Distribution d) {
+  switch (d) {
+    case kExponential: return ExponentialSample(11, 20'000, 2'000'000.0);
+    case kUniform: return UniformSample(12, 20'000, 1'000, 50'000'000);
+    case kBimodal: break;
+  }
+  return BimodalSample(13, 20'000);
 }
-std::vector<std::int64_t> Uniform() {
-  return UniformSample(12, 20'000, 1'000, 50'000'000);
-}
-std::vector<std::int64_t> Bimodal() { return BimodalSample(13, 20'000); }
+
+class HistogramOracleTest : public ::testing::TestWithParam<Distribution> {};
 
 TEST_P(HistogramOracleTest, QuantilesMatchSortedVectorOracle) {
-  const std::vector<std::int64_t> values = GetParam()();
+  const std::vector<std::int64_t> values = Sample(GetParam());
   Histogram h;
   for (const std::int64_t v : values) h.Record(v);
 
@@ -112,7 +116,7 @@ TEST_P(HistogramOracleTest, QuantilesMatchSortedVectorOracle) {
 }
 
 TEST_P(HistogramOracleTest, CumulativeCountsMatchOracleAtExpositionBounds) {
-  const std::vector<std::int64_t> values = GetParam()();
+  const std::vector<std::int64_t> values = Sample(GetParam());
   Histogram h;
   for (const std::int64_t v : values) h.Record(v);
 
@@ -141,11 +145,11 @@ TEST_P(HistogramOracleTest, CumulativeCountsMatchOracleAtExpositionBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Distributions, HistogramOracleTest,
-                         ::testing::Values(&Exponential, &Uniform, &Bimodal),
+                         ::testing::Values(kExponential, kUniform, kBimodal),
                          [](const auto& info) {
-                           switch (info.index) {
-                             case 0: return "Exponential";
-                             case 1: return "Uniform";
+                           switch (info.param) {
+                             case kExponential: return "Exponential";
+                             case kUniform: return "Uniform";
                              default: return "Bimodal";
                            }
                          });
