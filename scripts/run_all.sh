@@ -65,6 +65,15 @@ cmake --build build-asan --target transport_test || exit 1
 cmake --build build-tsan --target transport_test || exit 1
 ./build-tsan/tests/transport_test || exit 1
 
+# Cluster egress leg: the real-TCP cluster suite under ASan (a member's
+# wire buffers live in peer/coord backlogs and in CloseAfterFlush queues
+# that outlast the node's view of the client), then the same suite as a
+# concurrency gate: two processes at a time, ten rounds, each cluster on
+# ports the kernel handed out, so parallel runs can never share listeners.
+cmake --build build-asan --target cluster_test || exit 1
+./build-asan/tests/cluster_test --gtest_filter='TcpClusterTest.*' || exit 1
+ctest --test-dir build -R TcpClusterTest -j2 --repeat until-fail:10 || exit 1
+
 # Runtime-verification leg: the monitor's own suite under TSan (the sharded
 # LRU tables, report buffer and one-shot injection mask are its
 # concurrency-bearing surfaces; the chaos-driver-based cases run in the plain

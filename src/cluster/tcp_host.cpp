@@ -6,8 +6,21 @@
 namespace md::cluster {
 
 namespace {
+
 constexpr std::size_t kMaxBacklogFrames = 4096;
+
+obs::MetricsRegistry& RegistryOf(const TcpHostConfig& cfg) {
+  return cfg.cluster.metrics != nullptr ? *cfg.cluster.metrics
+                                        : obs::MetricsRegistry::Default();
 }
+
+WireBuffer EncodeWire(const Frame& frame) {
+  auto wire = AcquireWireBuffer();
+  EncodeFramed(frame, *wire);
+  return wire;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Environments
@@ -25,35 +38,34 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
     const auto it = host_.clients_.find(client);
     if (it == host_.clients_.end()) return;
     Observe(client, frame);
-    Bytes wire;
-    EncodeFramed(frame, wire);
-    (void)host_.SendClientWire(client, it->second, BytesView(wire));
+    (void)host_.SendClientWire(client, it->second, EncodeWire(frame));
   }
 
   void SendToClients(const std::vector<ClientHandle>& clients,
                      const Frame& frame) override {
-    // Fan-out fast path: encode once into a pooled refcounted buffer and
-    // share it across every target's send queue — N subscribers cost one
-    // encode and zero per-subscriber copies. Each write still goes through
-    // the watermark-checked path, so one stalled subscriber in the batch
-    // cannot buffer the host to death.
-    std::shared_ptr<Bytes> wire;
+    // Fan-out: one encode shared across every target's send queue — N
+    // subscribers cost zero per-subscriber copies. Each write still goes
+    // through the watermark-checked path, so one stalled subscriber in the
+    // batch cannot buffer the host to death.
+    WireBuffer wire;
     for (const ClientHandle client : clients) {
       const auto it = host_.clients_.find(client);
       if (it == host_.clients_.end()) continue;
       Observe(client, frame);
-      if (!wire) {
-        wire = AcquireWireBuffer();
-        EncodeFramed(frame, *wire);
-      }
-      const std::shared_ptr<const Bytes> shared = wire;
-      (void)host_.SendClientWire(client, it->second, BytesView(*wire), &shared);
+      if (!wire) wire = EncodeWire(frame);
+      (void)host_.SendClientWire(client, it->second, wire);
     }
   }
 
   void CloseClient(ClientHandle client) override {
     auto node = host_.clients_.extract(client);
-    if (!node.empty()) node.mapped()->conn->Close();
+    if (node.empty()) return;
+    ClientConn& closing = *node.mapped();
+    closing.detached = true;
+    // Egress is deferred to the flush pass, so a plain Close() would discard
+    // what the node just queued: the backlog, then the DisconnectFrame or
+    // HandoffFrame that tells the client where to go. Flush it, then EOF.
+    closing.conn->CloseAfterFlush();
   }
 
   std::uint64_t Schedule(Duration delay, std::function<void()> fn) override {
@@ -104,17 +116,14 @@ class TcpClusterHost::CoordEnv final : public coord::Env {
 
 TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
     : cfg_(std::move(cfg)),
-      scm_(cfg_.cluster.metrics != nullptr ? *cfg_.cluster.metrics
-                                           : obs::MetricsRegistry::Default(),
-           obs::ServerLabel(cfg_.serverId)) {
+      scm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)),
+      tm_(RegistryOf(cfg_)) {
   if (cfg_.runtimeVerify) {
     if (cfg_.verifyConfig.scope.empty()) cfg_.verifyConfig.scope = cfg_.serverId;
-    monitor_ = std::make_unique<verify::Monitor>(
-        cfg_.cluster.metrics != nullptr ? *cfg_.cluster.metrics
-                                        : obs::MetricsRegistry::Default(),
-        cfg_.verifyConfig);
+    monitor_ = std::make_unique<verify::Monitor>(RegistryOf(cfg_), cfg_.verifyConfig);
   }
   loop_ = CreateNetLoop(cfg_.eventLoop);
+  loop_->SetMetrics(&tm_);
   nodeEnv_ = std::make_unique<NodeEnv>(*this, cfg_.seed);
   coordEnv_ = std::make_unique<CoordEnv>(*this, cfg_.seed + 1);
 
@@ -229,7 +238,7 @@ void TcpClusterHost::OnClientAccept(ConnectionPtr conn) {
 
   conn->SetDataHandler([this, handle, client](BytesView data) {
     client->in.Append(data);
-    while (true) {
+    while (!client->detached) {
       auto r = ExtractFrame(client->in);
       if (!r.status.ok()) {
         client->conn->Close();
@@ -270,10 +279,11 @@ const TcpPeerAddress* TcpClusterHost::PeerByNode(coord::NodeId nodeId) const {
 }
 
 void TcpClusterHost::OnPeerAccept(ConnectionPtr conn) {
-  // Identity arrives with the first frame (HELLO).
+  // Identity arrives with the first frame (HELLO); every later frame on
+  // this connection comes from the member it named.
   auto inbox = std::make_shared<ByteQueue>();
-  auto identified = std::make_shared<bool>(false);
-  conn->SetDataHandler([this, conn, inbox, identified](BytesView data) {
+  auto from = std::make_shared<std::string>();
+  conn->SetDataHandler([this, conn, inbox, from](BytesView data) {
     inbox->Append(data);
     while (true) {
       auto r = ExtractFrame(*inbox);
@@ -282,30 +292,24 @@ void TcpClusterHost::OnPeerAccept(ConnectionPtr conn) {
         return;
       }
       if (!r.frame) return;
-      if (!*identified) {
+      if (from->empty()) {
         const auto* hello = std::get_if<HelloFrame>(&*r.frame);
-        if (hello == nullptr) {
+        if (hello == nullptr || hello->serverId.empty()) {
           conn->Close();
           return;
         }
-        *identified = true;
-        AdoptPeerConnection(hello->serverId, conn);
+        *from = hello->serverId;
+        AdoptPeerConnection(*from, conn);
         continue;
       }
-      // Already identified: find who this connection belongs to.
-      for (auto& [serverId, link] : peerLinks_) {
-        if (link.conn == conn) {
-          node_->OnPeerFrame(serverId, *r.frame);
-          break;
-        }
-      }
+      node_->OnPeerFrame(*from, *r.frame);
     }
   });
 }
 
 void TcpClusterHost::AdoptPeerConnection(const std::string& serverId,
                                          ConnectionPtr conn) {
-  PeerLink& link = peerLinks_[serverId];
+  Link& link = peerLinks_[serverId];
   if (link.conn && link.conn != conn) link.conn->Close();
   link.conn = conn;
   link.connecting = false;
@@ -313,28 +317,24 @@ void TcpClusterHost::AdoptPeerConnection(const std::string& serverId,
     auto it = peerLinks_.find(serverId);
     if (it != peerLinks_.end()) it->second.conn.reset();
   });
-  // Flush anything queued while the link was down.
-  for (const Bytes& wire : link.backlog) (void)conn->Send(BytesView(wire));
-  link.backlog.clear();
+  FlushBacklog(link);
   // Link recovery: incremental cache sync against this peer (§5.2.2).
   node_->SyncFromPeer(serverId);
 }
 
 void TcpClusterHost::EnsurePeerLink(const std::string& serverId) {
-  PeerLink& link = peerLinks_[serverId];
+  Link& link = peerLinks_[serverId];
   if (link.conn || link.connecting) return;
   const TcpPeerAddress* peer = PeerById(serverId);
   if (peer == nullptr || peer->peerPort == 0) return;
   link.connecting = true;
   loop_->Connect(peer->host, peer->peerPort, [this, serverId](Result<ConnectionPtr> r) {
-    PeerLink& link = peerLinks_[serverId];
+    Link& link = peerLinks_[serverId];
     link.connecting = false;
     if (!r.ok()) return;  // retry timer will try again
     ConnectionPtr conn = std::move(r).value();
     // Identify ourselves, then adopt.
-    Bytes hello;
-    EncodeFramed(Frame(HelloFrame{cfg_.serverId}), hello);
-    (void)conn->Send(BytesView(hello));
+    (void)conn->Send(EncodeWire(HelloFrame{cfg_.serverId}));
     // Incoming frames on an outgoing connection are peer frames directly.
     auto inbox = std::make_shared<ByteQueue>();
     conn->SetDataHandler([this, serverId, conn, inbox](BytesView data) {
@@ -354,15 +354,21 @@ void TcpClusterHost::EnsurePeerLink(const std::string& serverId) {
 }
 
 void TcpClusterHost::SendPeerFrame(const std::string& serverId, const Frame& frame) {
-  Bytes wire;
-  EncodeFramed(frame, wire);
-  PeerLink& link = peerLinks_[serverId];
+  if (!SendOnLink(peerLinks_[serverId], EncodeWire(frame))) EnsurePeerLink(serverId);
+}
+
+bool TcpClusterHost::SendOnLink(Link& link, WireBuffer wire) {
   if (link.conn && link.conn->IsOpen()) {
-    (void)link.conn->Send(BytesView(wire));
-    return;
+    (void)link.conn->Send(std::move(wire));
+    return true;
   }
   if (link.backlog.size() < kMaxBacklogFrames) link.backlog.push_back(std::move(wire));
-  EnsurePeerLink(serverId);
+  return false;
+}
+
+void TcpClusterHost::FlushBacklog(Link& link) {
+  for (WireBuffer& wire : link.backlog) (void)link.conn->Send(std::move(wire));
+  link.backlog.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -395,13 +401,13 @@ void TcpClusterHost::OnCoordAccept(ConnectionPtr conn) {
 }
 
 void TcpClusterHost::EnsureCoordLink(coord::NodeId nodeId) {
-  CoordLink& link = coordLinks_[nodeId];
+  Link& link = coordLinks_[nodeId];
   if (link.conn || link.connecting) return;
   const TcpPeerAddress* peer = PeerByNode(nodeId);
   if (peer == nullptr || peer->coordPort == 0) return;
   link.connecting = true;
   loop_->Connect(peer->host, peer->coordPort, [this, nodeId](Result<ConnectionPtr> r) {
-    CoordLink& link = coordLinks_[nodeId];
+    Link& link = coordLinks_[nodeId];
     link.connecting = false;
     if (!r.ok()) return;
     link.conn = std::move(r).value();
@@ -410,35 +416,25 @@ void TcpClusterHost::EnsureCoordLink(coord::NodeId nodeId) {
       if (it != coordLinks_.end()) it->second.conn.reset();
     });
     // Preamble: who we are.
-    Bytes preamble;
-    ByteWriter w(preamble);
-    w.WriteVarint(cfg_.nodeId);
-    (void)link.conn->Send(BytesView(preamble));
-    for (const Bytes& wire : link.backlog) (void)link.conn->Send(BytesView(wire));
-    link.backlog.clear();
+    auto preamble = AcquireWireBuffer();
+    ByteWriter(*preamble).WriteVarint(cfg_.nodeId);
+    (void)link.conn->Send(std::move(preamble));
+    FlushBacklog(link);
   });
 }
 
 void TcpClusterHost::SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg) {
-  Bytes wire;
-  coord::EncodeCoordFramed(msg, wire);
-  CoordLink& link = coordLinks_[to];
-  if (link.conn && link.conn->IsOpen()) {
-    (void)link.conn->Send(BytesView(wire));
-    return;
-  }
-  if (link.backlog.size() < kMaxBacklogFrames) link.backlog.push_back(std::move(wire));
-  EnsureCoordLink(to);
+  auto wire = AcquireWireBuffer();
+  coord::EncodeCoordFramed(msg, *wire);
+  if (!SendOnLink(coordLinks_[to], std::move(wire))) EnsureCoordLink(to);
 }
 
 bool TcpClusterHost::SendClientWire(ClientHandle handle,
                                     const std::shared_ptr<ClientConn>& client,
-                                    BytesView wire,
-                                    const std::shared_ptr<const Bytes>* shared) {
+                                    WireBuffer wire) {
   if (client->evicting || !client->conn->IsOpen()) return false;
   const std::size_t before = client->conn->PendingBytes();
-  const Status st =
-      shared != nullptr ? client->conn->Send(*shared) : client->conn->Send(wire);
+  const Status st = client->conn->Send(std::move(wire));
   if (st.ok()) return true;
   if (st.code() != ErrorCode::kCapacity) return false;
   // kCapacity: bytes were accepted iff PendingBytes moved (soft overflow);
@@ -482,10 +478,8 @@ void TcpClusterHost::EvictSlowClient(ClientHandle handle,
   MD_INFO("%s: evicting slow client %llu (%zu bytes pending)",
           cfg_.serverId.c_str(), static_cast<unsigned long long>(handle),
           client->conn->PendingBytes());
-  Bytes notice;
-  EncodeFramed(Frame(DisconnectFrame{"slow consumer: send queue overflow"}),
-               notice);
-  (void)client->conn->Send(BytesView(notice));
+  (void)client->conn->Send(
+      EncodeWire(DisconnectFrame{"slow consumer: send queue overflow"}));
   client->conn->CloseAfterFlush();
 }
 

@@ -9,10 +9,15 @@
 //     by a varint node-id preamble.
 //
 // Everything — node logic, timers, connection management — runs on a single
-// EpollLoop thread (the nodes are single-strand state machines); Start()
+// event-loop thread (the nodes are single-strand state machines); Start()
 // spawns that thread and Stop() joins it. Outgoing peer/coord connections
 // are (re)established on demand with a retry timer; when a peer link comes
 // back, the host triggers the paper's incremental cache sync (§5.2.2).
+//
+// Egress follows core::Server's discipline (DESIGN.md §14): every frame —
+// client, peer or coord — is encoded once into a pooled wire buffer and
+// queued by reference; the loop's flush pass writes everything queued on a
+// connection with one sendmsg before it polls again.
 #pragma once
 
 #include <atomic>
@@ -98,18 +103,17 @@ class TcpClusterHost {
     bool overSoft = false;
     bool evictTimerArmed = false;
     bool evicting = false;
+    // CloseClient ran: the node has forgotten this handle, so frames still
+    // arriving while the connection flushes are dropped.
+    bool detached = false;
   };
 
-  struct PeerLink {
-    ConnectionPtr conn;          // established link (either direction)
-    bool connecting = false;
-    std::deque<Bytes> backlog;   // frames awaiting connection (bounded)
-  };
-
-  struct CoordLink {
+  /// Peer or coord link: the established connection (either direction) and
+  /// the frames queued while it is down (bounded).
+  struct Link {
     ConnectionPtr conn;
     bool connecting = false;
-    std::deque<Bytes> backlog;
+    std::deque<WireBuffer> backlog;
   };
 
   class NodeEnv;
@@ -124,15 +128,17 @@ class TcpClusterHost {
   void EnsureCoordLink(coord::NodeId nodeId);
   void SendPeerFrame(const std::string& serverId, const Frame& frame);
   void SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg);
+  /// Queues `wire` on the link's connection, or parks it in the backlog
+  /// while the link is down. Returns false when parked.
+  static bool SendOnLink(Link& link, WireBuffer wire);
+  /// Queues the backlog on the link's (new) connection, in order.
+  static void FlushBacklog(Link& link);
   void RetryLinks();
   /// Status-checked client write applying `clientBackpressure` (loop thread):
   /// soft-accepted kCapacity arms the eviction grace timer, hard-rejected
-  /// kCapacity (frame lost => stream gap) evicts immediately. When `shared`
-  /// is non-null the bytes go out zero-copy (one encode shared across the
-  /// fan-out); `wire` must view the same buffer either way.
+  /// kCapacity (frame lost => stream gap) evicts immediately.
   bool SendClientWire(ClientHandle handle,
-                      const std::shared_ptr<ClientConn>& client, BytesView wire,
-                      const std::shared_ptr<const Bytes>* shared = nullptr);
+                      const std::shared_ptr<ClientConn>& client, WireBuffer wire);
   void EvictSlowClient(ClientHandle handle,
                        const std::shared_ptr<ClientConn>& client);
   [[nodiscard]] const TcpPeerAddress* PeerById(const std::string& serverId) const;
@@ -140,6 +146,7 @@ class TcpClusterHost {
 
   TcpHostConfig cfg_;
   obs::SlowConsumerMetrics scm_;
+  obs::TransportMetrics tm_;  // must outlive loop_
   std::unique_ptr<verify::Monitor> monitor_;
   std::unique_ptr<NetLoop> loop_;
   std::thread thread_;
@@ -159,8 +166,8 @@ class TcpClusterHost {
 
   ClientHandle nextHandle_ = 1;
   std::map<ClientHandle, std::shared_ptr<ClientConn>> clients_;
-  std::map<std::string, PeerLink> peerLinks_;
-  std::map<coord::NodeId, CoordLink> coordLinks_;
+  std::map<std::string, Link> peerLinks_;
+  std::map<coord::NodeId, Link> coordLinks_;
 };
 
 }  // namespace md::cluster

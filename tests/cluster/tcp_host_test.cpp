@@ -1,21 +1,27 @@
 // End-to-end cluster tests over REAL TCP: three TcpClusterHosts (each its
-// own epoll loop thread: cluster node + MiniZK node + peer/coord links) on
-// loopback, driven by the real client library.
+// own event-loop thread: cluster node + MiniZK node + peer/coord links) on
+// loopback, driven by the real client library or by raw framed sockets.
 #include "cluster/tcp_host.hpp"
 
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "client/client.hpp"
+#include "support/raw_framed_client.hpp"
 #include "transport/epoll_loop.hpp"
 
 namespace md::cluster {
 namespace {
 
 using namespace std::chrono_literals;
+using test_support::RawFramedClient;
 
 void WaitFor(const std::function<bool()>& pred,
              std::chrono::milliseconds timeout = 15000ms) {
@@ -26,28 +32,91 @@ void WaitFor(const std::function<bool()>& pred,
   }
 }
 
+PublishFrame Publication(const std::string& topic, const std::string& publisher,
+                         std::uint64_t counter, std::size_t size = 1) {
+  PublishFrame frame;
+  frame.topic = topic;
+  frame.payload = Bytes(size, static_cast<std::uint8_t>(counter));
+  frame.pubId = PublicationId{Fnv1a64(publisher), counter};
+  return frame;
+}
+
+/// Publishes `frame` until it is acked kOk. The first publication on a
+/// topic group can lose the race for the group's coordinator and come back
+/// kFailed — never sequenced — and publishers republish those (the client
+/// library does so on its own).
+void PublishUntilAcked(RawFramedClient& pub, const PublishFrame& frame) {
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    ASSERT_TRUE(pub.SendAll({frame}));
+    const auto ack = pub.Expect<PubAckFrame>();
+    ASSERT_TRUE(ack.has_value());
+    if (ack->ok()) return;
+    std::this_thread::sleep_for(20ms);
+  }
+  FAIL() << "publication never acked";
+}
+
+/// A loopback port picked by the kernel and held until the host listening on
+/// it has bound. The socket carries the listeners' SO_REUSEADDR and
+/// SO_REUSEPORT so the host can bind next to it, but it never listens, so
+/// it receives no connections. While it is held the kernel hands the port to
+/// no other bind(0) or connect() — test processes running side by side
+/// (ctest -j) cannot end up sharing a cluster's ports.
+class PortReservation {
+ public:
+  PortReservation() : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    const int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+  ~PortReservation() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  PortReservation(const PortReservation&) = delete;
+  PortReservation& operator=(const PortReservation&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+ private:
+  int fd_;
+  std::uint16_t port_ = 0;
+};
+
 class TcpClusterTest : public ::testing::Test {
  protected:
-  void StartCluster(std::size_t n = 3) {
-    // Two passes: bind everyone on ephemeral ports first, then wire the
-    // peer addresses and start.
-    struct Prebind {
-      std::uint16_t client, peer, coord;
+  /// Starts `n` members, each with its own metrics registry; `tweak` edits
+  /// every member's config before it starts.
+  void StartCluster(std::size_t n = 3,
+                    const std::function<void(TcpHostConfig&)>& tweak = {}) {
+    // Reserve every port before any member starts, so each config can name
+    // its peers; the reservations are released once the listeners hold the
+    // ports.
+    std::vector<std::unique_ptr<PortReservation>> reserved;
+    const auto reserve = [&] {
+      reserved.push_back(std::make_unique<PortReservation>());
+      return reserved.back()->port();
     };
-    // Reserve fixed ports derived from a base to avoid a two-phase dance:
-    // pick a random-ish base per test run.
-    static std::atomic<std::uint16_t> base{21000};
-    const std::uint16_t portBase = base.fetch_add(100);
-
     std::vector<TcpHostConfig> cfgs(n);
     for (std::size_t i = 0; i < n; ++i) {
+      registries.push_back(std::make_unique<obs::MetricsRegistry>());
       cfgs[i].serverId = "tcp-server-" + std::to_string(i + 1);
       cfgs[i].nodeId = static_cast<coord::NodeId>(i + 1);
-      cfgs[i].clientPort = static_cast<std::uint16_t>(portBase + i * 3);
-      cfgs[i].peerPort = static_cast<std::uint16_t>(portBase + i * 3 + 1);
-      cfgs[i].coordPort = static_cast<std::uint16_t>(portBase + i * 3 + 2);
+      cfgs[i].clientPort = reserve();
+      cfgs[i].peerPort = reserve();
+      cfgs[i].coordPort = reserve();
       cfgs[i].seed = 1000 + i;
+      cfgs[i].cluster.metrics = registries[i].get();
+      if (tweak) tweak(cfgs[i]);
     }
+    for (const auto& r : reserved) ASSERT_NE(r->port(), 0);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
@@ -88,6 +157,71 @@ class TcpClusterTest : public ::testing::Test {
     return cfg;
   }
 
+  /// Connects `sub` to member `member` as `clientId` on `topic`; the test
+  /// then stops reading it. Publishes 1 KiB messages through the next
+  /// member until that subscriber's deliveries have backed up in the
+  /// member's own send queue (past the kernel's socket buffers), and sets
+  /// `published` to how many went out. Every publication is acked and
+  /// handed to the subscriber's connection before the next burst goes out.
+  void QueueDeliveries(RawFramedClient& sub, std::size_t member,
+                       const std::string& clientId, const std::string& topic,
+                       std::uint64_t& published) {
+    ASSERT_TRUE(sub.SendAll({ConnectFrame{clientId}, SubscribeFrame{topic}}));
+    ASSERT_TRUE(sub.Expect<ConnAckFrame>());
+    ASSERT_TRUE(sub.Expect<SubAckFrame>());
+
+    const std::string publisher = clientId + "-pub";
+    RawFramedClient pub(hosts[(member + 1) % hosts.size()]->ClientPort());
+    ASSERT_TRUE(pub.SendAll({ConnectFrame{publisher}}));
+    ASSERT_TRUE(pub.Expect<ConnAckFrame>());
+    constexpr std::size_t kPayload = 1024;
+    ASSERT_NO_FATAL_FAILURE(
+        PublishUntilAcked(pub, Publication(topic, publisher, 1, kPayload)));
+    published = 1;
+
+    obs::TransportMetrics transport(*registries[member]);
+    constexpr std::uint64_t kBurst = 64;
+    constexpr std::int64_t kQueued = 256 * 1024;
+    while (true) {
+      WaitFor([&] {
+        std::uint64_t delivered = 0;
+        hosts[member]->WithNode(
+            [&](ClusterNode& node) { delivered = node.stats().delivered; });
+        return delivered == published;
+      });
+      if (HasFailure() || transport.sendQueueBytes.Value() >= kQueued) return;
+      ASSERT_LT(published, 16384u) << "the send queue never backed up";
+      std::vector<Frame> burst;
+      for (std::uint64_t i = 1; i <= kBurst; ++i) {
+        burst.emplace_back(Publication(topic, publisher, published + i, kPayload));
+      }
+      ASSERT_TRUE(pub.SendAll(burst));
+      for (std::uint64_t i = 0; i < kBurst; ++i) {
+        const auto ack = pub.Expect<PubAckFrame>();
+        ASSERT_TRUE(ack && ack->ok());
+      }
+      published += kBurst;
+    }
+  }
+
+  /// Reads what `sub` receives after its member closed it: all `published`
+  /// deliveries in publish order, then exactly one T, then EOF.
+  template <typename T>
+  void ExpectBacklogThenFrameThenEof(RawFramedClient& sub,
+                                     std::uint64_t published) {
+    std::uint64_t delivered = 0;
+    std::optional<Frame> frame;
+    while ((frame = sub.Next()) && std::holds_alternative<DeliverFrame>(*frame)) {
+      EXPECT_EQ(std::get<DeliverFrame>(*frame).msg.pubId.counter, delivered + 1);
+      ++delivered;
+    }
+    EXPECT_EQ(delivered, published) << "queued deliveries were discarded";
+    ASSERT_TRUE(frame.has_value()) << "EOF before the closing frame";
+    EXPECT_TRUE(std::holds_alternative<T>(*frame));
+    EXPECT_TRUE(sub.AtEof());
+  }
+
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;  // outlive hosts
   std::vector<std::unique_ptr<TcpClusterHost>> hosts;
 };
 
@@ -212,6 +346,130 @@ TEST_F(TcpClusterTest, FailoverOverRealTcp) {
   std::this_thread::sleep_for(20ms);
   clientLoop.Stop();
   clientThread.join();
+}
+
+// A member that loses quorum contact fences: it tells each local client
+// why (DisconnectFrame) and closes it. Egress is deferred to the loop's flush
+// pass, so the close must flush first — deliveries already queued for a
+// client, then the DisconnectFrame, then EOF, in that order.
+TEST_F(TcpClusterTest, FenceFlushesQueuedDeliveriesAndDisconnectBeforeEof) {
+  StartCluster(3, [](TcpHostConfig& cfg) {
+    // The backlog under test must stay queued, not trip slow-consumer eviction.
+    cfg.clientBackpressure.softWatermark = 64 * 1024 * 1024;
+    cfg.clientBackpressure.hardWatermark = 64 * 1024 * 1024;
+  });
+  RawFramedClient sub(hosts[0]->ClientPort(), 4096);
+  std::uint64_t published = 0;
+  ASSERT_NO_FATAL_FAILURE(QueueDeliveries(sub, 0, "fence-sub", "fence/topic", published));
+
+  // Losing the local MiniZK node is losing quorum contact: the next fence
+  // check closes every client.
+  hosts[0]->WithCoord([](coord::CoordNode& coord) { coord.Crash(); });
+  WaitFor([&] {
+    bool fenced = false;
+    hosts[0]->WithNode([&](ClusterNode& node) { fenced = node.IsFenced(); });
+    return fenced;
+  });
+  ExpectBacklogThenFrameThenEof<DisconnectFrame>(sub, published);
+}
+
+// Graceful scale-in hands a departing member's subscriber partitions to
+// their new owners; the release phase redirects each client (HandoffFrame)
+// and closes it — behind the deliveries already queued for it.
+TEST_F(TcpClusterTest, HandoffFlushesQueuedDeliveriesAndRedirectBeforeEof) {
+  StartCluster(3, [](TcpHostConfig& cfg) {
+    cfg.cluster.elastic = true;
+    cfg.clientBackpressure.softWatermark = 64 * 1024 * 1024;
+    cfg.clientBackpressure.hardWatermark = 64 * 1024 * 1024;
+  });
+  // Let every member settle on the three-member assignment, then pick a
+  // client id whose partition member 1 owns: no rebalance moves it until
+  // member 1 leaves.
+  std::vector<std::string> ids;
+  for (const auto& host : hosts) ids.push_back(host->serverId());
+  const std::uint32_t partitions = ClusterConfig{}.subscriberPartitions;
+  const Assignment settled = Rebalancer::Compute(partitions, ids);
+  WaitFor([&] {
+    for (const auto& host : hosts) {
+      bool same = false;
+      host->WithNode([&](ClusterNode& node) { same = node.assignment() == settled; });
+      if (!same) return false;
+    }
+    return true;
+  });
+  std::string clientId;
+  for (int i = 0; clientId.empty(); ++i) {
+    const std::string candidate = "handoff-sub-" + std::to_string(i);
+    if (settled.OwnerOf(Rebalancer::PartitionOf(candidate, partitions)) == ids[0]) {
+      clientId = candidate;
+    }
+  }
+  RawFramedClient sub(hosts[0]->ClientPort(), 4096);
+  std::uint64_t published = 0;
+  ASSERT_NO_FATAL_FAILURE(QueueDeliveries(sub, 0, clientId, "handoff/topic", published));
+
+  hosts[0]->WithNode([](ClusterNode& node) { node.Leave(); });
+  WaitFor([&] {
+    std::size_t local = 1;
+    hosts[0]->WithNode([&](ClusterNode& node) { local = node.LocalClientCount(); });
+    return local == 0;
+  });
+  ExpectBacklogThenFrameThenEof<HandoffFrame>(sub, published);
+}
+
+// Every frame a member writes — client acks and deliveries, peer frames,
+// MiniZK traffic — is queued for the loop's flush pass: a publish burst
+// across the cluster moves the scatter-gather flush counter on every member
+// and the one-frame send() counter on none.
+TEST_F(TcpClusterTest, PublishBurstSendsOnlyThroughTheFlushPass) {
+  StartCluster();
+  const std::string topic = "burst/topic";
+  std::vector<std::unique_ptr<RawFramedClient>> subs;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    subs.push_back(std::make_unique<RawFramedClient>(hosts[i]->ClientPort()));
+    ASSERT_TRUE(subs[i]->SendAll(
+        {ConnectFrame{"burst-sub-" + std::to_string(i)}, SubscribeFrame{topic}}));
+    ASSERT_TRUE(subs[i]->Expect<ConnAckFrame>());
+    ASSERT_TRUE(subs[i]->Expect<SubAckFrame>());
+  }
+  RawFramedClient pub(hosts[0]->ClientPort());
+  ASSERT_TRUE(pub.SendAll({ConnectFrame{"burst-pub"}}));
+  ASSERT_TRUE(pub.Expect<ConnAckFrame>());
+  // Settle the topic's coordinator first, so the burst is all steady state.
+  ASSERT_NO_FATAL_FAILURE(PublishUntilAcked(pub, Publication(topic, "burst-pub", 1)));
+  for (auto& sub : subs) ASSERT_TRUE(sub->Expect<DeliverFrame>());
+
+  std::vector<std::unique_ptr<obs::TransportMetrics>> transport;
+  std::vector<std::uint64_t> sendsBefore;
+  std::vector<std::uint64_t> flushesBefore;
+  for (const auto& registry : registries) {
+    transport.push_back(std::make_unique<obs::TransportMetrics>(*registry));
+    sendsBefore.push_back(transport.back()->syscallsSend.Value());
+    flushesBefore.push_back(transport.back()->syscallsSendmsg.Value());
+  }
+
+  constexpr std::uint64_t kPublishes = 200;
+  std::vector<Frame> burst;
+  for (std::uint64_t i = 2; i <= kPublishes + 1; ++i) {
+    burst.emplace_back(Publication(topic, "burst-pub", i));
+  }
+  ASSERT_TRUE(pub.SendAll(burst));
+  for (std::uint64_t i = 2; i <= kPublishes + 1; ++i) {
+    const auto ack = pub.Expect<PubAckFrame>();
+    ASSERT_TRUE(ack && ack->ok()) << "publish " << i;
+  }
+  for (auto& sub : subs) {
+    for (std::uint64_t i = 2; i <= kPublishes + 1; ++i) {
+      const auto deliver = sub->Expect<DeliverFrame>();
+      ASSERT_TRUE(deliver) << "delivery " << i;
+      EXPECT_EQ(deliver->msg.pubId.counter, i);
+    }
+  }
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    EXPECT_EQ(transport[i]->syscallsSend.Value(), sendsBefore[i]) << hosts[i]->serverId();
+    EXPECT_GT(transport[i]->syscallsSendmsg.Value(), flushesBefore[i])
+        << hosts[i]->serverId();
+  }
 }
 
 }  // namespace

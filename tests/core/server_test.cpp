@@ -4,18 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "client/client.hpp"
+#include "support/raw_framed_client.hpp"
 #include "transport/epoll_loop.hpp"
 
 namespace md::core {
@@ -366,71 +361,7 @@ class ServerFanoutTest : public ::testing::Test {
   std::unique_ptr<Server> server;
 };
 
-/// A blocking raw-framed client on a plain socket: it can put any number of
-/// frames into ONE send(), so they tend to reach the server's Worker in one
-/// batch, and it reads back the exact frame sequence the server wrote.
-class RawFramedClient {
- public:
-  explicit RawFramedClient(std::uint16_t port)
-      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                                       sizeof(addr)) == 0;
-    timeval timeout{20, 0};  // same ceiling as ClientLoopThread::WaitFor
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  }
-  ~RawFramedClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  RawFramedClient(const RawFramedClient&) = delete;
-  RawFramedClient& operator=(const RawFramedClient&) = delete;
-
-  [[nodiscard]] bool connected() const { return connected_; }
-
-  /// Encodes the frames back to back and writes them with one send() (a
-  /// loop only in case the kernel takes a partial write).
-  bool SendAll(const std::vector<Frame>& frames) {
-    Bytes wire;
-    for (const Frame& frame : frames) EncodeFramed(frame, wire);
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-      const ssize_t n =
-          ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// The next frame from the server; nullopt on timeout, close or garbage.
-  std::optional<Frame> Next() {
-    while (true) {
-      auto r = ExtractFrame(in_);
-      if (!r.status.ok()) return std::nullopt;
-      if (r.frame) return std::move(r.frame);
-      std::array<std::uint8_t, 64 * 1024> buf;
-      const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
-      if (n <= 0) return std::nullopt;
-      in_.Append(BytesView(buf.data(), static_cast<std::size_t>(n)));
-    }
-  }
-
-  /// Reads the next frame and requires it to be a T.
-  template <typename T>
-  std::optional<T> Expect() {
-    auto frame = Next();
-    if (!frame || !std::holds_alternative<T>(*frame)) return std::nullopt;
-    return std::get<T>(*frame);
-  }
-
- private:
-  int fd_;
-  bool connected_ = false;
-  ByteQueue in_;
-};
+using test_support::RawFramedClient;
 
 PublishFrame Publication(const std::string& topic, std::uint64_t counter) {
   PublishFrame pub;
