@@ -1,6 +1,6 @@
 // Slow-consumer backpressure benchmark: one stalled subscriber plus N healthy
 // ones on the real epoll engine, with the watermark policy ENFORCED (small
-// soft/hard marks, kDisconnect after a short grace) vs UNBOUNDED (the pre-fix
+// soft/hard marks, eviction after a short grace) vs UNBOUNDED (the pre-fix
 // behaviour: no hard mark, a grace period that never elapses), in one binary.
 //
 // The headline metrics are the peak send-queue depth any session ever pinned
@@ -63,7 +63,6 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
   serverCfg.metrics = &registry;
   serverCfg.backpressure.softWatermark = 128 * 1024;
   serverCfg.backpressure.lowWatermark = 16 * 1024;
-  serverCfg.backpressure.policy = core::OverflowPolicy::kDisconnect;
   if (enforced) {
     serverCfg.backpressure.hardWatermark = kHardMark;
     serverCfg.backpressure.evictGrace = 150 * kMillisecond;

@@ -164,3 +164,6 @@ for b in build/bench/*; do
   "$b" 2>&1 | tee -a bench_output.txt
   echo | tee -a bench_output.txt
 done
+
+# The change's src/ line count against its parent commit.
+scripts/src_loc_delta.sh

@@ -811,8 +811,7 @@ struct ChaosOptions {
   /// 2ms client RTT.
   core::BackpressureConfig clientBackpressure{
       /*softWatermark=*/384, /*hardWatermark=*/16 * 1024,
-      /*lowWatermark=*/128, core::OverflowPolicy::kDisconnect,
-      /*evictGrace=*/500 * kMillisecond};
+      /*lowWatermark=*/128, /*evictGrace=*/500 * kMillisecond};
   /// Metrics destination for the simulated cluster; nullptr keeps each run
   /// on a private registry (seed sweeps must not share counters).
   obs::MetricsRegistry* metrics = nullptr;

@@ -52,13 +52,12 @@ class SimCluster {
     /// the cluster its own private registry (keeps repeated sim runs in one
     /// process from accumulating into the process-wide default).
     obs::MetricsRegistry* metrics = nullptr;
-    /// Slow-consumer policy applied to every client connection. Defaults are
-    /// generous relative to sim traffic (256 KiB soft / 1 MiB hard) so only
-    /// tests that deliberately stall a client ever cross them.
+    /// Slow-consumer watermarks and grace for every client connection.
+    /// Defaults are generous relative to sim traffic (256 KiB soft / 1 MiB
+    /// hard) so only tests that deliberately stall a client ever cross them.
     core::BackpressureConfig clientBackpressure{
         /*softWatermark=*/256 * 1024, /*hardWatermark=*/1024 * 1024,
-        /*lowWatermark=*/64 * 1024, core::OverflowPolicy::kDisconnect,
-        /*evictGrace=*/250 * kMillisecond};
+        /*lowWatermark=*/64 * 1024, /*evictGrace=*/250 * kMillisecond};
     /// Servers whose ClusterNode does NOT start with StartAll() — elastic
     /// scale-out tests boot them later with JoinServer(). Their coordination
     /// replica runs from t=0: the coordination ensemble is provisioned
@@ -82,7 +81,9 @@ class SimCluster {
       opts_.metrics = ownedRegistry_.get();
     }
     opts_.coordConfig.metrics = opts_.metrics;
-    scm_ = std::make_unique<obs::SlowConsumerMetrics>(*opts_.metrics);
+    slow_ = std::make_unique<core::SlowConsumerPolicy>(
+        opts_.clientBackpressure, *opts_.metrics, "", nullptr,
+        core::FramedEvictionNotice);
     std::vector<sim::HostId> hosts;
     for (std::size_t i = 0; i < opts_.servers; ++i) {
       hosts.push_back(net_.AddHost("server-" + std::to_string(i + 1)));
@@ -121,6 +122,17 @@ class SimCluster {
     for (auto& server : servers_) OpenListener(*server);
   }
 
+  ~SimCluster() {
+    // A client's handlers hold its record, which holds the connection; drop
+    // them for connections still open at teardown, or the cycle leaks.
+    for (auto& server : servers_) {
+      for (auto& [handle, client] : server->clients) {
+        client->conn->SetDataHandler(nullptr);
+        client->conn->SetCloseHandler(nullptr);
+      }
+    }
+  }
+
   void StartAll() {
     coordCluster_->StartAll();
     for (auto& server : servers_) {
@@ -147,13 +159,10 @@ class SimCluster {
   /// quantity the backpressure invariant bounds by the hard watermark.
   [[nodiscard]] std::size_t MaxClientPending(std::size_t i) const {
     std::size_t maxPending = 0;
-    for (const auto& [handle, conn] : servers_.at(i)->connections) {
-      maxPending = std::max(maxPending, conn->PendingBytes());
+    for (const auto& [handle, client] : servers_.at(i)->clients) {
+      maxPending = std::max(maxPending, client->conn->PendingBytes());
     }
     return maxPending;
-  }
-  [[nodiscard]] const obs::SlowConsumerMetrics& slowConsumerMetrics() const {
-    return *scm_;
   }
 
   // --- faults ----------------------------------------------------------------
@@ -170,9 +179,9 @@ class SimCluster {
     }
     // TCP connections to a dead host break.
     server.listener.reset();
-    auto conns = std::move(server.connections);
-    server.connections.clear();
-    for (auto& [handle, conn] : conns) conn->Close();
+    auto clients = std::move(server.clients);
+    server.clients.clear();
+    for (auto& [handle, client] : clients) client->conn->Close();
   }
 
   void RestartServer(std::size_t i) {
@@ -244,11 +253,9 @@ class SimCluster {
     servers_.at(i)->node->Leave([this, i, done = std::move(done)] {
       ServerHost& server = *servers_.at(i);
       server.listener.reset();
-      auto conns = std::move(server.connections);
-      server.connections.clear();
-      server.inbox.clear();
-      server.bp.clear();
-      for (auto& [handle, conn] : conns) conn->Close();
+      auto clients = std::move(server.clients);
+      server.clients.clear();
+      for (auto& [handle, client] : clients) client->conn->Close();
       if (done) done();
     });
   }
@@ -282,11 +289,10 @@ class SimCluster {
   }
 
  private:
-  /// Per-client backpressure state (single-strand: scheduler events only).
-  struct ClientState {
-    bool overSoft = false;
-    bool evictTimerArmed = false;
-    bool evicting = false;
+  /// One client connection of a server (single-strand: scheduler events
+  /// only).
+  struct SimClient : core::PolicedClient {
+    ByteQueue in;
   };
 
   struct ServerHost {
@@ -299,9 +305,7 @@ class SimCluster {
     std::unique_ptr<ClusterNode> node;
     ListenerPtr listener;
     ClientHandle nextHandle = 1;
-    std::map<ClientHandle, ConnectionPtr> connections;
-    std::map<ClientHandle, std::shared_ptr<ByteQueue>> inbox;
-    std::map<ClientHandle, std::shared_ptr<ClientState>> bp;
+    std::map<ClientHandle, std::shared_ptr<SimClient>> clients;
   };
 
   class NodeEnv final : public ClusterEnv {
@@ -323,18 +327,17 @@ class SimCluster {
 
     void SendToClient(ClientHandle client, const Frame& frame) override {
       ServerHost& server = *cluster_.servers_[index_];
-      if (!server.connections.contains(client)) return;
-      Bytes wire;
-      EncodeFramed(frame, wire);
-      (void)cluster_.SendClientWire(server, client, BytesView(wire));
+      const auto it = server.clients.find(client);
+      if (it == server.clients.end()) return;
+      auto wire = AcquireWireBuffer();
+      EncodeFramed(frame, *wire);
+      (void)cluster_.slow_->Send(*it->second, std::move(wire));
     }
 
     void CloseClient(ClientHandle client) override {
       ServerHost& server = *cluster_.servers_[index_];
-      auto node = server.connections.extract(client);
-      server.inbox.erase(client);
-      server.bp.erase(client);
-      if (!node.empty()) node.mapped()->Close();
+      auto node = server.clients.extract(client);
+      if (!node.empty()) node.mapped()->conn->Close();
     }
 
     std::uint64_t Schedule(Duration delay, std::function<void()> fn) override {
@@ -363,26 +366,18 @@ class SimCluster {
     server.listener = std::move(*listener);
     server.listener->SetAcceptHandler([this, &server](ConnectionPtr conn) {
       const ClientHandle handle = server.nextHandle++;
-      server.connections[handle] = conn;
-      auto inbox = std::make_shared<ByteQueue>();
-      server.inbox[handle] = inbox;
-      auto state = std::make_shared<ClientState>();
-      server.bp[handle] = state;
-      conn->SetWatermarks(opts_.clientBackpressure.ToWatermarks());
-      conn->SetDrainedHandler([this, state] {
-        if (!state->overSoft) return;
-        state->overSoft = false;
-        scm_->sessionsOverSoft.Add(-1);
-      });
-      conn->SetDataHandler([this, &server, handle, inbox](BytesView data) {
-        inbox->Append(data);
+      auto client = std::make_shared<SimClient>();
+      client->handle = handle;
+      client->conn = std::move(conn);
+      client->loop = &clientLoop_;
+      server.clients[handle] = client;
+      slow_->Attach(*client);
+      client->conn->SetDataHandler([&server, handle, client](BytesView data) {
+        client->in.Append(data);
         while (true) {
-          auto r = ExtractFrame(*inbox);
+          auto r = ExtractFrame(client->in);
           if (!r.status.ok()) {
-            if (auto node = server.connections.extract(handle); !node.empty()) {
-              node.mapped()->Close();
-            }
-            server.inbox.erase(handle);
+            if (server.clients.erase(handle) != 0) client->conn->Close();
             server.node->OnClientDisconnect(handle);
             return;
           }
@@ -390,83 +385,18 @@ class SimCluster {
           server.node->OnClientFrame(handle, *r.frame);
         }
       });
-      conn->SetCloseHandler([this, &server, handle, state] {
-        if (state->overSoft) {
-          state->overSoft = false;
-          scm_->sessionsOverSoft.Add(-1);
-        }
-        server.connections.erase(handle);
-        server.inbox.erase(handle);
-        server.bp.erase(handle);
+      client->conn->SetCloseHandler([this, &server, handle, client] {
+        slow_->LeaveOverSoft(*client);
+        server.clients.erase(handle);
         server.node->OnClientDisconnect(handle);
       });
     });
   }
 
-  /// Status-checked client write applying Options::clientBackpressure: a
-  /// soft-accepted kCapacity arms the eviction grace timer; a hard-rejected
-  /// kCapacity (whole frame refused => stream gap) evicts immediately.
-  bool SendClientWire(ServerHost& server, ClientHandle handle, BytesView wire) {
-    const auto connIt = server.connections.find(handle);
-    const auto bpIt = server.bp.find(handle);
-    if (connIt == server.connections.end() || bpIt == server.bp.end()) {
-      return false;
-    }
-    const ConnectionPtr& conn = connIt->second;
-    const std::shared_ptr<ClientState>& state = bpIt->second;
-    if (state->evicting || !conn->IsOpen()) return false;
-    const std::size_t before = conn->PendingBytes();
-    const Status st = conn->Send(wire);
-    if (st.ok()) return true;
-    if (st.code() != ErrorCode::kCapacity) return false;
-    const bool accepted = conn->PendingBytes() > before;
-    if (!state->overSoft) {
-      state->overSoft = true;
-      scm_->softOverflows.Inc();
-      scm_->sessionsOverSoft.Add(1);
-      scm_->queueDepthBytes.Record(
-          static_cast<std::int64_t>(conn->PendingBytes()));
-    }
-    if (!accepted) {
-      EvictSlowClient(server, handle);
-      return false;
-    }
-    if (!state->evictTimerArmed) {
-      state->evictTimerArmed = true;
-      sched_.Schedule(
-          opts_.clientBackpressure.evictGrace, [this, &server, handle, state] {
-            state->evictTimerArmed = false;
-            if (!state->overSoft || state->evicting) return;
-            const auto it = server.connections.find(handle);
-            if (it == server.connections.end() || !it->second->IsOpen()) return;
-            EvictSlowClient(server, handle);
-          });
-    }
-    return true;
-  }
-
-  void EvictSlowClient(ServerHost& server, ClientHandle handle) {
-    const auto connIt = server.connections.find(handle);
-    const auto bpIt = server.bp.find(handle);
-    if (connIt == server.connections.end() || bpIt == server.bp.end()) return;
-    if (bpIt->second->evicting) return;
-    bpIt->second->evicting = true;
-    scm_->disconnects.Inc();
-    // Best-effort close notice, then close. The inproc transport delivers
-    // parked bytes before the close, so a paused client that resumes sees
-    // the whole backlog, then the DisconnectFrame, then EOF — same ordering
-    // a real socket gives. The close handler notifies the node.
-    Bytes notice;
-    EncodeFramed(Frame(DisconnectFrame{"slow consumer: send queue overflow"}),
-                 notice);
-    (void)connIt->second->Send(BytesView(notice));
-    connIt->second->CloseAfterFlush();
-  }
-
   sim::Scheduler& sched_;
   Options opts_;
   std::unique_ptr<obs::MetricsRegistry> ownedRegistry_;
-  std::unique_ptr<obs::SlowConsumerMetrics> scm_;
+  std::unique_ptr<core::SlowConsumerPolicy> slow_;
   sim::SimNetwork net_;
   InprocLoop clientLoop_;
   std::unique_ptr<coord::SimCoordCluster> coordCluster_;

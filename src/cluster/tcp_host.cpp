@@ -20,6 +20,12 @@ WireBuffer EncodeWire(const Frame& frame) {
   return wire;
 }
 
+std::unique_ptr<verify::Monitor> MakeMonitor(TcpHostConfig& cfg) {
+  if (!cfg.runtimeVerify) return nullptr;
+  if (cfg.verifyConfig.scope.empty()) cfg.verifyConfig.scope = cfg.serverId;
+  return std::make_unique<verify::Monitor>(RegistryOf(cfg), cfg.verifyConfig);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -38,7 +44,7 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
     const auto it = host_.clients_.find(client);
     if (it == host_.clients_.end()) return;
     Observe(client, frame);
-    (void)host_.SendClientWire(client, it->second, EncodeWire(frame));
+    (void)host_.slow_.Send(*it->second, EncodeWire(frame));
   }
 
   void SendToClients(const std::vector<ClientHandle>& clients,
@@ -53,7 +59,7 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
       if (it == host_.clients_.end()) continue;
       Observe(client, frame);
       if (!wire) wire = EncodeWire(frame);
-      (void)host_.SendClientWire(client, it->second, wire);
+      (void)host_.slow_.Send(*it->second, wire);
     }
   }
 
@@ -116,12 +122,11 @@ class TcpClusterHost::CoordEnv final : public coord::Env {
 
 TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
     : cfg_(std::move(cfg)),
-      scm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)),
-      tm_(RegistryOf(cfg_)) {
-  if (cfg_.runtimeVerify) {
-    if (cfg_.verifyConfig.scope.empty()) cfg_.verifyConfig.scope = cfg_.serverId;
-    monitor_ = std::make_unique<verify::Monitor>(RegistryOf(cfg_), cfg_.verifyConfig);
-  }
+      tm_(RegistryOf(cfg_)),
+      monitor_(MakeMonitor(cfg_)),
+      slow_(cfg_.clientBackpressure, RegistryOf(cfg_),
+            obs::ServerLabel(cfg_.serverId), monitor_.get(),
+            core::FramedEvictionNotice) {
   loop_ = CreateNetLoop(cfg_.eventLoop);
   loop_->SetMetrics(&tm_);
   nodeEnv_ = std::make_unique<NodeEnv>(*this, cfg_.seed);
@@ -226,15 +231,11 @@ void TcpClusterHost::WithCoord(const std::function<void(coord::CoordNode&)>& fn)
 void TcpClusterHost::OnClientAccept(ConnectionPtr conn) {
   const ClientHandle handle = nextHandle_++;
   auto client = std::make_shared<ClientConn>();
+  client->handle = handle;
   client->conn = conn;
+  client->loop = loop_.get();
   clients_[handle] = client;
-
-  conn->SetWatermarks(cfg_.clientBackpressure.ToWatermarks());
-  conn->SetDrainedHandler([this, client] {
-    if (!client->overSoft) return;
-    client->overSoft = false;
-    scm_.sessionsOverSoft.Add(-1);
-  });
+  slow_.Attach(*client);
 
   conn->SetDataHandler([this, handle, client](BytesView data) {
     client->in.Append(data);
@@ -251,10 +252,7 @@ void TcpClusterHost::OnClientAccept(ConnectionPtr conn) {
     }
   });
   conn->SetCloseHandler([this, handle, client] {
-    if (client->overSoft) {
-      client->overSoft = false;
-      scm_.sessionsOverSoft.Add(-1);
-    }
+    slow_.LeaveOverSoft(*client);
     clients_.erase(handle);
     node_->OnClientDisconnect(handle);
   });
@@ -427,60 +425,6 @@ void TcpClusterHost::SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg) 
   auto wire = AcquireWireBuffer();
   coord::EncodeCoordFramed(msg, *wire);
   if (!SendOnLink(coordLinks_[to], std::move(wire))) EnsureCoordLink(to);
-}
-
-bool TcpClusterHost::SendClientWire(ClientHandle handle,
-                                    const std::shared_ptr<ClientConn>& client,
-                                    WireBuffer wire) {
-  if (client->evicting || !client->conn->IsOpen()) return false;
-  const std::size_t before = client->conn->PendingBytes();
-  const Status st = client->conn->Send(std::move(wire));
-  if (st.ok()) return true;
-  if (st.code() != ErrorCode::kCapacity) return false;
-  // kCapacity: bytes were accepted iff PendingBytes moved (soft overflow);
-  // otherwise the whole frame was rejected at the hard mark.
-  const bool accepted = client->conn->PendingBytes() > before;
-  if (!client->overSoft) {
-    client->overSoft = true;
-    scm_.softOverflows.Inc();
-    scm_.sessionsOverSoft.Add(1);
-    scm_.queueDepthBytes.Record(
-        static_cast<std::int64_t>(client->conn->PendingBytes()));
-  }
-  if (monitor_) {
-    monitor_->OnBackpressure(handle, client->conn->PendingBytes(),
-                             cfg_.clientBackpressure.hardWatermark);
-  }
-  if (!accepted) {
-    // The stream now has a gap; eviction forces the reconnect + resume path,
-    // which backfills everything the client missed.
-    EvictSlowClient(handle, client);
-    return false;
-  }
-  if (!client->evictTimerArmed) {
-    client->evictTimerArmed = true;
-    loop_->ScheduleTimer(
-        cfg_.clientBackpressure.evictGrace, [this, handle, client] {
-          client->evictTimerArmed = false;
-          if (client->overSoft && !client->evicting && client->conn->IsOpen()) {
-            EvictSlowClient(handle, client);
-          }
-        });
-  }
-  return true;
-}
-
-void TcpClusterHost::EvictSlowClient(ClientHandle handle,
-                                     const std::shared_ptr<ClientConn>& client) {
-  if (client->evicting) return;
-  client->evicting = true;
-  scm_.disconnects.Inc();
-  MD_INFO("%s: evicting slow client %llu (%zu bytes pending)",
-          cfg_.serverId.c_str(), static_cast<unsigned long long>(handle),
-          client->conn->PendingBytes());
-  (void)client->conn->Send(
-      EncodeWire(DisconnectFrame{"slow consumer: send queue overflow"}));
-  client->conn->CloseAfterFlush();
 }
 
 void TcpClusterHost::RetryLinks() {

@@ -55,7 +55,7 @@ struct TcpHostConfig {
   coord::CoordConfig coord;
   std::uint64_t seed = 1;
   Duration peerRetryInterval = 500 * kMillisecond;
-  /// Slow-consumer policy for client connections. Peer/coord links keep the
+  /// Slow-consumer watermarks for client connections. Peer/coord links keep the
   /// transport defaults (effectively unbounded): dropping replication traffic
   /// to a peer would violate the cluster's delivery guarantees — peers are
   /// governed by the backlog cap + cache sync instead.
@@ -96,13 +96,8 @@ class TcpClusterHost {
   [[nodiscard]] verify::Monitor* monitor() noexcept { return monitor_.get(); }
 
  private:
-  struct ClientConn {
-    ConnectionPtr conn;
+  struct ClientConn : core::PolicedClient {
     ByteQueue in;
-    // Backpressure state (loop-thread only).
-    bool overSoft = false;
-    bool evictTimerArmed = false;
-    bool evicting = false;
     // CloseClient ran: the node has forgotten this handle, so frames still
     // arriving while the connection flushes are dropped.
     bool detached = false;
@@ -134,20 +129,13 @@ class TcpClusterHost {
   /// Queues the backlog on the link's (new) connection, in order.
   static void FlushBacklog(Link& link);
   void RetryLinks();
-  /// Status-checked client write applying `clientBackpressure` (loop thread):
-  /// soft-accepted kCapacity arms the eviction grace timer, hard-rejected
-  /// kCapacity (frame lost => stream gap) evicts immediately.
-  bool SendClientWire(ClientHandle handle,
-                      const std::shared_ptr<ClientConn>& client, WireBuffer wire);
-  void EvictSlowClient(ClientHandle handle,
-                       const std::shared_ptr<ClientConn>& client);
   [[nodiscard]] const TcpPeerAddress* PeerById(const std::string& serverId) const;
   [[nodiscard]] const TcpPeerAddress* PeerByNode(coord::NodeId nodeId) const;
 
   TcpHostConfig cfg_;
-  obs::SlowConsumerMetrics scm_;
   obs::TransportMetrics tm_;  // must outlive loop_
   std::unique_ptr<verify::Monitor> monitor_;
+  core::SlowConsumerPolicy slow_;
   std::unique_ptr<NetLoop> loop_;
   std::thread thread_;
   std::atomic<bool> running_{false};

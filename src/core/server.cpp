@@ -30,6 +30,44 @@ void EncodeForMode(const Frame& frame, std::uint8_t mode, Bytes& out) {
   }
 }
 
+/// Copies bytes that were not encoded into a wire buffer (handshake and HTTP
+/// responses, batcher output).
+WireBuffer CopyToWire(BytesView data) {
+  auto wire = AcquireWireBuffer();
+  wire->assign(data.begin(), data.end());
+  return wire;
+}
+
+/// The slow-consumer close notice in the session's transport flavour: a WS
+/// endpoint must see a proper Close frame (1013 "try again later"), not a
+/// mid-stream TCP reset.
+WireBuffer EvictionNotice(const PolicedClient& client) {
+  const auto mode = static_cast<const Session&>(client).CurrentMode();
+  auto notice = AcquireWireBuffer();
+  if (mode == Session::Mode::kWs) {
+    Bytes payload{static_cast<std::uint8_t>(ws::kClosePolicyTryAgainLater >> 8),
+                  static_cast<std::uint8_t>(ws::kClosePolicyTryAgainLater)};
+    static constexpr std::string_view kReason = "slow consumer";
+    payload.insert(payload.end(), kReason.begin(), kReason.end());
+    ws::EncodeWsFrame(ws::Opcode::kClose, BytesView(payload), *notice);
+  } else {
+    EncodeForMode(Frame(DisconnectFrame{std::string(kSlowConsumerReason)}),
+                  static_cast<std::uint8_t>(mode), *notice);
+  }
+  return notice;
+}
+
+/// The embedded runtime monitor (nullptr unless cfg.runtimeVerify), scoped
+/// to the server id unless the config names a scope. Its families register
+/// here, not in RegisterStandardFamilies: a server without runtimeVerify
+/// keeps its exposition schema (and the checked-in goldens) byte-stable.
+std::unique_ptr<verify::Monitor> MakeMonitor(ServerConfig& cfg,
+                                             obs::MetricsRegistry& registry) {
+  if (!cfg.runtimeVerify) return nullptr;
+  if (cfg.verifyConfig.scope.empty()) cfg.verifyConfig.scope = cfg.serverId;
+  return std::make_unique<verify::Monitor>(registry, cfg.verifyConfig);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -42,9 +80,11 @@ Server::Server(ServerConfig cfg)
                                        : obs::MetricsRegistry::Default()),
       m_(metrics_, obs::ServerLabel(cfg_.serverId)),
       tm_(metrics_),
-      scm_(metrics_, obs::ServerLabel(cfg_.serverId)),
       wm_(metrics_, obs::ServerLabel(cfg_.serverId)),
       tracer_(metrics_, [] { return RealClock::Instance().Now(); }, "wall"),
+      monitor_(MakeMonitor(cfg_, metrics_)),
+      slow_(cfg_.backpressure, metrics_, obs::ServerLabel(cfg_.serverId),
+            monitor_.get(), EvictionNotice),
       cache_(cfg_.cache) {
   // Pre-register the full schema so GET /metrics exposes every family from
   // the first scrape, not just the ones that have seen traffic.
@@ -55,12 +95,7 @@ Server::Server(ServerConfig cfg)
     wal_ = std::make_unique<wal::Log>(wal::PosixEnv::Instance(), cfg_.wal, &wm_);
     cache_.AttachWal(wal_.get());
   }
-  if (cfg_.runtimeVerify) {
-    // The monitor's families register here, not in RegisterStandardFamilies:
-    // a server without runtimeVerify keeps its exposition schema (and the
-    // checked-in goldens) byte-stable.
-    if (cfg_.verifyConfig.scope.empty()) cfg_.verifyConfig.scope = cfg_.serverId;
-    monitor_ = std::make_unique<verify::Monitor>(metrics_, cfg_.verifyConfig);
+  if (monitor_) {
     tracer_.SetStageSink([m = monitor_.get()](const obs::TraceKey& key,
                                               obs::Stage stage) {
       m->OnStage(key, stage);
@@ -210,43 +245,26 @@ void Server::OnAccept(std::size_t ioIndex, ConnectionPtr conn) {
   session->workerIndex = MixU64(session->handle) % workers_.size();
   session->conn = std::move(conn);
   session->loop = ioThreads_[ioIndex]->loop.get();
-  session->conn->SetWatermarks(cfg_.backpressure.ToWatermarks());
-  // Low-watermark recovery: the connection drained below wm.low after a
-  // soft excursion — the session is healthy again (IoThread callback).
-  session->conn->SetDrainedHandler(
-      [this, weak = std::weak_ptr<Session>(session)] {
-        auto s = weak.lock();
-        if (!s || !s->overSoft) return;
-        s->overSoft = false;
-        scm_.sessionsOverSoft.Add(-1);
-      });
+  slow_.Attach(*session);
   if (cfg_.enableBatching) {
     session->batcher = std::make_unique<Batcher>(
         cfg_.batch, [this, weak = std::weak_ptr<Session>(session)](BytesView data) {
-          if (auto s = weak.lock()) {
-            (void)SendOnLoop(s, data, /*deliverClass=*/false);
-          }
+          if (auto s = weak.lock()) Send(*s, CopyToWire(data));
         });
   }
-  if (cfg_.enableConflation ||
-      cfg_.backpressure.policy == OverflowPolicy::kConflate) {
+  if (cfg_.enableConflation) {
     // Emits the newest message per topic at each window close (IoThread).
-    // With enableConflation this is the delivery path for every session and
-    // `delivered` advances per emission (suppressed duplicates never count);
-    // under the kConflate overflow policy the fan-out already counted the
-    // delivery when it routed the message here, so emissions must not.
-    const bool countEmits = cfg_.enableConflation;
+    // This is the delivery path for every session, and `delivered` advances
+    // per emission (suppressed duplicates never count).
     session->conflator = std::make_unique<Conflator>(
-        cfg_.conflate,
-        [this, countEmits,
-         weak = std::weak_ptr<Session>(session)](const Message& m) {
+        cfg_.conflate, [this, weak = std::weak_ptr<Session>(session)](const Message& m) {
           auto s = weak.lock();
           if (!s || !s->open.load(std::memory_order_relaxed)) return;
-          Bytes wire;
+          auto wire = AcquireWireBuffer();
           EncodeForMode(Frame(DeliverFrame{m}),
-                        static_cast<std::uint8_t>(s->CurrentMode()), wire);
-          if (countEmits) m_.delivered.Inc();
-          WriteOut(s, BytesView(wire), /*deliverClass=*/true);
+                        static_cast<std::uint8_t>(s->CurrentMode()), *wire);
+          m_.delivered.Inc();
+          WriteOut(s, std::move(wire));
         });
   }
 
@@ -324,7 +342,7 @@ void Server::ParseFrames(const SessionPtr& session) {
     }
     if (!hs.handshake) return;  // need more bytes
     const std::string response = ws::BuildServerHandshakeResponse(hs.handshake->key);
-    (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+    Send(*session, CopyToWire(AsBytes(response)));
     setMode(Mode::kWs);
   }
 
@@ -336,7 +354,7 @@ void Server::ParseFrames(const SessionPtr& session) {
     }
     if (!req.complete) return;
     const std::string response = http::BuildStreamResponse();
-    (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+    Send(*session, CopyToWire(AsBytes(response)));
     setMode(Mode::kHttp);
   }
 
@@ -360,11 +378,10 @@ void Server::ParseFrames(const SessionPtr& session) {
           break;
         }
         case ws::Opcode::kPing: {
-          // Keepalive is control-class: it bypasses the overflow policy so a
-          // responsive client is never dropped for another session's backlog.
-          Bytes pong;
-          ws::EncodeWsFrame(ws::Opcode::kPong, BytesView(r.frame->payload), pong);
-          (void)SendOnLoop(session, BytesView(pong), /*deliverClass=*/false);
+          // Keepalive skips the batcher: the pong goes out on this pass.
+          auto pong = AcquireWireBuffer();
+          ws::EncodeWsFrame(ws::Opcode::kPong, BytesView(r.frame->payload), *pong);
+          Send(*session, std::move(pong));
           continue;
         }
         case ws::Opcode::kClose:
@@ -427,7 +444,7 @@ void Server::ServeMetrics(const SessionPtr& session) {
       "Connection: close\r\n"
       "\r\n";
   response += body;
-  (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+  Send(*session, CopyToWire(AsBytes(response)));
   session->conn->CloseAfterFlush();
 }
 
@@ -461,7 +478,7 @@ void Server::ServeInject(const SessionPtr& session, std::string_view path) {
                          "Connection: close\r\n"
                          "\r\n" +
                          body;
-  (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+  Send(*session, CopyToWire(AsBytes(response)));
   session->conn->CloseAfterFlush();
 }
 
@@ -476,10 +493,7 @@ void Server::FailSession(const SessionPtr& session, const Status& status) {
 void Server::OnClosed(const SessionPtr& session) {
   if (!session->open.exchange(false)) return;
   m_.active.Add(-1);
-  if (session->overSoft) {  // close handler runs on the session's IoThread
-    session->overSoft = false;
-    scm_.sessionsOverSoft.Add(-1);
-  }
+  slow_.LeaveOverSoft(*session);  // close handler runs on the session's IoThread
   // Let the session's Worker clean up subscriptions in order with any frames
   // still queued ahead.
   Worker& worker = *workers_[session->workerIndex];
@@ -624,27 +638,21 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
   }
   tracer_.Stamp(traceKey, obs::Stage::kFannedOut);
 
-  const Frame deliver{DeliverFrame{std::move(msg)}};
-  const Message& delivered = std::get<DeliverFrame>(deliver).msg;
-  std::shared_ptr<const Message> sharedMsg;
-  if (cfg_.enableConflation ||
-      cfg_.backpressure.policy == OverflowPolicy::kConflate) {
+  if (cfg_.enableConflation) {
     // Conflation works on messages, so encoding happens per emission (the
     // delivered counter advances there as suppressed duplicates are
-    // intentionally never delivered). The kConflate overflow policy also
-    // needs the message alongside the wire bytes: sessions over their soft
-    // watermark divert to their conflator at write time.
-    sharedMsg = std::make_shared<const Message>(delivered);
-  }
-
-  if (cfg_.enableConflation) {
-    // Emission is decoupled from this publish, so its trace ends here.
+    // intentionally never delivered). Emission is decoupled from this
+    // publish, so its trace ends here.
     tracer_.Discard(traceKey);
-    const Egress offer{.kind = EgressKind::kOfferConflated, .msg = sharedMsg};
+    const Egress offer{.kind = EgressKind::kOfferConflated,
+                       .msg = std::make_shared<const Message>(std::move(msg))};
     for (const SessionPtr& target : live) Enqueue(w, target, offer);
     live.clear();
     return;
   }
+
+  const Frame deliver{DeliverFrame{std::move(msg)}};
+  const Message& delivered = std::get<DeliverFrame>(deliver).msg;
 
   // Encode once per transport flavour present among the targets; every
   // subscriber on every IoThread queues a reference to the same bytes. The
@@ -657,8 +665,7 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
     if (!frame.wire) {
       auto bytes = AcquireWireBuffer();
       EncodeForMode(deliver, static_cast<std::uint8_t>(mode), *bytes);
-      frame = Egress{.deliverClass = true, .wire = std::move(bytes),
-                     .msg = sharedMsg};
+      frame = Egress{.wire = std::move(bytes)};
     }
     if (monitor_) {
       monitor_->OnDelivery(target->handle, delivered.topic, PosOf(delivered),
@@ -695,7 +702,7 @@ void Server::Enqueue(Worker& w, const SessionPtr& target, const Egress& frame,
   if (!trace && !box.entries.empty()) {
     Egress& last = box.entries.back();
     if (last.end == at && last.kind == frame.kind && last.wire == frame.wire &&
-        last.msg == frame.msg && last.deliverClass == frame.deliverClass) {
+        last.msg == frame.msg) {
       last.end = at + 1;
       return;
     }
@@ -727,13 +734,8 @@ void Server::WriteOutbox(const Outbox& box) {
         s->conn->Close();
       } else if (e.kind == EgressKind::kOfferConflated) {
         OfferConflatedOnLoop(s, *e.msg);
-      } else if (e.msg && s->overSoft && s->conflator) {
-        // kConflate overflow policy: while this session is over its soft
-        // watermark it gets the newest value per topic, not the backlog.
-        scm_.conflated.Inc();
-        OfferConflatedOnLoop(s, *e.msg);
       } else {
-        WriteOutShared(s, e.wire, e.deliverClass);
+        WriteOut(s, e.wire);
         if (e.trace && !stamped) {
           tracer_.Stamp(*e.trace, obs::Stage::kSocketWritten);
           stamped = true;
@@ -744,136 +746,24 @@ void Server::WriteOutbox(const Outbox& box) {
   }
 }
 
-void Server::WriteOut(const SessionPtr& session, BytesView wire,
-                      bool deliverClass) {
-  if (session->batcher) {
-    // kDropNewest sheds a deliver-class frame before it enters the batcher —
-    // the same point a direct write would have dropped it.
-    if (deliverClass && session->overSoft &&
-        cfg_.backpressure.policy == OverflowPolicy::kDropNewest) {
-      scm_.dropped.Inc();
-      return;
-    }
-    session->batcher->Enqueue(wire, session->loop->Now());
-    if (!session->flushTimerArmed && session->batcher->PendingBytes() > 0) {
-      session->flushTimerArmed = true;
-      session->loop->ScheduleTimer(cfg_.batch.maxDelay,
-                                   [this, session] { FlushBatch(session); });
-    }
-  } else {
-    (void)SendOnLoop(session, wire, deliverClass);
-  }
-}
-
-void Server::WriteOutShared(const SessionPtr& session,
-                            const std::shared_ptr<const Bytes>& wire,
-                            bool deliverClass) {
-  // The batcher coalesces frames into its own buffer (copying is the whole
-  // point there), and the ablation's legacy row forces the copying path.
-  if (session->batcher || !cfg_.zeroCopyEgress) {
-    WriteOut(session, BytesView(*wire), deliverClass);
+void Server::WriteOut(const SessionPtr& session, WireBuffer wire) {
+  if (!session->batcher) {
+    Send(*session, std::move(wire));
     return;
   }
-  (void)SendOnLoopShared(session, wire, deliverClass);
+  // The batcher coalesces frames into its own buffer; its flush copies them
+  // into one wire buffer and sends that.
+  session->batcher->Enqueue(BytesView(*wire), session->loop->Now());
+  if (!session->flushTimerArmed && session->batcher->PendingBytes() > 0) {
+    session->flushTimerArmed = true;
+    session->loop->ScheduleTimer(cfg_.batch.maxDelay,
+                                 [this, session] { FlushBatch(session); });
+  }
 }
 
-bool Server::SendOnLoop(const SessionPtr& session, BytesView wire,
-                        bool deliverClass) {
-  return SendBytesOnLoop(session, wire, nullptr, deliverClass);
-}
-
-bool Server::SendOnLoopShared(const SessionPtr& session,
-                              const std::shared_ptr<const Bytes>& wire,
-                              bool deliverClass) {
-  return SendBytesOnLoop(session, BytesView(*wire), &wire, deliverClass);
-}
-
-bool Server::SendBytesOnLoop(const SessionPtr& session, BytesView view,
-                             const std::shared_ptr<const Bytes>* shared,
-                             bool deliverClass) {
-  if (session->evicting || !session->conn->IsOpen()) return false;
-  if (deliverClass && session->overSoft &&
-      cfg_.backpressure.policy == OverflowPolicy::kDropNewest) {
-    scm_.dropped.Inc();
-    return false;
-  }
-  const std::size_t before = session->conn->PendingBytes();
-  const Status st = shared != nullptr ? session->conn->Send(*shared)
-                                      : session->conn->Send(view);
-  if (st.ok()) {
-    m_.bytesOut.Inc(view.size());
-    return true;
-  }
-  if (st.code() != ErrorCode::kCapacity) return false;  // closed under us
-  // kCapacity is ambiguous by design: over-soft Sends accept the bytes, over-
-  // hard Sends reject the whole frame. PendingBytes moved iff accepted
-  // (deterministic — we are on the connection's IoThread).
-  const bool accepted = session->conn->PendingBytes() > before;
-  if (accepted) m_.bytesOut.Inc(view.size());
-  if (!session->overSoft) {
-    session->overSoft = true;
-    scm_.softOverflows.Inc();
-    scm_.sessionsOverSoft.Add(1);
-  }
-  // Sample depth on every over-soft send (already the slow path): the
-  // histogram's max is the peak backlog any session ever pinned, which is
-  // what the hard watermark bounds.
-  scm_.queueDepthBytes.Record(
-      static_cast<std::int64_t>(session->conn->PendingBytes()));
-  if (monitor_) {
-    monitor_->OnBackpressure(session->handle, session->conn->PendingBytes(),
-                             cfg_.backpressure.hardWatermark);
-  }
-  if (cfg_.backpressure.policy == OverflowPolicy::kDisconnect) {
-    if (!accepted) {
-      // Hard reject under kDisconnect: the frame is lost and the stream has a
-      // gap, so the only correct continuation is eviction — an at-least-once
-      // client reconnects and backfills past the gap.
-      EvictSlowConsumer(session);
-    } else if (!session->evictTimerArmed) {
-      // Grace before eviction: a healthy client absorbing a burst (e.g. its
-      // own resume backfill) drains below the low watermark within the grace
-      // and survives; a stalled one is still over soft when the timer fires.
-      session->evictTimerArmed = true;
-      session->loop->ScheduleTimer(
-          cfg_.backpressure.evictGrace, [this, session] {
-            session->evictTimerArmed = false;
-            if (session->overSoft && !session->evicting &&
-                session->open.load(std::memory_order_relaxed)) {
-              EvictSlowConsumer(session);
-            }
-          });
-    }
-  } else if (!accepted) {
-    scm_.dropped.Inc();  // kConflate/kDropNewest past the hard mark: shed
-  }
-  return accepted;
-}
-
-void Server::EvictSlowConsumer(const SessionPtr& session) {
-  if (session->evicting) return;
-  session->evicting = true;
-  scm_.disconnects.Inc();
-  MD_INFO("evicting slow consumer %llu (%s): %zu bytes pending",
-          static_cast<unsigned long long>(session->handle),
-          session->conn->PeerName().c_str(), session->conn->PendingBytes());
-  // Best-effort close notice so a client that is merely slow (not dead)
-  // learns this was a policy eviction, then a flush-bounded close. Encoded
-  // per transport flavour: a WS endpoint must see a proper Close frame
-  // (1013 "try again later"), not a mid-stream TCP reset.
-  Bytes notice;
-  if (session->CurrentMode() == Session::Mode::kWs) {
-    Bytes payload{static_cast<std::uint8_t>(ws::kClosePolicyTryAgainLater >> 8),
-                  static_cast<std::uint8_t>(ws::kClosePolicyTryAgainLater)};
-    static constexpr std::string_view kReason = "slow consumer";
-    payload.insert(payload.end(), kReason.begin(), kReason.end());
-    ws::EncodeWsFrame(ws::Opcode::kClose, BytesView(payload), notice);
-  } else {
-    EncodeForMode(Frame(DisconnectFrame{"slow consumer: send queue overflow"}),
-                  static_cast<std::uint8_t>(session->CurrentMode()), notice);
-  }
-  (void)session->conn->Send(BytesView(notice));
-  session->conn->CloseAfterFlush();
+void Server::Send(Session& session, WireBuffer wire) {
+  const std::size_t size = wire->size();
+  if (slow_.Send(session, std::move(wire))) m_.bytesOut.Inc(size);
 }
 
 void Server::OfferConflatedOnLoop(const SessionPtr& session, const Message& msg) {

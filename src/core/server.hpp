@@ -68,16 +68,11 @@ struct ServerConfig {
   /// the newest message of each of its topics.
   bool enableConflation = false;
   ConflateConfig conflate;
-  /// Zero-copy egress: deliveries queue a reference to the shared wire
-  /// buffer on each subscriber connection (SendQueue + scatter-gather
-  /// flush) instead of memcpy'ing into a per-session buffer. Off = legacy
-  /// copying sends (the bench_fanout ablation's `batched` row).
-  bool zeroCopyEgress = true;
   /// Which real-network event loop backend the IoThreads run. io_uring
   /// falls back to epoll (with a warning) when the kernel can't run it.
   LoopKind eventLoop = LoopKind::kEpoll;
-  /// Slow-consumer handling: send-queue watermarks every client connection is
-  /// held to, and what to do with a session that stays over the soft mark.
+  /// Slow-consumer handling (core/backpressure.hpp): send-queue watermarks
+  /// every client connection is held to, and the eviction grace.
   BackpressureConfig backpressure;
   std::size_t maxFrameSize = 1 * 1024 * 1024;
   /// Metrics destination; nullptr uses the process-wide default registry.
@@ -160,7 +155,7 @@ class Server {
 
   /// What the loop-side writer does with an outbox entry's targets.
   enum class EgressKind : std::uint8_t {
-    kWrite,           // queue `wire`; kConflate policy diverts over-soft ones
+    kWrite,           // queue `wire`
     kOfferConflated,  // enableConflation: offer `msg` to each conflator
     kClose,           // close the connection behind the frames queued before
   };
@@ -170,8 +165,7 @@ class Server {
   /// every subscriber there that shares its transport flavour.
   struct Egress {
     EgressKind kind = EgressKind::kWrite;
-    bool deliverClass = false;
-    std::shared_ptr<const Bytes> wire;
+    WireBuffer wire;
     std::shared_ptr<const Message> msg;  // conflation only
     std::uint32_t begin = 0;             // [begin, end) in Outbox::targets
     std::uint32_t end = 0;
@@ -229,40 +223,20 @@ class Server {
   void OfferConflatedOnLoop(const SessionPtr& session, const Message& msg);
   void FlushBatch(const SessionPtr& session);
   void FlushConflator(const SessionPtr& session);
-  void WriteOut(const SessionPtr& session, BytesView wire,
-                bool deliverClass = false);
-  /// Zero-copy flavour: queues a reference to the shared wire buffer (unless
-  /// the session batches, which coalesces copies by design, or
-  /// cfg_.zeroCopyEgress is off for the ablation).
-  void WriteOutShared(const SessionPtr& session,
-                      const std::shared_ptr<const Bytes>& wire,
-                      bool deliverClass);
-  /// The one place connection->Send() is called (IoThread only). Applies the
-  /// overflow policy on a kCapacity result: distinguishes soft-accepted from
-  /// hard-rejected via PendingBytes(), counts metrics, and arms the eviction
-  /// grace timer / drops the frame per ServerConfig::backpressure. Returns
-  /// whether the bytes were accepted into the connection.
-  bool SendOnLoop(const SessionPtr& session, BytesView wire, bool deliverClass);
-  bool SendOnLoopShared(const SessionPtr& session,
-                        const std::shared_ptr<const Bytes>& wire,
-                        bool deliverClass);
-  /// Common policy core of the two SendOnLoop flavours: `shared` non-null
-  /// selects the refcounted connection Send.
-  bool SendBytesOnLoop(const SessionPtr& session, BytesView view,
-                       const std::shared_ptr<const Bytes>* shared,
-                       bool deliverClass);
-  /// Sends a policy close notice (WS Close 1013 or DisconnectFrame), then
-  /// CloseAfterFlush() so the notice reaches clients that are still reading.
-  void EvictSlowConsumer(const SessionPtr& session);
+  /// Queues `wire` for the session: into its batcher when it has one,
+  /// otherwise straight to Send.
+  void WriteOut(const SessionPtr& session, WireBuffer wire);
+  /// Hands `wire` to the slow-consumer policy and counts the bytes it took.
+  void Send(Session& session, WireBuffer wire);
 
   ServerConfig cfg_;
   obs::MetricsRegistry& metrics_;
   obs::CoreMetrics m_;
   obs::TransportMetrics tm_;
-  obs::SlowConsumerMetrics scm_;
   obs::WalMetrics wm_;
   obs::Tracer tracer_;
   std::unique_ptr<verify::Monitor> monitor_;
+  SlowConsumerPolicy slow_;
   std::unique_ptr<wal::Log> wal_;
   wal::RecoveryStats walRecovery_;
   std::thread walFlusher_;             // group-commit policy only

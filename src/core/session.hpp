@@ -23,19 +23,17 @@
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "common/slab.hpp"
+#include "core/backpressure.hpp"
 #include "core/batcher.hpp"
 #include "core/registry.hpp"
 #include "transport/transport.hpp"
 
 namespace md::core {
 
-struct Session : std::enable_shared_from_this<Session> {
-  ClientHandle handle = 0;
-  std::size_t ioIndex = 0;
-  std::size_t workerIndex = 0;
-  ConnectionPtr conn;
-  NetLoop* loop = nullptr;
-
+/// `handle`, `conn`, `loop` (the session's IoThread) and the slow-consumer
+/// state come from PolicedClient. `mode` leads so it fills that base's tail
+/// padding.
+struct Session : PolicedClient {
   // Protocol mode, auto-detected from the first bytes. Written only on the
   // session's IoThread (during the handshake, before any frame reaches a
   // Worker); read by Workers on the fan-out encode path, hence atomic.
@@ -52,6 +50,9 @@ struct Session : std::enable_shared_from_this<Session> {
   [[nodiscard]] Mode CurrentMode() const noexcept {
     return mode.load(std::memory_order_relaxed);
   }
+
+  std::size_t ioIndex = 0;
+  std::size_t workerIndex = 0;
   ByteQueue in;
 
   // Worker-thread state.
@@ -62,12 +63,6 @@ struct Session : std::enable_shared_from_this<Session> {
   bool flushTimerArmed = false;
   std::unique_ptr<Conflator> conflator;
   bool conflateTimerArmed = false;
-
-  // Backpressure state, owned by the session's IoThread (set on a kCapacity
-  // Send result, cleared by the connection's drained callback).
-  bool overSoft = false;
-  bool evictTimerArmed = false;
-  bool evicting = false;
 
   std::atomic<bool> open{true};
 };

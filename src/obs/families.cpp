@@ -61,18 +61,12 @@ constexpr std::string_view kSlowSoftOverflowsHelp =
 constexpr std::string_view kSlowDisconnects = "md_slow_consumer_disconnects_total";
 constexpr std::string_view kSlowDisconnectsHelp =
     "Sessions evicted by the slow-consumer overflow policy";
-constexpr std::string_view kSlowConflated = "md_slow_consumer_conflated_total";
-constexpr std::string_view kSlowConflatedHelp =
-    "Deliveries routed through the conflator while over the soft watermark";
-constexpr std::string_view kSlowDropped = "md_slow_consumer_dropped_total";
-constexpr std::string_view kSlowDroppedHelp =
-    "Deliveries dropped by the overflow policy (drop-newest or hard reject)";
 constexpr std::string_view kSlowOverSoft = "md_slow_consumer_sessions_over_soft";
 constexpr std::string_view kSlowOverSoftHelp =
     "Sessions currently above the soft send-queue watermark";
 constexpr std::string_view kSlowQueueDepth = "md_slow_consumer_queue_depth_bytes";
 constexpr std::string_view kSlowQueueDepthHelp =
-    "Send-queue depth sampled at soft-watermark crossings";
+    "Send-queue depth sampled on every send over the soft watermark";
 
 constexpr std::string_view kClusPublished = "md_cluster_published_total";
 constexpr std::string_view kClusPublishedHelp =
@@ -213,8 +207,6 @@ SlowConsumerMetrics::SlowConsumerMetrics(MetricsRegistry& r,
     : softOverflows(
           r.GetCounter(kSlowSoftOverflows, kSlowSoftOverflowsHelp, labels)),
       disconnects(r.GetCounter(kSlowDisconnects, kSlowDisconnectsHelp, labels)),
-      conflated(r.GetCounter(kSlowConflated, kSlowConflatedHelp, labels)),
-      dropped(r.GetCounter(kSlowDropped, kSlowDroppedHelp, labels)),
       sessionsOverSoft(r.GetGauge(kSlowOverSoft, kSlowOverSoftHelp, labels)),
       queueDepthBytes(
           r.GetHistogram(kSlowQueueDepth, kSlowQueueDepthHelp, labels)) {}

@@ -61,15 +61,13 @@ struct TransportMetrics {
 
 /// Slow-consumer backpressure counters (per server, labeled server="<name>"
 /// in core; unlabeled in the sim cluster harness). Tracks watermark
-/// excursions and what the overflow policy did about them.
+/// excursions and the evictions they led to (core/backpressure.hpp).
 struct SlowConsumerMetrics {
   explicit SlowConsumerMetrics(MetricsRegistry& registry,
                                std::string_view labels = "");
 
   Counter& softOverflows;
   Counter& disconnects;
-  Counter& conflated;
-  Counter& dropped;
   Gauge& sessionsOverSoft;
   LatencyHistogram& queueDepthBytes;
 };

@@ -447,6 +447,14 @@ TEST(ChaosDriverTest, SlowSubscriberIsEvictedAndReconvergesAfterResume) {
   EXPECT_GE(report.metrics.Total("md_slow_consumer_disconnects_total"), 1.0);
   // Excursions are transient state: nothing may stay over-soft post-quiesce.
   EXPECT_EQ(report.metrics.Total("md_slow_consumer_sessions_over_soft"), 0.0);
+  // The queue depth is sampled on every over-soft send, not once per
+  // crossing, so its max is the peak backlog — which the hard mark bounds.
+  const auto* depth = report.metrics.Find("md_slow_consumer_queue_depth_bytes");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GT(static_cast<double>(depth->count),
+            report.metrics.Total("md_slow_consumer_soft_overflows_total"));
+  EXPECT_LE(depth->max,
+            static_cast<std::int64_t>(opts.clientBackpressure.hardWatermark));
 }
 
 // --- Durability chaos -------------------------------------------------------

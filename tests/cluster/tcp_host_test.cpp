@@ -205,10 +205,12 @@ class TcpClusterTest : public ::testing::Test {
   }
 
   /// Reads what `sub` receives after its member closed it: all `published`
-  /// deliveries in publish order, then exactly one T, then EOF.
+  /// deliveries in publish order, then exactly one T (copied to `closing`
+  /// when given), then EOF.
   template <typename T>
   void ExpectBacklogThenFrameThenEof(RawFramedClient& sub,
-                                     std::uint64_t published) {
+                                     std::uint64_t published,
+                                     T* closing = nullptr) {
     std::uint64_t delivered = 0;
     std::optional<Frame> frame;
     while ((frame = sub.Next()) && std::holds_alternative<DeliverFrame>(*frame)) {
@@ -217,7 +219,8 @@ class TcpClusterTest : public ::testing::Test {
     }
     EXPECT_EQ(delivered, published) << "queued deliveries were discarded";
     ASSERT_TRUE(frame.has_value()) << "EOF before the closing frame";
-    EXPECT_TRUE(std::holds_alternative<T>(*frame));
+    ASSERT_TRUE(std::holds_alternative<T>(*frame));
+    if (closing != nullptr) *closing = std::get<T>(*frame);
     EXPECT_TRUE(sub.AtEof());
   }
 
@@ -415,6 +418,69 @@ TEST_F(TcpClusterTest, HandoffFlushesQueuedDeliveriesAndRedirectBeforeEof) {
     return local == 0;
   });
   ExpectBacklogThenFrameThenEof<HandoffFrame>(sub, published);
+}
+
+// A member evicts a client that stays over the soft watermark for the whole
+// grace period. Eviction flushes: once the client reads again it gets every
+// delivery queued before the eviction, in order, then the slow-consumer
+// DisconnectFrame, then EOF.
+TEST_F(TcpClusterTest, StalledClientEvictedAfterGraceWithBacklogThenDisconnect) {
+  StartCluster(3, [](TcpHostConfig& cfg) {
+    // The hard mark sits far above the flood, so the eviction comes from the
+    // grace timer and the close notice still fits behind the backlog.
+    cfg.clientBackpressure.softWatermark = 16 * 1024;
+    cfg.clientBackpressure.lowWatermark = 4 * 1024;
+    cfg.clientBackpressure.hardWatermark = 64 * 1024 * 1024;
+    cfg.clientBackpressure.evictGrace = 500 * kMillisecond;
+  });
+  const std::string topic = "stall/topic";
+  RawFramedClient sub(hosts[0]->ClientPort(), 4096);
+  ASSERT_TRUE(sub.SendAll({ConnectFrame{"stall-sub"}, SubscribeFrame{topic}}));
+  ASSERT_TRUE(sub.Expect<ConnAckFrame>());
+  ASSERT_TRUE(sub.Expect<SubAckFrame>());
+  // The test stops reading `sub` here.
+
+  RawFramedClient pub(hosts[1]->ClientPort());
+  ASSERT_TRUE(pub.SendAll({ConnectFrame{"stall-pub"}}));
+  ASSERT_TRUE(pub.Expect<ConnAckFrame>());
+  constexpr std::size_t kPayload = 1024;
+  ASSERT_NO_FATAL_FAILURE(
+      PublishUntilAcked(pub, Publication(topic, "stall-pub", 1, kPayload)));
+  std::uint64_t published = 1;
+
+  // Flood in acked bursts until the subscriber's member holds it over the
+  // soft mark; the grace timer starts there.
+  obs::SlowConsumerMetrics slow(*registries[0],
+                                obs::ServerLabel(hosts[0]->serverId()));
+  constexpr std::uint64_t kBurst = 64;
+  while (slow.sessionsOverSoft.Value() == 0) {
+    ASSERT_LT(published, 16384u) << "the subscriber never went over soft";
+    std::vector<Frame> burst;
+    for (std::uint64_t i = 1; i <= kBurst; ++i) {
+      burst.emplace_back(Publication(topic, "stall-pub", published + i, kPayload));
+    }
+    ASSERT_TRUE(pub.SendAll(burst));
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      const auto ack = pub.Expect<PubAckFrame>();
+      ASSERT_TRUE(ack && ack->ok());
+    }
+    published += kBurst;
+    WaitFor([&] {
+      std::uint64_t delivered = 0;
+      hosts[0]->WithNode(
+          [&](ClusterNode& node) { delivered = node.stats().delivered; });
+      return delivered == published;
+    });
+  }
+  EXPECT_EQ(slow.disconnects.Value(), 0u) << "evicted before the flood ended";
+
+  WaitFor([&] { return slow.disconnects.Value() == 1; });
+  DisconnectFrame notice;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectBacklogThenFrameThenEof<DisconnectFrame>(sub, published, &notice));
+  EXPECT_EQ(notice.reason.rfind("slow consumer", 0), 0u) << notice.reason;
+  WaitFor([&] { return slow.sessionsOverSoft.Value() == 0; });
+  EXPECT_EQ(slow.disconnects.Value(), 1u);
 }
 
 // Every frame a member writes — client acks and deliveries, peer frames,

@@ -3,7 +3,7 @@
 //
 // Scenario under test (the paper's "one stalled subscriber must not buffer
 // the server to death"): a subscriber stops reading, the server's send queue
-// toward it crosses the configured watermarks, and the kDisconnect policy
+// toward it crosses the configured watermarks, and the slow-consumer policy
 // evicts the session after the grace period — while healthy subscribers keep
 // receiving everything, gap-free and in order. The evicted at-least-once
 // subscriber reconnects with its resume position and converges to exactly
@@ -116,7 +116,6 @@ ServerConfig SmallWatermarkConfig(obs::MetricsRegistry* metrics) {
   cfg.backpressure.softWatermark = 64 * 1024;
   cfg.backpressure.hardWatermark = 200 * 1024;
   cfg.backpressure.lowWatermark = 8 * 1024;
-  cfg.backpressure.policy = OverflowPolicy::kDisconnect;
   cfg.backpressure.evictGrace = 100 * kMillisecond;
   cfg.metrics = metrics;
   return cfg;

@@ -26,14 +26,14 @@ class Argv {
 };
 
 TEST(FlagsTest, ParsesSpaceAndEqualsFormsAndBareFlags) {
-  Argv a({"--port", "8800", "--event-loop=io_uring", "--no-zero-copy"});
+  Argv a({"--port", "8800", "--event-loop=io_uring", "--batching"});
   Flags flags;
   EXPECT_EQ(flags.Parse(a.argc(), a.argv(),
-                        {"port", "event-loop", "no-zero-copy", "workers"}),
+                        {"port", "event-loop", "batching", "workers"}),
             "");
   EXPECT_EQ(flags.GetInt("port", 0), 8800);
   EXPECT_EQ(flags.Get("event-loop"), "io_uring");
-  EXPECT_TRUE(flags.GetBool("no-zero-copy"));
+  EXPECT_TRUE(flags.GetBool("batching"));
   EXPECT_FALSE(flags.Has("workers"));
   EXPECT_EQ(flags.GetInt("workers", 2), 2);
 }
@@ -47,12 +47,12 @@ TEST(FlagsTest, RepeatedFlagKeepsEveryValueAndGetReturnsTheLast) {
 }
 
 TEST(FlagsTest, UnknownFlagIsNamedInTheError) {
-  Argv a({"--port", "1", "--no-zerocopy"});
+  Argv a({"--port", "1", "--batchng"});
   Flags flags;
   const std::string error =
-      flags.Parse(a.argc(), a.argv(), {"port", "no-zero-copy"});
-  EXPECT_EQ(error.rfind("unknown flag: --no-zerocopy", 0), 0u) << error;
-  EXPECT_NE(error.find("--no-zero-copy"), std::string::npos) << error;
+      flags.Parse(a.argc(), a.argv(), {"port", "batching"});
+  EXPECT_EQ(error.rfind("unknown flag: --batchng", 0), 0u) << error;
+  EXPECT_NE(error.find("--batching"), std::string::npos) << error;
 }
 
 TEST(FlagsTest, UnknownFlagInEqualsFormIsNamedWithoutItsValue) {
@@ -71,9 +71,9 @@ TEST(FlagsTest, PositionalArgumentIsRejected) {
 }
 
 TEST(FlagsDeathTest, ConstructorExitsWithStatusTwoOnUnknownFlag) {
-  Argv a({"--no-zerocopy"});
-  EXPECT_EXIT(Flags(a.argc(), a.argv(), {"no-zero-copy"}),
-              ::testing::ExitedWithCode(2), "unknown flag: --no-zerocopy");
+  Argv a({"--batchng"});
+  EXPECT_EXIT(Flags(a.argc(), a.argv(), {"batching"}),
+              ::testing::ExitedWithCode(2), "unknown flag: --batchng");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // Single-node mode (the §4 engine):
 //   md_server --port 8800 --io-threads 4 --workers 4 [--batching]
 //             [--batch-delay-ms 10] [--conflation] [--conflate-ms 100]
-//             [--event-loop epoll|io_uring] [--no-zero-copy]
+//             [--event-loop epoll|io_uring]
 //             [--wal-dir /var/lib/md/wal] [--wal-fsync always|group|os]
 //             [--wal-flush-ms 5] [--wal-segment-mb 4] [--wal-retain 8]
 //
@@ -65,7 +65,6 @@ int RunSingleNode(const md::tools::Flags& flags) {
   cfg.enableConflation = flags.GetBool("conflation");
   cfg.conflate.interval = flags.GetInt("conflate-ms", 100) * md::kMillisecond;
   if (!ResolveEventLoop(flags, &cfg.eventLoop)) return 2;
-  if (flags.GetBool("no-zero-copy")) cfg.zeroCopyEgress = false;
   cfg.cache.maxMessagesPerTopic =
       static_cast<std::size_t>(flags.GetInt("cache-messages", 1000));
   cfg.runtimeVerify = flags.GetBool("verify");
@@ -199,7 +198,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {"ack-copies", "batch-delay-ms", "batching", "cache-messages",
        "client-port", "conflate-ms", "conflation", "coord-port", "event-loop",
-       "help", "id", "io-threads", "no-zero-copy", "node", "peer", "peer-port",
+       "help", "id", "io-threads", "node", "peer", "peer-port",
        "port", "seed", "verify", "verify-budget", "verify-inject",
        "verify-sample", "wal-dir", "wal-flush-ms", "wal-fsync", "wal-retain",
        "wal-segment-mb", "workers"});
