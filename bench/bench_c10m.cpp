@@ -97,7 +97,7 @@ std::string TopicName(long i) { return "c10m/topic-" + std::to_string(i); }
 /// Engine-accounted footprint: slab bytes (sessions + registry FlatMap
 /// arrays + SmallVector spill all draw from the arena, so one number covers
 /// them without double counting) plus the two estimated non-slab tables.
-/// Mirrors core::Server::RefreshBytesPerSession.
+/// Mirrors core::ClientFrontDoor::RefreshBytesPerSession.
 std::uint64_t EngineBytes(const core::SessionTable& table) {
   return SlabArena::Default().Stats().bytesInUse + table.MemoryBytes() +
          TopicTable::Default().MemoryBytes();
@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
     core::SessionPtr s = core::MakeSession();
     s->handle = handle;
     s->ioIndex = static_cast<std::size_t>(i) & 1u;
-    s->workerIndex = static_cast<std::size_t>(i) & 1u;
     s->clientId = "c" + std::to_string(handle);  // SSO: no heap string
     table.Insert(s);  // the table's shared_ptr is the only long-lived ref
     registry.Subscribe(TopicName(i), handle);

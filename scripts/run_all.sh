@@ -34,18 +34,22 @@ cmake -B build-tsan -G Ninja -DMD_SANITIZE=thread \
   && cmake --build build-tsan --target obs_test core_test || exit 1
 ./build-tsan/tests/obs_test || exit 1
 
-# Fan-out leg: the CoW subscriber-snapshot churn test and the Worker-batch
-# hand-off ordering tests under TSan (writers hammer Subscribe/Unsubscribe/
-# DropClient against concurrent snapshot readers; outboxes cross from Worker
-# to IoThread), the hand-off and slow-consumer tests under ASan (sessions and
-# shared wire buffers live in an outbox until its batch is written, including
-# across eviction), then a small bench_fanout sweep as a delivery smoke check
-# — the binary exits nonzero unless delivered == expected on every row.
+# Fan-out leg: the CoW subscriber-snapshot churn test, the Worker-batch
+# hand-off ordering tests and the client front-door tests under TSan
+# (writers hammer Subscribe/Unsubscribe/DropClient against concurrent
+# snapshot readers; outboxes cross from Worker to IoThread; the front door's
+# session table is shared by IoThreads and Workers), the hand-off,
+# slow-consumer and front-door tests under ASan (sessions and shared wire
+# buffers live in an outbox until its batch is written, including across
+# eviction and close-after-flush), then a small bench_fanout sweep as a
+# delivery smoke check — the binary exits nonzero unless delivered ==
+# expected on every row.
 ./build-tsan/tests/core_test \
-  --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*' || exit 1
+  --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*:*FrontDoor*' \
+  || exit 1
 cmake --build build-asan --target core_test || exit 1
 ./build-asan/tests/core_test \
-  --gtest_filter='*ServerFanoutTest*:*SlowConsumer*' || exit 1
+  --gtest_filter='*ServerFanoutTest*:*SlowConsumer*:*FrontDoor*' || exit 1
 MD_BENCH_FANOUT_CLIENTS=64 MD_BENCH_FANOUT_TOPICS=4 MD_BENCH_FANOUT_BURSTS=10 \
   MD_BENCH_FANOUT_OUT=/dev/null MD_BENCH_MONITOR_OUT=/dev/null \
   ./build/bench/bench_fanout || exit 1
@@ -67,9 +71,11 @@ cmake --build build-tsan --target transport_test || exit 1
 
 # Cluster egress leg: the real-TCP cluster suite under ASan (a member's
 # wire buffers live in peer/coord backlogs and in CloseAfterFlush queues
-# that outlast the node's view of the client), then the same suite as a
-# concurrency gate: two processes at a time, ten rounds, each cluster on
-# ports the kernel handed out, so parallel runs can never share listeners.
+# that outlast the node's view of the client; its clients, WebSocket and
+# /metrics scrapes included, go through the shared front door), then the
+# same suite as a concurrency gate: two processes at a time, ten rounds,
+# each cluster on ports the kernel handed out, so parallel runs can never
+# share listeners.
 cmake --build build-asan --target cluster_test || exit 1
 ./build-asan/tests/cluster_test --gtest_filter='TcpClusterTest.*' || exit 1
 ctest --test-dir build -R TcpClusterTest -j2 --repeat until-fail:10 || exit 1

@@ -133,10 +133,11 @@ class ClusterEnv {
   virtual ~ClusterEnv() = default;
   virtual void SendToPeer(const std::string& serverId, const Frame& frame) = 0;
   virtual void SendToClient(ClientHandle client, const Frame& frame) = 0;
-  /// Batched fan-out: one frame to many clients. Hosts override this to
-  /// encode the wire bytes once and share them across every socket write
-  /// (the local-delivery cursor path hands whole subscriber snapshots here);
-  /// the default preserves per-client semantics exactly.
+  /// Batched fan-out: one frame to many clients (the local-delivery cursor
+  /// path hands whole subscriber snapshots here). Both hosts forward it to
+  /// the client front door, which encodes once per transport flavour and
+  /// shares the bytes across every socket write; the default preserves
+  /// per-client semantics exactly.
   virtual void SendToClients(const std::vector<ClientHandle>& clients,
                              const Frame& frame) {
     for (const ClientHandle client : clients) SendToClient(client, frame);

@@ -6,9 +6,10 @@
 //     cut coordination traffic exactly like data traffic,
 //   - a ClusterNode per server whose peer frames travel over SimNetwork
 //     links (latency + bandwidth + partitions),
-//   - an InprocLoop listener per server speaking the real byte protocol, so
-//     tests attach the *real client library* (md::client::Client) and
-//     exercise reconnection, resume and duplicate filtering end to end.
+//   - an InprocLoop listener per server behind the shared client front door
+//     (core/front_door.hpp), speaking the real byte protocol, so tests
+//     attach the *real client library* (md::client::Client) and exercise
+//     reconnection, resume and duplicate filtering end to end.
 //
 // Fault API: CrashServer / RestartServer (fail-stop; client connections are
 // severed), PartitionServer / HealServer (server cut from its peers but NOT
@@ -16,7 +17,6 @@
 // MiniZK quorum loss and answers by self-fencing).
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <set>
@@ -24,7 +24,7 @@
 
 #include "cluster/node.hpp"
 #include "coord/sim_harness.hpp"
-#include "core/backpressure.hpp"
+#include "core/front_door.hpp"
 #include "proto/codec.hpp"
 #include "simnet/network.hpp"
 #include "transport/inproc.hpp"
@@ -81,9 +81,6 @@ class SimCluster {
       opts_.metrics = ownedRegistry_.get();
     }
     opts_.coordConfig.metrics = opts_.metrics;
-    slow_ = std::make_unique<core::SlowConsumerPolicy>(
-        opts_.clientBackpressure, *opts_.metrics, "", nullptr,
-        core::FramedEvictionNotice);
     std::vector<sim::HostId> hosts;
     for (std::size_t i = 0; i < opts_.servers; ++i) {
       hosts.push_back(net_.AddHost("server-" + std::to_string(i + 1)));
@@ -117,20 +114,25 @@ class SimCluster {
       }
       server->node = std::make_unique<ClusterNode>(cfg, *server->env,
                                                    coordCluster_->node(i), peers);
+      ClusterNode& node = *server->node;
+      server->door = std::make_unique<core::ClientFrontDoor>(
+          *opts_.metrics,
+          core::ClientFrontDoor::Options{.labels = "",
+                                         .backpressure = opts_.clientBackpressure,
+                                         .batch = std::nullopt,
+                                         .monitor = nullptr,
+                                         .injectEndpoint = false},
+          core::ClientFrontDoor::Sink{
+              .onFrame = [&node](const core::SessionPtr& s, Frame&& f) {
+                node.OnClientFrame(s->handle, f);
+                return OkStatus();
+              },
+              .onClosed = [&node](const core::SessionPtr& s) {
+                node.OnClientDisconnect(s->handle);
+              }});
       servers_.push_back(std::move(server));
     }
     for (auto& server : servers_) OpenListener(*server);
-  }
-
-  ~SimCluster() {
-    // A client's handlers hold its record, which holds the connection; drop
-    // them for connections still open at teardown, or the cycle leaks.
-    for (auto& server : servers_) {
-      for (auto& [handle, client] : server->clients) {
-        client->conn->SetDataHandler(nullptr);
-        client->conn->SetCloseHandler(nullptr);
-      }
-    }
   }
 
   void StartAll() {
@@ -158,11 +160,7 @@ class SimCluster {
   /// Largest send-queue depth among server i's client connections — the
   /// quantity the backpressure invariant bounds by the hard watermark.
   [[nodiscard]] std::size_t MaxClientPending(std::size_t i) const {
-    std::size_t maxPending = 0;
-    for (const auto& [handle, client] : servers_.at(i)->clients) {
-      maxPending = std::max(maxPending, client->conn->PendingBytes());
-    }
-    return maxPending;
+    return servers_.at(i)->door->MaxPendingBytes();
   }
 
   // --- faults ----------------------------------------------------------------
@@ -179,9 +177,7 @@ class SimCluster {
     }
     // TCP connections to a dead host break.
     server.listener.reset();
-    auto clients = std::move(server.clients);
-    server.clients.clear();
-    for (auto& [handle, client] : clients) client->conn->Close();
+    server.door->CloseAll();
   }
 
   void RestartServer(std::size_t i) {
@@ -230,10 +226,6 @@ class SimCluster {
     if (server.walEnv) server.walEnv->SetFull(full);
   }
 
-  [[nodiscard]] wal::MemEnv* WalEnv(std::size_t i) {
-    return servers_.at(i)->walEnv.get();
-  }
-
   // --- elastic membership ----------------------------------------------------
 
   /// Scale-out: boot server i's node mid-run. Restart (not Start) so the
@@ -253,9 +245,7 @@ class SimCluster {
     servers_.at(i)->node->Leave([this, i, done = std::move(done)] {
       ServerHost& server = *servers_.at(i);
       server.listener.reset();
-      auto clients = std::move(server.clients);
-      server.clients.clear();
-      for (auto& [handle, client] : clients) client->conn->Close();
+      server.door->CloseAll();
       if (done) done();
     });
   }
@@ -289,12 +279,6 @@ class SimCluster {
   }
 
  private:
-  /// One client connection of a server (single-strand: scheduler events
-  /// only).
-  struct SimClient : core::PolicedClient {
-    ByteQueue in;
-  };
-
   struct ServerHost {
     std::size_t index = 0;
     std::string id;
@@ -303,9 +287,8 @@ class SimCluster {
     std::unique_ptr<wal::MemEnv> walEnv;  // set when Options::durableCache
     std::uint64_t walCrashes = 0;         // crash-seed diversifier
     std::unique_ptr<ClusterNode> node;
+    std::unique_ptr<core::ClientFrontDoor> door;  // outlives restarts
     ListenerPtr listener;
-    ClientHandle nextHandle = 1;
-    std::map<ClientHandle, std::shared_ptr<SimClient>> clients;
   };
 
   class NodeEnv final : public ClusterEnv {
@@ -326,19 +309,13 @@ class SimCluster {
     }
 
     void SendToClient(ClientHandle client, const Frame& frame) override {
-      ServerHost& server = *cluster_.servers_[index_];
-      const auto it = server.clients.find(client);
-      if (it == server.clients.end()) return;
-      auto wire = AcquireWireBuffer();
-      EncodeFramed(frame, *wire);
-      (void)cluster_.slow_->Send(*it->second, std::move(wire));
+      door().Send(client, frame);
     }
-
-    void CloseClient(ClientHandle client) override {
-      ServerHost& server = *cluster_.servers_[index_];
-      auto node = server.clients.extract(client);
-      if (!node.empty()) node.mapped()->conn->Close();
+    void SendToClients(const std::vector<ClientHandle>& clients,
+                       const Frame& frame) override {
+      door().Send(clients, frame);
     }
+    void CloseClient(ClientHandle client) override { door().CloseAfterFlush(client); }
 
     std::uint64_t Schedule(Duration delay, std::function<void()> fn) override {
       return cluster_.sched_.Schedule(delay, std::move(fn));
@@ -348,6 +325,8 @@ class SimCluster {
     std::uint64_t Random() override { return rng_.Next(); }
 
    private:
+    core::ClientFrontDoor& door() { return *cluster_.servers_[index_]->door; }
+
     SimCluster& cluster_;
     std::size_t index_;
     Rng rng_;
@@ -365,38 +344,13 @@ class SimCluster {
     if (!listener.ok()) return;
     server.listener = std::move(*listener);
     server.listener->SetAcceptHandler([this, &server](ConnectionPtr conn) {
-      const ClientHandle handle = server.nextHandle++;
-      auto client = std::make_shared<SimClient>();
-      client->handle = handle;
-      client->conn = std::move(conn);
-      client->loop = &clientLoop_;
-      server.clients[handle] = client;
-      slow_->Attach(*client);
-      client->conn->SetDataHandler([&server, handle, client](BytesView data) {
-        client->in.Append(data);
-        while (true) {
-          auto r = ExtractFrame(client->in);
-          if (!r.status.ok()) {
-            if (server.clients.erase(handle) != 0) client->conn->Close();
-            server.node->OnClientDisconnect(handle);
-            return;
-          }
-          if (!r.frame) return;
-          server.node->OnClientFrame(handle, *r.frame);
-        }
-      });
-      client->conn->SetCloseHandler([this, &server, handle, client] {
-        slow_->LeaveOverSoft(*client);
-        server.clients.erase(handle);
-        server.node->OnClientDisconnect(handle);
-      });
+      server.door->Accept(clientLoop_, 0, std::move(conn));
     });
   }
 
   sim::Scheduler& sched_;
   Options opts_;
   std::unique_ptr<obs::MetricsRegistry> ownedRegistry_;
-  std::unique_ptr<core::SlowConsumerPolicy> slow_;
   sim::SimNetwork net_;
   InprocLoop clientLoop_;
   std::unique_ptr<coord::SimCoordCluster> coordCluster_;

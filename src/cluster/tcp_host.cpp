@@ -8,6 +8,7 @@ namespace md::cluster {
 namespace {
 
 constexpr std::size_t kMaxBacklogFrames = 4096;
+constexpr Duration kPeerRetryInterval = 500 * kMillisecond;
 
 obs::MetricsRegistry& RegistryOf(const TcpHostConfig& cfg) {
   return cfg.cluster.metrics != nullptr ? *cfg.cluster.metrics
@@ -18,12 +19,6 @@ WireBuffer EncodeWire(const Frame& frame) {
   auto wire = AcquireWireBuffer();
   EncodeFramed(frame, *wire);
   return wire;
-}
-
-std::unique_ptr<verify::Monitor> MakeMonitor(TcpHostConfig& cfg) {
-  if (!cfg.runtimeVerify) return nullptr;
-  if (cfg.verifyConfig.scope.empty()) cfg.verifyConfig.scope = cfg.serverId;
-  return std::make_unique<verify::Monitor>(RegistryOf(cfg), cfg.verifyConfig);
 }
 
 }  // namespace
@@ -41,37 +36,14 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
   }
 
   void SendToClient(ClientHandle client, const Frame& frame) override {
-    const auto it = host_.clients_.find(client);
-    if (it == host_.clients_.end()) return;
-    Observe(client, frame);
-    (void)host_.slow_.Send(*it->second, EncodeWire(frame));
+    host_.door_.Send(client, frame);
   }
-
   void SendToClients(const std::vector<ClientHandle>& clients,
                      const Frame& frame) override {
-    // Fan-out: one encode shared across every target's send queue — N
-    // subscribers cost zero per-subscriber copies. Each write still goes
-    // through the watermark-checked path, so one stalled subscriber in the
-    // batch cannot buffer the host to death.
-    WireBuffer wire;
-    for (const ClientHandle client : clients) {
-      const auto it = host_.clients_.find(client);
-      if (it == host_.clients_.end()) continue;
-      Observe(client, frame);
-      if (!wire) wire = EncodeWire(frame);
-      (void)host_.slow_.Send(*it->second, wire);
-    }
+    host_.door_.Send(clients, frame);
   }
-
   void CloseClient(ClientHandle client) override {
-    auto node = host_.clients_.extract(client);
-    if (node.empty()) return;
-    ClientConn& closing = *node.mapped();
-    closing.detached = true;
-    // Egress is deferred to the flush pass, so a plain Close() would discard
-    // what the node just queued: the backlog, then the DisconnectFrame or
-    // HandoffFrame that tells the client where to go. Flush it, then EOF.
-    closing.conn->CloseAfterFlush();
+    host_.door_.CloseAfterFlush(client);
   }
 
   std::uint64_t Schedule(Duration delay, std::function<void()> fn) override {
@@ -82,17 +54,6 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
   std::uint64_t Random() override { return rng_.Next(); }
 
  private:
-  // Runtime verification tap: every DELIVER the node emits toward a client
-  // passes through here, on the loop thread, in emission order.
-  void Observe(ClientHandle client, const Frame& frame) {
-    verify::Monitor* monitor = host_.monitor_.get();
-    if (monitor == nullptr) return;
-    if (const auto* deliver = std::get_if<DeliverFrame>(&frame)) {
-      monitor->OnDelivery(client, deliver->msg.topic, PosOf(deliver->msg),
-                          deliver->msg.pubId);
-    }
-  }
-
   TcpClusterHost& host_;
   Rng rng_;
 };
@@ -123,11 +84,22 @@ class TcpClusterHost::CoordEnv final : public coord::Env {
 TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
     : cfg_(std::move(cfg)),
       tm_(RegistryOf(cfg_)),
-      monitor_(MakeMonitor(cfg_)),
-      slow_(cfg_.clientBackpressure, RegistryOf(cfg_),
-            obs::ServerLabel(cfg_.serverId), monitor_.get(),
-            core::FramedEvictionNotice) {
-  loop_ = CreateNetLoop(cfg_.eventLoop);
+      monitor_(verify::MakeHostMonitor(cfg_.runtimeVerify, cfg_.verifyConfig,
+                                       cfg_.serverId, RegistryOf(cfg_))),
+      loop_(CreateNetLoop(cfg_.eventLoop)),
+      door_(RegistryOf(cfg_),
+            {.labels = obs::ServerLabel(cfg_.serverId),
+             .backpressure = cfg_.clientBackpressure,
+             .batch = std::nullopt,
+             .monitor = monitor_.get(),
+             .injectEndpoint = false},
+            {.onFrame = [this](const core::SessionPtr& s, Frame&& f) {
+               node_->OnClientFrame(s->handle, f);
+               return OkStatus();
+             },
+             .onClosed = [this](const core::SessionPtr& s) {
+               node_->OnClientDisconnect(s->handle);
+             }}) {
   loop_->SetMetrics(&tm_);
   nodeEnv_ = std::make_unique<NodeEnv>(*this, cfg_.seed);
   coordEnv_ = std::make_unique<CoordEnv>(*this, cfg_.seed + 1);
@@ -166,9 +138,9 @@ Status TcpClusterHost::Start() {
   if (Status s = bind(cfg_.coordPort, coordListener_, coordPort_); !s.ok()) return s;
 
   clientListener_->SetAcceptHandler(
-      [this](ConnectionPtr conn) { OnClientAccept(std::move(conn)); });
+      [this](ConnectionPtr conn) { door_.Accept(*loop_, 0, std::move(conn)); });
   peerListener_->SetAcceptHandler(
-      [this](ConnectionPtr conn) { OnPeerAccept(std::move(conn)); });
+      [this](ConnectionPtr conn) { ReadPeerFrames(conn, {}); });
   coordListener_->SetAcceptHandler(
       [this](ConnectionPtr conn) { OnCoordAccept(std::move(conn)); });
 
@@ -188,8 +160,8 @@ void TcpClusterHost::Stop() {
   loop_->Post([this] {
     node_->Crash();
     coordNode_->Crash();
-    for (auto& [handle, client] : clients_) client->conn->Close();
-    clients_.clear();
+    door_.CloseAll();
+    door_.Clear();
     for (auto& [id, link] : peerLinks_) {
       if (link.conn) link.conn->Close();
     }
@@ -225,40 +197,6 @@ void TcpClusterHost::WithCoord(const std::function<void(coord::CoordNode&)>& fn)
 }
 
 // ---------------------------------------------------------------------------
-// Client connections
-// ---------------------------------------------------------------------------
-
-void TcpClusterHost::OnClientAccept(ConnectionPtr conn) {
-  const ClientHandle handle = nextHandle_++;
-  auto client = std::make_shared<ClientConn>();
-  client->handle = handle;
-  client->conn = conn;
-  client->loop = loop_.get();
-  clients_[handle] = client;
-  slow_.Attach(*client);
-
-  conn->SetDataHandler([this, handle, client](BytesView data) {
-    client->in.Append(data);
-    while (!client->detached) {
-      auto r = ExtractFrame(client->in);
-      if (!r.status.ok()) {
-        client->conn->Close();
-        clients_.erase(handle);
-        node_->OnClientDisconnect(handle);
-        return;
-      }
-      if (!r.frame) return;
-      node_->OnClientFrame(handle, *r.frame);
-    }
-  });
-  conn->SetCloseHandler([this, handle, client] {
-    slow_.LeaveOverSoft(*client);
-    clients_.erase(handle);
-    node_->OnClientDisconnect(handle);
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Peer (cluster-frame) links
 // ---------------------------------------------------------------------------
 
@@ -276,12 +214,12 @@ const TcpPeerAddress* TcpClusterHost::PeerByNode(coord::NodeId nodeId) const {
   return nullptr;
 }
 
-void TcpClusterHost::OnPeerAccept(ConnectionPtr conn) {
-  // Identity arrives with the first frame (HELLO); every later frame on
-  // this connection comes from the member it named.
+void TcpClusterHost::ReadPeerFrames(const ConnectionPtr& conn, std::string from) {
+  // An accepted link learns its peer from the first frame (HELLO); every
+  // later frame on it comes from the member that frame named.
   auto inbox = std::make_shared<ByteQueue>();
-  auto from = std::make_shared<std::string>();
-  conn->SetDataHandler([this, conn, inbox, from](BytesView data) {
+  auto peer = std::make_shared<std::string>(std::move(from));
+  conn->SetDataHandler([this, conn, inbox, peer](BytesView data) {
     inbox->Append(data);
     while (true) {
       auto r = ExtractFrame(*inbox);
@@ -290,17 +228,17 @@ void TcpClusterHost::OnPeerAccept(ConnectionPtr conn) {
         return;
       }
       if (!r.frame) return;
-      if (from->empty()) {
-        const auto* hello = std::get_if<HelloFrame>(&*r.frame);
-        if (hello == nullptr || hello->serverId.empty()) {
-          conn->Close();
-          return;
-        }
-        *from = hello->serverId;
-        AdoptPeerConnection(*from, conn);
+      if (!peer->empty()) {
+        node_->OnPeerFrame(*peer, *r.frame);
         continue;
       }
-      node_->OnPeerFrame(*from, *r.frame);
+      const auto* hello = std::get_if<HelloFrame>(&*r.frame);
+      if (hello == nullptr || hello->serverId.empty()) {
+        conn->Close();
+        return;
+      }
+      *peer = hello->serverId;
+      AdoptPeerConnection(*peer, conn);
     }
   });
 }
@@ -333,20 +271,7 @@ void TcpClusterHost::EnsurePeerLink(const std::string& serverId) {
     ConnectionPtr conn = std::move(r).value();
     // Identify ourselves, then adopt.
     (void)conn->Send(EncodeWire(HelloFrame{cfg_.serverId}));
-    // Incoming frames on an outgoing connection are peer frames directly.
-    auto inbox = std::make_shared<ByteQueue>();
-    conn->SetDataHandler([this, serverId, conn, inbox](BytesView data) {
-      inbox->Append(data);
-      while (true) {
-        auto fr = ExtractFrame(*inbox);
-        if (!fr.status.ok()) {
-          conn->Close();
-          return;
-        }
-        if (!fr.frame) return;
-        node_->OnPeerFrame(serverId, *fr.frame);
-      }
-    });
+    ReadPeerFrames(conn, serverId);
     AdoptPeerConnection(serverId, conn);
   });
 }
@@ -433,7 +358,7 @@ void TcpClusterHost::RetryLinks() {
     EnsurePeerLink(peer.serverId);
     EnsureCoordLink(peer.nodeId);
   }
-  loop_->ScheduleTimer(cfg_.peerRetryInterval, [this] { RetryLinks(); });
+  loop_->ScheduleTimer(kPeerRetryInterval, [this] { RetryLinks(); });
 }
 
 }  // namespace md::cluster

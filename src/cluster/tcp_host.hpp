@@ -3,7 +3,9 @@
 //
 // The same deterministic state machines exercised by the simulation harness
 // are wired here to real sockets:
-//   - a client listener speaking the framed client protocol,
+//   - a client listener behind the shared client front door
+//     (core/front_door.hpp): raw framing, WebSocket, HTTP streaming and
+//     GET /metrics, exactly as on a single-node core::Server,
 //   - a peer listener carrying md::Frame cluster traffic (HELLO-identified),
 //   - a coord listener carrying MiniZK messages (coord/codec.hpp), preceded
 //     by a varint node-id preamble.
@@ -28,7 +30,7 @@
 #include "cluster/node.hpp"
 #include "coord/codec.hpp"
 #include "coord/node.hpp"
-#include "core/backpressure.hpp"
+#include "core/front_door.hpp"
 #include "proto/codec.hpp"
 #include "transport/transport.hpp"
 #include "transport/wire.hpp"
@@ -54,13 +56,12 @@ struct TcpHostConfig {
   ClusterConfig cluster;              // serverId is overwritten
   coord::CoordConfig coord;
   std::uint64_t seed = 1;
-  Duration peerRetryInterval = 500 * kMillisecond;
   /// Slow-consumer watermarks for client connections. Peer/coord links keep the
   /// transport defaults (effectively unbounded): dropping replication traffic
   /// to a peer would violate the cluster's delivery guarantees — peers are
   /// governed by the backlog cap + cache sync instead.
   core::BackpressureConfig clientBackpressure;
-  /// Embed a verify::Monitor observing the loop-thread client sends and
+  /// Embed a verify::Monitor observing the loop-thread client deliveries and
   /// send-queue depths (DESIGN.md §11); exports through the cluster registry.
   bool runtimeVerify = false;
   verify::MonitorConfig verifyConfig;
@@ -92,17 +93,7 @@ class TcpClusterHost {
   void WithNode(const std::function<void(ClusterNode&)>& fn);
   void WithCoord(const std::function<void(coord::CoordNode&)>& fn);
 
-  /// The embedded runtime monitor; nullptr unless cfg.runtimeVerify.
-  [[nodiscard]] verify::Monitor* monitor() noexcept { return monitor_.get(); }
-
  private:
-  struct ClientConn : core::PolicedClient {
-    ByteQueue in;
-    // CloseClient ran: the node has forgotten this handle, so frames still
-    // arriving while the connection flushes are dropped.
-    bool detached = false;
-  };
-
   /// Peer or coord link: the established connection (either direction) and
   /// the frames queued while it is down (bounded).
   struct Link {
@@ -115,8 +106,9 @@ class TcpClusterHost {
   class CoordEnv;
 
   // All private methods run on the loop thread.
-  void OnClientAccept(ConnectionPtr conn);
-  void OnPeerAccept(ConnectionPtr conn);
+  /// Routes `conn`'s frames to the node as peer `from`'s; an empty `from`
+  /// (an accepted link) is named by the link's HELLO.
+  void ReadPeerFrames(const ConnectionPtr& conn, std::string from);
   void OnCoordAccept(ConnectionPtr conn);
   void AdoptPeerConnection(const std::string& serverId, ConnectionPtr conn);
   void EnsurePeerLink(const std::string& serverId);
@@ -135,7 +127,6 @@ class TcpClusterHost {
   TcpHostConfig cfg_;
   obs::TransportMetrics tm_;  // must outlive loop_
   std::unique_ptr<verify::Monitor> monitor_;
-  core::SlowConsumerPolicy slow_;
   std::unique_ptr<NetLoop> loop_;
   std::thread thread_;
   std::atomic<bool> running_{false};
@@ -144,6 +135,7 @@ class TcpClusterHost {
   std::unique_ptr<CoordEnv> coordEnv_;
   std::unique_ptr<coord::CoordNode> coordNode_;
   std::unique_ptr<ClusterNode> node_;
+  core::ClientFrontDoor door_;  // its sessions must go before loop_
 
   ListenerPtr clientListener_;
   ListenerPtr peerListener_;
@@ -152,8 +144,6 @@ class TcpClusterHost {
   std::uint16_t peerPort_ = 0;
   std::uint16_t coordPort_ = 0;
 
-  ClientHandle nextHandle_ = 1;
-  std::map<ClientHandle, std::shared_ptr<ClientConn>> clients_;
   std::map<std::string, Link> peerLinks_;
   std::map<coord::NodeId, Link> coordLinks_;
 };

@@ -1,27 +1,19 @@
 #include "core/backpressure.hpp"
 
 #include "common/logging.hpp"
-#include "proto/codec.hpp"
+#include "core/front_door.hpp"
 
 namespace md::core {
-
-WireBuffer FramedEvictionNotice(const PolicedClient& /*client*/) {
-  auto notice = AcquireWireBuffer();
-  EncodeFramed(Frame(DisconnectFrame{std::string(kSlowConsumerReason)}), *notice);
-  return notice;
-}
 
 SlowConsumerPolicy::SlowConsumerPolicy(const BackpressureConfig& cfg,
                                        obs::MetricsRegistry& registry,
                                        std::string_view labels,
-                                       verify::Monitor* monitor,
-                                       NoticeFn notice)
+                                       verify::Monitor* monitor)
     : cfg_(cfg),
       metrics_(registry, labels),
-      monitor_(monitor),
-      notice_(std::move(notice)) {}
+      monitor_(monitor) {}
 
-void SlowConsumerPolicy::Attach(PolicedClient& client) {
+void SlowConsumerPolicy::Attach(Session& client) {
   client.conn->SetWatermarks(cfg_.ToWatermarks());
   // Low-watermark recovery: the connection drained below wm.low after a soft
   // excursion — the client is healthy again.
@@ -30,9 +22,9 @@ void SlowConsumerPolicy::Attach(PolicedClient& client) {
   });
 }
 
-bool SlowConsumerPolicy::Send(PolicedClient& client, WireBuffer wire) {
+bool SlowConsumerPolicy::Send(Session& client, WireBuffer wire) {
   Connection& conn = *client.conn;
-  if (client.evicting || !conn.IsOpen()) return false;
+  if (client.closing || !conn.IsOpen()) return false;
   const std::size_t before = conn.PendingBytes();
   const Status st = conn.Send(std::move(wire));
   if (st.ok()) return true;
@@ -71,21 +63,21 @@ bool SlowConsumerPolicy::Send(PolicedClient& client, WireBuffer wire) {
   return true;
 }
 
-void SlowConsumerPolicy::LeaveOverSoft(PolicedClient& client) {
+void SlowConsumerPolicy::LeaveOverSoft(Session& client) {
   if (!client.overSoft) return;
   client.overSoft = false;
   metrics_.sessionsOverSoft.Add(-1);
 }
 
-void SlowConsumerPolicy::Evict(PolicedClient& client) {
-  if (client.evicting) return;
-  client.evicting = true;
+void SlowConsumerPolicy::Evict(Session& client) {
+  if (client.closing) return;
+  client.closing = true;
   MD_INFO("evicting slow consumer %llu (%s): %zu bytes pending",
           static_cast<unsigned long long>(client.handle),
           client.conn->PeerName().c_str(), client.conn->PendingBytes());
   // Best-effort close notice so a client that is merely slow (not dead)
   // learns this was a policy eviction, then a flush-bounded close.
-  (void)client.conn->Send(notice_(client));
+  (void)client.conn->Send(EvictionNotice(client));
   client.conn->CloseAfterFlush();
   metrics_.disconnects.Inc();
 }

@@ -1,7 +1,6 @@
 // Slow-consumer policy (paper §4: a handful of stalled clients must not
-// consume unbounded server memory). One copy, used by every host that owns
-// client connections: core::Server, cluster::TcpClusterHost and
-// cluster::SimCluster.
+// consume unbounded server memory). The client front door (front_door.hpp)
+// holds every client connection of every host to it.
 //
 // The transport enforces the mechanical bound (src/transport/transport.hpp
 // Watermarks: soft = advisory kCapacity, hard = append rejected). This module
@@ -14,12 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string_view>
 
 #include "common/time.hpp"
-#include "core/registry.hpp"
 #include "obs/families.hpp"
 #include "transport/transport.hpp"
 #include "transport/wire.hpp"
@@ -46,58 +42,39 @@ struct BackpressureConfig {
 inline constexpr std::string_view kSlowConsumerReason =
     "slow consumer: send queue overflow";
 
-/// The part of a host's client record the policy reads and writes. Hosts
-/// derive their record from it and own it through a shared_ptr (the grace
-/// timer and the drained handler hold references). Everything here is
-/// touched only on `loop`'s thread.
-struct PolicedClient : std::enable_shared_from_this<PolicedClient> {
-  ClientHandle handle = 0;    // the monitor's session key
-  ConnectionPtr conn;
-  EventLoop* loop = nullptr;  // runs the connection's handlers and timers
-  bool overSoft = false;
-  bool evictTimerArmed = false;
-  bool evicting = false;
-};
-
-/// The close notice of a framed-protocol client:
-/// DisconnectFrame(kSlowConsumerReason).
-[[nodiscard]] WireBuffer FramedEvictionNotice(const PolicedClient& client);
+struct Session;  // core/session.hpp
 
 class SlowConsumerPolicy {
  public:
-  /// Encodes the host's close notice for `client`: a WebSocket Close 1013 or
-  /// a framed DisconnectFrame carrying kSlowConsumerReason.
-  using NoticeFn = std::function<WireBuffer(const PolicedClient& client)>;
-
   /// Registers md_slow_consumer_* under `labels` in `registry`. `monitor`
   /// (nullable) receives every over-soft queue-depth sample.
   SlowConsumerPolicy(const BackpressureConfig& cfg,
                      obs::MetricsRegistry& registry, std::string_view labels,
-                     verify::Monitor* monitor, NoticeFn notice);
+                     verify::Monitor* monitor);
 
   /// Holds a newly accepted client to the policy: sets its connection's
   /// watermarks and the drained handler that ends a soft excursion.
-  /// `client.conn` and `client.loop` must be set.
-  void Attach(PolicedClient& client);
+  /// `client.conn` and `client.loop` must be set. The policy touches a
+  /// client only on its loop's thread.
+  void Attach(Session& client);
 
   /// Queues `wire` on the client's connection; the only place a client
   /// connection's Send is called. On a soft-accepted kCapacity it counts the
   /// excursion, samples the queue depth and arms the grace timer; on a hard
   /// reject it evicts. Returns whether the connection took the bytes.
-  bool Send(PolicedClient& client, WireBuffer wire);
+  bool Send(Session& client, WireBuffer wire);
 
   /// Ends the client's soft excursion, if any. The drained handler calls it;
-  /// hosts call it when the connection closes, so the gauge never counts a
-  /// closed client.
-  void LeaveOverSoft(PolicedClient& client);
+  /// the front door calls it when the connection closes, so the gauge never
+  /// counts a closed client.
+  void LeaveOverSoft(Session& client);
 
  private:
-  void Evict(PolicedClient& client);
+  void Evict(Session& client);
 
   BackpressureConfig cfg_;
   obs::SlowConsumerMetrics metrics_;
   verify::Monitor* monitor_;
-  NoticeFn notice_;
 };
 
 }  // namespace md::core

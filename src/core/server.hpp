@@ -16,37 +16,30 @@
 // outbox for the target's IoThread, and each non-empty outbox is handed over
 // in one posted task when the Worker's batch ends (DESIGN.md §9).
 //
-// Clients speak either the raw framed protocol or WebSocket (auto-detected
-// from the first bytes). Optional batching coalesces deliveries per client.
+// Everything between a client socket and a Worker queue — transport
+// sniffing (raw framing, WebSocket, HTTP streaming, GET /metrics), sessions,
+// encoding, batching and the slow-consumer policy — is the ClientFrontDoor
+// (front_door.hpp) the cluster hosts share. The Server plugs its Worker
+// queues in behind it and keeps sequencing, the cache/WAL and conflation.
 //
 // This class implements the single-server service (the Table 1 / C1M
 // scenario); multi-server replication lives in src/cluster.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/queue.hpp"
 #include "obs/families.hpp"
 #include "obs/trace.hpp"
-#include "core/backpressure.hpp"
-#include "core/batcher.hpp"
 #include "core/cache.hpp"
+#include "core/front_door.hpp"
 #include "core/registry.hpp"
 #include "core/sequencer.hpp"
-#include "core/session.hpp"
-#include "proto/codec.hpp"
-#include "proto/websocket.hpp"
-#include "transport/transport.hpp"
-#include "transport/wire.hpp"
-#include "verify/monitor.hpp"
 #include "wal/log.hpp"
 
 namespace md::core {
@@ -74,7 +67,6 @@ struct ServerConfig {
   /// Slow-consumer handling (core/backpressure.hpp): send-queue watermarks
   /// every client connection is held to, and the eviction grace.
   BackpressureConfig backpressure;
-  std::size_t maxFrameSize = 1 * 1024 * 1024;
   /// Metrics destination; nullptr uses the process-wide default registry.
   /// The registry must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
@@ -112,36 +104,14 @@ class Server {
   void Stop();
 
   [[nodiscard]] std::uint16_t Port() const noexcept { return boundPort_; }
+  /// Also recomputes md_core_bytes_per_session, as /metrics scrapes do.
   [[nodiscard]] ServerStats Stats() const;
-  /// Recomputes md_core_bytes_per_session from slab + table accounting.
-  /// Called by Stats() and /metrics scrapes; cheap (O(shards)).
-  void RefreshBytesPerSession() const;
-  [[nodiscard]] const Cache& cache() const noexcept { return cache_; }
-  [[nodiscard]] const ServerConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  /// The embedded runtime monitor; nullptr unless cfg.runtimeVerify.
-  [[nodiscard]] verify::Monitor* monitor() noexcept { return monitor_.get(); }
   /// What the last Start() replayed from the WAL (zeros when WAL disabled).
   [[nodiscard]] const wal::RecoveryStats& walRecovery() const noexcept {
     return walRecovery_;
   }
 
-  /// Session freeze/drain hooks for partition hand-off (DESIGN.md §12): a
-  /// frozen session keeps its subscriptions and resume cursors but is
-  /// excluded from fan-out snapshots, so once its connection's in-flight
-  /// bytes drain the stream is quiescent and the cursor can be transferred.
-  /// UnfreezeSession re-admits it (hand-off abort). Returns the topics
-  /// affected. Thread-safe.
-  std::vector<std::string> FreezeSession(ClientHandle client) {
-    return registry_.SetFrozen(client, true);
-  }
-  std::vector<std::string> UnfreezeSession(ClientHandle client) {
-    return registry_.SetFrozen(client, false);
-  }
-
  private:
-  // Session itself lives in core/session.hpp (slab-allocated, shared with
-  // the footprint bench); the Server owns the table and the lifecycle.
   struct Job {
     SessionPtr session;
     std::optional<Frame> frame;  // nullopt => client disconnected
@@ -157,7 +127,8 @@ class Server {
   enum class EgressKind : std::uint8_t {
     kWrite,           // queue `wire`
     kOfferConflated,  // enableConflation: offer `msg` to each conflator
-    kClose,           // close the connection behind the frames queued before
+    kClose,           // protocol error: close, dropping what is still queued
+    kCloseAfterFlush, // DISCONNECT: close behind the frames queued before
   };
 
   /// One frame a Worker produced, addressed to a run of targets on one
@@ -185,18 +156,16 @@ class Server {
     std::vector<SessionPtr> fanout;  // HandlePublish's live targets, reused
   };
 
-  // Called on the session's IoThread.
-  void OnAccept(std::size_t ioIndex, ConnectionPtr conn);
-  void OnData(const SessionPtr& session, BytesView data);
+  // The front door's sink (the session's IoThread): queue the frame, or the
+  // disconnect, on the session's Worker.
+  Status OnFrame(const SessionPtr& session, Frame&& frame);
   void OnClosed(const SessionPtr& session);
-  void ParseFrames(const SessionPtr& session);
-  void FailSession(const SessionPtr& session, const Status& status);
-  /// Answers a plain-HTTP `GET /metrics` scrape with the Prometheus text
-  /// exposition, then closes (scrapes are one-shot, not upgraded sessions).
-  void ServeMetrics(const SessionPtr& session);
-  /// Debug endpoint (`GET /inject?kind=...`, gated on verifyInjectEndpoint):
-  /// arms a one-shot observation fault on the embedded monitor.
-  void ServeInject(const SessionPtr& session, std::string_view path);
+  [[nodiscard]] Worker& WorkerOf(const Session& session) {
+    // Clients are balanced among Workers by a hash of their identity and
+    // stay pinned for their connection lifetime (paper hashes the IP
+    // address; the handle balances equally and is stable the same way).
+    return *workers_[MixU64(session.handle) % workers_.size()];
+  }
 
   // Called on the session's Worker thread.
   void WorkerMain(std::size_t index);
@@ -219,15 +188,9 @@ class Server {
   /// The loop-side writer: runs a flushed outbox on its IoThread.
   void WriteOutbox(const Outbox& box);
 
-  // Send path (IoThread only).
+  // Conflation (IoThread only).
   void OfferConflatedOnLoop(const SessionPtr& session, const Message& msg);
-  void FlushBatch(const SessionPtr& session);
   void FlushConflator(const SessionPtr& session);
-  /// Queues `wire` for the session: into its batcher when it has one,
-  /// otherwise straight to Send.
-  void WriteOut(const SessionPtr& session, WireBuffer wire);
-  /// Hands `wire` to the slow-consumer policy and counts the bytes it took.
-  void Send(Session& session, WireBuffer wire);
 
   ServerConfig cfg_;
   obs::MetricsRegistry& metrics_;
@@ -236,7 +199,6 @@ class Server {
   obs::WalMetrics wm_;
   obs::Tracer tracer_;
   std::unique_ptr<verify::Monitor> monitor_;
-  SlowConsumerPolicy slow_;
   std::unique_ptr<wal::Log> wal_;
   wal::RecoveryStats walRecovery_;
   std::thread walFlusher_;             // group-commit policy only
@@ -250,13 +212,7 @@ class Server {
   SubscriptionRegistry registry_;
   Cache cache_;
   Sequencer sequencer_;
-
-  std::atomic<std::uint64_t> nextHandle_{1};
-
-  [[nodiscard]] SessionPtr FindSession(ClientHandle handle) {
-    return sessions_.Find(handle);
-  }
-  SessionTable sessions_;
+  ClientFrontDoor door_;
 };
 
 }  // namespace md::core

@@ -12,6 +12,7 @@
 // allocations in steady state.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -19,21 +20,21 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "common/slab.hpp"
-#include "core/backpressure.hpp"
 #include "core/batcher.hpp"
 #include "core/registry.hpp"
 #include "transport/transport.hpp"
 
 namespace md::core {
 
-/// `handle`, `conn`, `loop` (the session's IoThread) and the slow-consumer
-/// state come from PolicedClient. `mode` leads so it fills that base's tail
-/// padding.
-struct Session : PolicedClient {
+/// One client connection: the client front door's record of it
+/// (core/front_door.hpp). Owned through a shared_ptr: the handle table, the
+/// Workers' outboxes and the loop's timers hold references.
+struct Session : std::enable_shared_from_this<Session> {
   // Protocol mode, auto-detected from the first bytes. Written only on the
   // session's IoThread (during the handshake, before any frame reaches a
   // Worker); read by Workers on the fan-out encode path, hence atomic.
@@ -51,14 +52,23 @@ struct Session : PolicedClient {
     return mode.load(std::memory_order_relaxed);
   }
 
+  // Slow-consumer state (core/backpressure.hpp), loop thread only.
+  bool overSoft = false;
+  bool evictTimerArmed = false;
+  /// An eviction or the front door is closing the connection: nothing more
+  /// is queued on it or parsed from it.
+  bool closing = false;
+
+  ClientHandle handle = 0;    // fixed at accept; the monitor's session key
+  ConnectionPtr conn;
+  EventLoop* loop = nullptr;  // runs the connection's handlers and timers
   std::size_t ioIndex = 0;
-  std::size_t workerIndex = 0;
   ByteQueue in;
 
   // Worker-thread state.
   std::string clientId;
 
-  // IoThread-side outgoing batcher/conflator (nullptr when disabled).
+  // IoThread-side outgoing batcher/conflator (nullptr when unused).
   std::unique_ptr<Batcher> batcher;
   bool flushTimerArmed = false;
   std::unique_ptr<Conflator> conflator;
@@ -110,13 +120,15 @@ class SessionTable {
     }
   }
 
-  [[nodiscard]] std::size_t Size() const {
-    std::size_t total = 0;
+  /// Every live session, in handle order.
+  [[nodiscard]] std::vector<SessionPtr> All() const {
+    std::vector<SessionPtr> all;
     for (const Shard& shard : shards_) {
       std::lock_guard lock(shard.mutex);
-      total += shard.map.size();
+      for (const auto& [handle, session] : shard.map) all.push_back(session);
     }
-    return total;
+    std::ranges::sort(all, {}, [](const SessionPtr& s) { return s->handle; });
+    return all;
   }
 
   /// Approximate bytes of the table itself (buckets + nodes), for the

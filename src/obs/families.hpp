@@ -54,8 +54,9 @@ struct TransportMetrics {
   Counter& syscallsSend;
   Counter& syscallsSendmsg;
   Counter& syscallsRecv;
-  // Payload bytes memcpy'd into egress buffers (the zero-copy path never
-  // touches this; the legacy copying path counts every queued byte).
+  // Payload bytes memcpy'd into egress buffers: the tail of a copying
+  // Send(BytesView) the kernel did not take inline (the client library's
+  // path). Shared wire-buffer sends never touch it.
   Counter& copyBytes;
 };
 

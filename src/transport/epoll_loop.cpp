@@ -393,16 +393,15 @@ EpollLoop::~EpollLoop() {
 }
 
 void EpollLoop::Run() {
-  running_.store(true, std::memory_order_release);
   epoll_event events[256];
-  while (running_.load(std::memory_order_acquire)) {
+  while (!stopped_.load(std::memory_order_acquire)) {
     DrainPostedTasks();
     FireDueTimers();
     // Adaptive flush: everything queued by the tasks/timers above (and by
     // the previous dispatch round) goes to the kernel before we block —
     // idle loops flush immediately, busy loops coalesce whole batches.
     FlushPending();
-    if (!running_.load(std::memory_order_acquire)) break;
+    if (stopped_.load(std::memory_order_acquire)) break;
 
     const int n = epoll_wait(epollFd_, events, 256, NextTimeoutMillis());
     if (n < 0) {
@@ -452,7 +451,7 @@ void EpollLoop::Run() {
 }
 
 void EpollLoop::Stop() {
-  running_.store(false, std::memory_order_release);
+  stopped_.store(true, std::memory_order_release);
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
@@ -467,27 +466,6 @@ void EpollLoop::Post(TaskFn task) {
     posted_.push_back(std::move(task));
   }
   if (auto* m = metrics()) m->tasksPosted.Inc();
-  if (needWake) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
-  }
-}
-
-void EpollLoop::PostBatch(std::vector<TaskFn> tasks) {
-  if (tasks.empty()) return;
-  const std::uint64_t count = tasks.size();
-  bool needWake = false;
-  {
-    std::lock_guard lock(postMutex_);
-    needWake = posted_.empty();
-    if (posted_.empty()) {
-      posted_ = std::move(tasks);
-    } else {
-      posted_.insert(posted_.end(), std::make_move_iterator(tasks.begin()),
-                     std::make_move_iterator(tasks.end()));
-    }
-  }
-  if (auto* m = metrics()) m->tasksPosted.Inc(count);
   if (needWake) {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));

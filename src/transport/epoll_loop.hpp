@@ -118,8 +118,6 @@ class EpollLoop final : public NetLoop {
   void Run() override;
   void Stop() override;
   void Post(TaskFn task) override;
-  /// One lock acquisition and (at most) one eventfd wakeup for the batch.
-  void PostBatch(std::vector<TaskFn> tasks) override;
   std::uint64_t ScheduleTimer(Duration delay, TaskFn task) override;
   void CancelTimer(std::uint64_t id) override;
   [[nodiscard]] TimePoint Now() const override;
@@ -176,7 +174,8 @@ class EpollLoop final : public NetLoop {
   int epollFd_ = -1;
   int wakeFd_ = -1;
   int emergencyFd_ = -1;
-  std::atomic<bool> running_{false};
+  // Sticky: a Stop() that lands before Run() still ends it.
+  std::atomic<bool> stopped_{false};
   std::vector<std::uint8_t> readBuf_ = std::vector<std::uint8_t>(64 * 1024);
   std::vector<std::shared_ptr<detail::TcpConnection>> flushPending_;
 

@@ -69,11 +69,8 @@ class Connection {
   /// Zero-copy variant: queues a *reference* to the (immutable) buffer
   /// instead of copying its bytes — the fan-out path shares one encoded
   /// frame across every subscriber on the loop. Watermark semantics are
-  /// identical to Send(BytesView). Implementations that don't support
-  /// refcounted queues fall back to the copying path.
-  virtual Status Send(std::shared_ptr<const Bytes> data) {
-    return Send(BytesView(*data));
-  }
+  /// identical to Send(BytesView).
+  virtual Status Send(std::shared_ptr<const Bytes> data) = 0;
 
   /// Initiates close. The close handler fires (once) when fully closed.
   /// Bytes still buffered are discarded.
@@ -162,21 +159,14 @@ class EventLoop {
 };
 
 /// Real-network event loop: what the server/cluster hosts program against so
-/// the epoll and io_uring backends are interchangeable. Adds the batch post
-/// used by fan-out and the metrics bundle both backends feed.
+/// the epoll and io_uring backends are interchangeable. Adds the metrics
+/// bundle both backends feed.
 class NetLoop : public EventLoop {
  public:
-  /// Enqueues several tasks with one lock acquisition and (at most) one
-  /// wakeup — the cross-thread half of fan-out batching. Default loops
-  /// Post(); both real backends override with a coalesced wake.
-  virtual void PostBatch(std::vector<TaskFn> tasks) {
-    for (auto& task : tasks) Post(std::move(task));
-  }
-
   /// Optional instrumentation (wakeups, bytes, syscalls, queue depth). The
   /// bundle must outlive the loop; call before Run(). nullptr disables.
-  /// Atomic because Post()/PostBatch() (any thread) count into the bundle
-  /// while the owner may still be installing it.
+  /// Atomic because Post() (any thread) counts into the bundle while the
+  /// owner may still be installing it.
   void SetMetrics(obs::TransportMetrics* metrics) noexcept {
     metrics_.store(metrics, std::memory_order_release);
   }

@@ -653,7 +653,7 @@ void UringLoop::HandleCqe(const io_uring_cqe& cqe) {
       }
       if ((cqe.flags & IORING_CQE_F_MORE) == 0) {
         wakePollArmed_ = false;
-        if (running_.load(std::memory_order_acquire)) ArmWakePoll();
+        if (!stopped_.load(std::memory_order_acquire)) ArmWakePoll();
       }
       break;
     }
@@ -782,20 +782,19 @@ void UringLoop::HandleConnectCqe(std::uint64_t id, const io_uring_cqe& cqe) {
 // ---------------------------------------------------------------------------
 
 void UringLoop::Run() {
-  running_.store(true, std::memory_order_release);
   runThread_.store(std::this_thread::get_id(), std::memory_order_release);
   {
     std::lock_guard lock(postMutex_);
     acceptingTasks_ = true;
   }
   if (!wakePollArmed_) ArmWakePoll();
-  while (running_.load(std::memory_order_acquire)) {
+  while (!stopped_.load(std::memory_order_acquire)) {
     DrainPostedTasks();
     FireDueTimers();
     // Adaptive flush, identical policy to the epoll backend: egress queued
     // by the tasks/timers above is submitted before we block.
     FlushPending();
-    if (!running_.load(std::memory_order_acquire)) break;
+    if (stopped_.load(std::memory_order_acquire)) break;
 
     if (EnterAndWait(NextTimeoutMillis()) < 0) break;
     if (auto* m = metrics()) m->loopIterations.Inc();
@@ -856,7 +855,7 @@ bool UringLoop::PostIfAccepting(TaskFn task) {
 }
 
 void UringLoop::Stop() {
-  running_.store(false, std::memory_order_release);
+  stopped_.store(true, std::memory_order_release);
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
@@ -869,27 +868,6 @@ void UringLoop::Post(TaskFn task) {
     posted_.push_back(std::move(task));
   }
   if (auto* m = metrics()) m->tasksPosted.Inc();
-  if (needWake) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
-  }
-}
-
-void UringLoop::PostBatch(std::vector<TaskFn> tasks) {
-  if (tasks.empty()) return;
-  const std::uint64_t count = tasks.size();
-  bool needWake = false;
-  {
-    std::lock_guard lock(postMutex_);
-    needWake = posted_.empty();
-    if (posted_.empty()) {
-      posted_ = std::move(tasks);
-    } else {
-      posted_.insert(posted_.end(), std::make_move_iterator(tasks.begin()),
-                     std::make_move_iterator(tasks.end()));
-    }
-  }
-  if (auto* m = metrics()) m->tasksPosted.Inc(count);
   if (needWake) {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));

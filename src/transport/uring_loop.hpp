@@ -146,7 +146,6 @@ class UringLoop final : public NetLoop {
   void Run() override;
   void Stop() override;
   void Post(TaskFn task) override;
-  void PostBatch(std::vector<TaskFn> tasks) override;
   std::uint64_t ScheduleTimer(Duration delay, TaskFn task) override;
   void CancelTimer(std::uint64_t id) override;
   [[nodiscard]] TimePoint Now() const override;
@@ -261,7 +260,8 @@ class UringLoop final : public NetLoop {
 
   int wakeFd_ = -1;
   bool wakePollArmed_ = false;
-  std::atomic<bool> running_{false};
+  // Sticky: a Stop() that lands before Run() still ends it.
+  std::atomic<bool> stopped_{false};
   // Identity of the thread currently inside Run(); empty when the loop is
   // not running. Lets off-thread callers (listener Close) marshal safely.
   std::atomic<std::thread::id> runThread_{};

@@ -371,4 +371,12 @@ void Monitor::Report(ViolationKind kind, std::string detail) {
   reports_.push_back({kind, std::move(detail)});
 }
 
+std::unique_ptr<Monitor> MakeHostMonitor(bool enabled, MonitorConfig cfg,
+                                         std::string_view host,
+                                         obs::MetricsRegistry& registry) {
+  if (!enabled) return nullptr;
+  if (cfg.scope.empty()) cfg.scope = host;
+  return std::make_unique<Monitor>(registry, std::move(cfg));
+}
+
 }  // namespace md::verify

@@ -201,4 +201,10 @@ class Monitor {
   obs::Counter* stageEvents_[obs::kStageCount] = {};
 };
 
+/// The monitor a host embeds (nullptr unless `enabled`), scoped to `host`
+/// when `cfg` names no scope.
+[[nodiscard]] std::unique_ptr<Monitor> MakeHostMonitor(
+    bool enabled, MonitorConfig cfg, std::string_view host,
+    obs::MetricsRegistry& registry);
+
 }  // namespace md::verify

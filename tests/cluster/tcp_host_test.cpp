@@ -11,9 +11,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <thread>
 
 #include "client/client.hpp"
+#include "support/http_get.hpp"
 #include "support/raw_framed_client.hpp"
 #include "transport/epoll_loop.hpp"
 
@@ -21,6 +23,7 @@ namespace md::cluster {
 namespace {
 
 using namespace std::chrono_literals;
+using test_support::HttpGet;
 using test_support::RawFramedClient;
 
 void WaitFor(const std::function<bool()>& pred,
@@ -536,6 +539,117 @@ TEST_F(TcpClusterTest, PublishBurstSendsOnlyThroughTheFlushPass) {
     EXPECT_GT(transport[i]->syscallsSendmsg.Value(), flushesBefore[i])
         << hosts[i]->serverId();
   }
+}
+
+// A member's client port is the same front door as a single-node server's: a
+// WebSocket client subscribes through the upgrade handshake and receives a
+// publish stream, forwarded from another member, in publish order.
+TEST_F(TcpClusterTest, WebSocketClientReceivesPublishStreamFromMemberInOrder) {
+  StartCluster(2);
+
+  EpollLoop clientLoop;
+  std::thread clientThread([&] { clientLoop.Run(); });
+
+  auto subCfg = ClientCfg("ws-sub");
+  subCfg.servers = {{"127.0.0.1", hosts[0]->ClientPort(), 1.0}};
+  subCfg.transport = client::Transport::kWebSocket;
+  auto pubCfg = ClientCfg("ws-pub");
+  pubCfg.servers = {{"127.0.0.1", hosts[1]->ClientPort(), 1.0}};
+  client::Client sub(clientLoop, subCfg);
+  client::Client pub(clientLoop, pubCfg);
+
+  std::vector<std::uint8_t> payloads;
+  std::mutex payloadsMutex;
+  std::atomic<bool> subscribed{false};
+  clientLoop.Post([&] {
+    sub.Subscribe(
+        "ws/topic",
+        [&](const Message& m) {
+          std::lock_guard lock(payloadsMutex);
+          payloads.push_back(m.payload.at(0));
+        },
+        [&] { subscribed.store(true); });
+    sub.Start();
+    pub.Start();
+  });
+  WaitFor([&] { return subscribed.load() && pub.IsConnected(); });
+
+  // The first publication settles the topic group's coordinator (a lost
+  // race comes back kFailed and is republished out of order); the burst
+  // after it is sequenced in publish order.
+  constexpr int kMessages = 50;
+  std::atomic<int> acked{0};
+  const auto publish = [&](int i) {
+    pub.Publish("ws/topic", Bytes{static_cast<std::uint8_t>(i)}, [&](Status st) {
+      if (st.ok()) acked.fetch_add(1);
+    });
+  };
+  clientLoop.Post([&] { publish(0); });
+  WaitFor([&] { return acked.load() == 1; });
+  clientLoop.Post([&] {
+    for (int i = 1; i < kMessages; ++i) publish(i);
+  });
+  WaitFor([&] {
+    std::lock_guard lock(payloadsMutex);
+    return acked.load() == kMessages && payloads.size() == kMessages;
+  });
+  std::vector<std::uint8_t> expected(kMessages);
+  std::iota(expected.begin(), expected.end(), 0);
+  {
+    std::lock_guard lock(payloadsMutex);
+    EXPECT_EQ(payloads, expected);
+  }
+  EXPECT_EQ(sub.stats().reconnects, 0u);
+
+  clientLoop.Post([&] {
+    sub.Stop();
+    pub.Stop();
+  });
+  std::this_thread::sleep_for(20ms);
+  clientLoop.Stop();
+  clientThread.join();
+}
+
+// A plain-HTTP GET /metrics on a member's client port answers with the
+// member's registry: its cluster families and its front door's md_core_*.
+TEST_F(TcpClusterTest, MetricsScrapeOfMemberClientPortReturnsClusterFamilies) {
+  StartCluster(1);
+  const std::string response = HttpGet(hosts[0]->ClientPort(), "/metrics");
+  ASSERT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response.substr(0, 200);
+  EXPECT_NE(response.find("# TYPE md_cluster_"), std::string::npos);
+  EXPECT_NE(response.find("md_core_connections_accepted_total{server=\"" +
+                          hosts[0]->serverId() + "\"} 1"),
+            std::string::npos);
+}
+
+// Every host holds client frames to one 1 MiB cap: a member closes a client
+// that announces a 2 MiB PUBLISH as a protocol error, and the publication
+// never reaches a subscriber.
+TEST_F(TcpClusterTest, OversizedClientFrameClosesClientAndDeliversNothing) {
+  StartCluster(2);
+  const std::string topic = "cap/topic";
+  RawFramedClient sub(hosts[0]->ClientPort());
+  ASSERT_TRUE(sub.SendAll({ConnectFrame{"cap-sub"}, SubscribeFrame{topic}}));
+  ASSERT_TRUE(sub.Expect<ConnAckFrame>());
+  ASSERT_TRUE(sub.Expect<SubAckFrame>());
+
+  RawFramedClient big(hosts[1]->ClientPort());
+  ASSERT_TRUE(big.SendAll({ConnectFrame{"cap-big"}}));
+  ASSERT_TRUE(big.Expect<ConnAckFrame>());
+  // The member may close before it has read the whole frame, so the send
+  // itself can fail; what matters is what comes back.
+  (void)big.SendAll({Publication(topic, "cap-big", 1, 2 * 1024 * 1024)});
+  EXPECT_FALSE(big.Next().has_value()) << "the oversized PUBLISH was answered";
+  obs::CoreMetrics core(*registries[1], obs::ServerLabel(hosts[1]->serverId()));
+  EXPECT_EQ(core.protoErrors.Value(), 1u);
+
+  RawFramedClient pub(hosts[1]->ClientPort());
+  ASSERT_TRUE(pub.SendAll({ConnectFrame{"cap-pub"}}));
+  ASSERT_TRUE(pub.Expect<ConnAckFrame>());
+  ASSERT_NO_FATAL_FAILURE(PublishUntilAcked(pub, Publication(topic, "cap-pub", 7)));
+  const auto deliver = sub.Expect<DeliverFrame>();
+  ASSERT_TRUE(deliver.has_value());
+  EXPECT_EQ(deliver->msg.pubId.counter, 7u) << "the oversized publication was delivered";
 }
 
 }  // namespace

@@ -15,11 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -33,6 +28,7 @@
 #include "cluster/chaos.hpp"
 #include "common/hash.hpp"
 #include "core/server.hpp"
+#include "support/http_get.hpp"
 #include "transport/epoll_loop.hpp"
 #include "verify/monitor.hpp"
 
@@ -172,35 +168,7 @@ TEST(ExpositionGoldenTest, SimulatedClusterExpositionIsDeterministic) {
 
 // --- 3. live server scrape ---------------------------------------------------
 
-std::string HttpGet(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string req =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < req.size()) {
-    const ssize_t n = ::send(fd, req.data() + sent, req.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
+using test_support::HttpGet;
 
 std::size_t CountOccurrences(const std::string& text, const std::string& needle) {
   std::size_t count = 0;
