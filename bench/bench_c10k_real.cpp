@@ -10,12 +10,9 @@
 //
 // Client connections are plain sockets driven by a minimal inline pump (the
 // full client library would be overkill at this count); the server side is
-// exactly the production engine. MD_BENCH_CLIENTS overrides the population;
-// `--event-loop epoll|uring` (or MD_BENCH_EVENT_LOOP) selects the server's
-// backend via ServerConfig::eventLoop.
+// exactly the production engine. MD_BENCH_CLIENTS overrides the population.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include <sys/resource.h>
 
@@ -43,26 +40,9 @@ long EnvLong(const char* name, long fallback) {
   return v ? std::atol(v) : fallback;
 }
 
-// `--event-loop epoll|uring` beats MD_BENCH_EVENT_LOOP beats epoll. An
-// unparseable name is a usage error, not a silent fallback.
-LoopKind PickEventLoop(int argc, char** argv) {
-  const char* name = std::getenv("MD_BENCH_EVENT_LOOP");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--event-loop") == 0) name = argv[i + 1];
-  }
-  if (name == nullptr) return LoopKind::kEpoll;
-  const auto kind = ParseLoopKind(name);
-  if (!kind) {
-    std::fprintf(stderr, "unknown event loop '%s' (want epoll|uring)\n", name);
-    std::exit(2);
-  }
-  return *kind;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const LoopKind loopKind = PickEventLoop(argc, argv);
+int main() {
   // Both connection ends live in this one process, so each client costs two
   // descriptors. Raise the soft fd limit to the hard limit and size the
   // population to fit (10,000 when the environment allows).
@@ -80,16 +60,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "=== C10K on real sockets: %ld live connections, single server ===\n"
-      "Real %s engine (2 IoThreads, 2 Workers), %d topics, %ld publish "
+      "Real engine (2 IoThreads, 2 Workers), %d topics, %ld publish "
       "bursts.\n\n",
-      clients, LoopKindName(loopKind), kTopics, bursts);
+      clients, kTopics, bursts);
 
   obs::MetricsRegistry registry;
   core::ServerConfig serverCfg;
   serverCfg.ioThreads = 2;
   serverCfg.workers = 2;
   serverCfg.serverId = "c10k";
-  serverCfg.eventLoop = loopKind;
   serverCfg.metrics = &registry;
   core::Server server(serverCfg);
   if (!server.Start().ok()) {

@@ -17,9 +17,8 @@
 //                  same engine constants as Table 1; the reference blog post
 //                  reports 61 ms mean with the stock JVM).
 //   4. smoke       a small real-socket population through the real engine,
-//                  backend selected by --event-loop epoll|uring (or
-//                  MD_BENCH_EVENT_LOOP), scraping md_core_bytes_per_session
-//                  from the live registry.
+//                  scraping md_core_bytes_per_session from the live
+//                  registry.
 //
 // Environment overrides:
 //   MD_BENCH_C10M_SESSIONS  footprint population   (default 1,000,000;
@@ -30,7 +29,6 @@
 //   MD_BENCH_C10M_OUT       JSON output path (default BENCH_c10m.json)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include <atomic>
 #include <chrono>
@@ -64,20 +62,6 @@ long EnvLong(const char* name, long fallback) {
 Duration EnvSeconds(const char* name, long fallback) {
   const char* v = std::getenv(name);
   return (v ? std::atol(v) : fallback) * kSecond;
-}
-
-LoopKind PickEventLoop(int argc, char** argv) {
-  const char* name = std::getenv("MD_BENCH_EVENT_LOOP");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--event-loop") == 0) name = argv[i + 1];
-  }
-  if (name == nullptr) return LoopKind::kEpoll;
-  const auto kind = ParseLoopKind(name);
-  if (!kind) {
-    std::fprintf(stderr, "unknown event loop '%s' (want epoll|uring)\n", name);
-    std::exit(2);
-  }
-  return *kind;
 }
 
 /// VmRSS in bytes from /proc/self/status (Linux-only, like the transport).
@@ -118,8 +102,7 @@ struct FootprintResult {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const LoopKind loopKind = PickEventLoop(argc, argv);
+int main() {
   const long sessions = std::max(1L, EnvLong("MD_BENCH_C10M_SESSIONS", 1'000'000));
   const long budget = EnvLong("MD_BENCH_C10M_BUDGET", 1024);
   const long smokeClients = EnvLong("MD_BENCH_C10M_SMOKE", 200);
@@ -247,7 +230,7 @@ int main(int argc, char** argv) {
   const double rate =
       static_cast<double>(r.deliveries) / ToSeconds(warmup + measure);
 
-  // ---- Leg 4: real-engine smoke on the selected backend -----------------
+  // ---- Leg 4: real-engine smoke -----------------
   std::uint64_t smokeExpected = 0;
   std::atomic<std::uint64_t> smokeReceived{0};
   double liveBytesPerSession = 0;
@@ -256,15 +239,14 @@ int main(int argc, char** argv) {
     smokeRan = true;
     constexpr int kSmokeTopics = 10;
     constexpr long kSmokeBursts = 3;
-    std::printf("\nsmoke: %ld live clients through the real %s engine\n",
-                smokeClients, LoopKindName(loopKind));
+    std::printf("\nsmoke: %ld live clients through the real engine\n",
+                smokeClients);
 
     obs::MetricsRegistry metrics;
     core::ServerConfig serverCfg;
     serverCfg.ioThreads = 2;
     serverCfg.workers = 2;
     serverCfg.serverId = "c10m";
-    serverCfg.eventLoop = loopKind;
     serverCfg.metrics = &metrics;
     core::Server server(serverCfg);
     if (!server.Start().ok()) {
@@ -272,7 +254,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    EpollLoop loop;  // client side always pumps on epoll
+    EpollLoop loop;
     std::thread loopThread([&loop] { loop.Run(); });
     std::atomic<long> connected{0};
     std::vector<std::unique_ptr<client::Client>> subs;
@@ -331,11 +313,11 @@ int main(int argc, char** argv) {
     (void)server.Stats();
     liveBytesPerSession = metrics.Snapshot().Value("md_core_bytes_per_session",
                                                    "server=\"c10m\"");
-    std::printf("smoke: delivered %llu/%llu on %s, live "
+    std::printf("smoke: delivered %llu/%llu, live "
                 "md_core_bytes_per_session %.0f\n",
                 static_cast<unsigned long long>(smokeReceived.load()),
                 static_cast<unsigned long long>(smokeExpected),
-                LoopKindName(loopKind), liveBytesPerSession);
+                liveBytesPerSession);
 
     for (auto& sub : subs) loop.Post([s = sub.get()] { s->Stop(); });
     loop.Post([&pub] { pub.Stop(); });
@@ -389,8 +371,7 @@ int main(int argc, char** argv) {
       f,
       "{\n"
       "  \"bench\": \"c10m\",\n"
-      "  \"config\": {\"sessions\": %ld, \"budget_bytes_per_session\": %ld, "
-      "\"event_loop\": \"%s\"},\n"
+      "  \"config\": {\"sessions\": %ld, \"budget_bytes_per_session\": %ld},\n"
       "  \"footprint\": {\n"
       "    \"sessions\": %ld,\n"
       "    \"alloc_per_sec\": %.0f,\n"
@@ -419,7 +400,7 @@ int main(int argc, char** argv) {
       "    \"median_ms\": %.2f,\n"
       "    \"p99_ms\": %.2f\n"
       "  },\n",
-      sessions, budget, LoopKindName(loopKind), fp.sessions,
+      sessions, budget, fp.sessions,
       sessions / allocSecs, static_cast<unsigned long long>(fp.rssBefore),
       static_cast<unsigned long long>(fp.rssAfter), fp.rssPerSession,
       static_cast<unsigned long long>(fp.engineBytes), fp.bytesPerSession,
@@ -436,10 +417,10 @@ int main(int argc, char** argv) {
       r.latency.p99Ms);
   if (smokeRan) {
     std::fprintf(f,
-                 "  \"smoke\": {\"clients\": %ld, \"event_loop\": \"%s\", "
+                 "  \"smoke\": {\"clients\": %ld, "
                  "\"expected\": %llu, \"delivered\": %llu, "
                  "\"live_bytes_per_session\": %.0f}\n}\n",
-                 smokeClients, LoopKindName(loopKind),
+                 smokeClients,
                  static_cast<unsigned long long>(smokeExpected),
                  static_cast<unsigned long long>(smokeReceived.load()),
                  liveBytesPerSession);

@@ -4,12 +4,8 @@
 // and queues refcounted shared wire buffers, flushed with one sendmsg per
 // connection per loop pass:
 //
-//   batched_zerocopy        epoll backend
-//   batched_zerocopy_uring  same data path on the io_uring backend
-//                           (skipped with an explicit message when the
-//                           running kernel lacks the required io_uring
-//                           features)
-//   batched_zerocopy_verify epoll with the runtime verification monitor on
+//   batched_zerocopy        the default data path
+//   batched_zerocopy_verify the same with the runtime verification monitor on
 //
 // Headline metrics per row: cross-thread posts per publish (from
 // md_transport_tasks_posted_total), sendmsg calls per publish and per
@@ -58,7 +54,6 @@ long EnvLong(const char* name, long fallback) {
 
 struct ModeSpec {
   const char* key;    // JSON key / print label
-  LoopKind loop = LoopKind::kEpoll;
   bool verify = false;
   int seed = 0;       // distinct client-id namespace per leg
 };
@@ -88,7 +83,6 @@ bool RunMode(const ModeSpec& mode, long clients, long topics, long bursts,
   serverCfg.ioThreads = kIoThreads;
   serverCfg.workers = 2;
   serverCfg.serverId = "fanout";
-  serverCfg.eventLoop = mode.loop;
   serverCfg.runtimeVerify = mode.verify;
   serverCfg.metrics = &registry;
   core::Server server(serverCfg);
@@ -300,34 +294,19 @@ int main() {
   const char* outPath = std::getenv("MD_BENCH_FANOUT_OUT");
   if (outPath == nullptr) outPath = "BENCH_fanout.json";
 
-  std::string uringWhyNot;
-  const bool uringOk = IoUringAvailable(&uringWhyNot);
-
   std::printf(
       "=== Fan-out egress ablation: %ld subscribers, %ld topics, %ld bursts "
       "===\n"
-      "Real network engine (%d IoThreads, 2 Workers); zero-copy egress on\n"
-      "epoll, on io_uring%s, and on epoll with the runtime monitor.\n\n",
-      clients, topics, bursts, kIoThreads,
-      uringOk ? "" : " (io_uring leg will be skipped)");
+      "Real network engine (%d IoThreads, 2 Workers); zero-copy egress\n"
+      "without and with the runtime monitor.\n\n",
+      clients, topics, bursts, kIoThreads);
 
-  const ModeSpec kZeroCopy{"batched_zerocopy", LoopKind::kEpoll,
-                           /*verify=*/false, /*seed=*/3};
-  const ModeSpec kUring{"batched_zerocopy_uring", LoopKind::kIoUring, false, 4};
-  const ModeSpec kVerify{"batched_zerocopy_verify", LoopKind::kEpoll,
-                         /*verify=*/true, 5};
+  const ModeSpec kZeroCopy{"batched_zerocopy", /*verify=*/false, /*seed=*/3};
+  const ModeSpec kVerify{"batched_zerocopy_verify", /*verify=*/true, 5};
 
-  ModeResult zeroCopyRes, uringRes, verifiedRes;
+  ModeResult zeroCopyRes, verifiedRes;
   if (!RunMode(kZeroCopy, clients, topics, bursts, zeroCopyRes)) return 1;
   PrintMode(kZeroCopy.key, zeroCopyRes);
-  bool uringRan = false;
-  if (uringOk) {
-    if (!RunMode(kUring, clients, topics, bursts, uringRes)) return 1;
-    PrintMode(kUring.key, uringRes);
-    uringRan = true;
-  } else {
-    std::printf("%-22s skipped: %s\n", kUring.key, uringWhyNot.c_str());
-  }
   // Monitor overhead leg: the default data path with the runtime verification
   // monitor riding every fan-out emission — the overhead budget is <= 5% on
   // the publish-path post count (DESIGN.md §11).
@@ -350,15 +329,12 @@ int main() {
               zeroCopyRes.copyBytesPerDelivery, deliverBytes);
 
   std::vector<ShapeCheck> checks;
-  const ModeResult* rows[] = {&zeroCopyRes, uringRan ? &uringRes : nullptr,
-                              &verifiedRes};
-  const char* rowNames[] = {kZeroCopy.key, kUring.key, kVerify.key};
-  for (int i = 0; i < 3; ++i) {
-    if (rows[i] == nullptr) continue;
-    checks.push_back({std::string(rowNames[i]) + ": every notification delivered",
-                      static_cast<double>(rows[i]->expected),
-                      static_cast<double>(rows[i]->delivered),
-                      rows[i]->delivered == rows[i]->expected});
+  for (const auto& [spec, res] : {std::pair{&kZeroCopy, &zeroCopyRes},
+                                   std::pair{&kVerify, &verifiedRes}}) {
+    checks.push_back({std::string(spec->key) + ": every notification delivered",
+                      static_cast<double>(res->expected),
+                      static_cast<double>(res->delivered),
+                      res->delivered == res->expected});
   }
   // The server-side delivered counter (metrics Snapshot) covers every client
   // receipt — the batched handoff loses nothing between worker and IoThread.
@@ -390,12 +366,6 @@ int main() {
   checks.push_back({"zerocopy syscalls/delivery < 1",
                     1.0, zeroCopyRes.syscallsPerDelivery,
                     zeroCopyRes.syscallsPerDelivery < 1.0});
-  if (uringRan) {
-    checks.push_back({"io_uring leg: every notification delivered",
-                      static_cast<double>(uringRes.expected),
-                      static_cast<double>(uringRes.delivered),
-                      uringRes.delivered == uringRes.expected});
-  }
   // Monitor overhead leg: observation must be complete, silent on clean
   // traffic, and must not add cross-thread posts to the publish path.
   const double postsOverheadPct =
@@ -441,12 +411,6 @@ int main() {
                "\"bursts\": %ld, \"io_threads\": %d},\n",
                clients, topics, bursts, kIoThreads);
   WriteJsonMode(f, kZeroCopy.key, zeroCopyRes, /*trailingComma=*/true);
-  if (uringRan) {
-    WriteJsonMode(f, kUring.key, uringRes, /*trailingComma=*/true);
-  } else {
-    std::fprintf(f, "  \"%s\": \"skipped: %s\",\n", kUring.key,
-                 uringWhyNot.c_str());
-  }
   WriteJsonMode(f, kVerify.key, verifiedRes, /*trailingComma=*/false);
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -477,9 +441,8 @@ int main() {
   std::fclose(of);
   std::printf("wrote %s\n", overheadPath);
 
-  bool lossFree = zeroCopyRes.delivered == zeroCopyRes.expected &&
-                  verifiedRes.delivered == verifiedRes.expected &&
-                  verifiedRes.monitorViolations == 0;
-  if (uringRan) lossFree = lossFree && uringRes.delivered == uringRes.expected;
+  const bool lossFree = zeroCopyRes.delivered == zeroCopyRes.expected &&
+                        verifiedRes.delivered == verifiedRes.expected &&
+                        verifiedRes.monitorViolations == 0;
   return lossFree ? 0 : 1;
 }

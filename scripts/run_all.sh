@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja && cmake --build build || exit 1
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Benchmark build leg: perfbench/ compiles the engine sources into its own
+# library, so a src/ change that breaks the repo benchmark's build (say, a
+# function pb_engine or pb_gen calls is gone) fails here rather than in a
+# benchmark run.
+cmake -S perfbench -B build-perfbench -G Ninja \
+  && cmake --build build-perfbench --target pb_engine pb_gen || exit 1
+
 # Chaos harness under ASan: the fault paths (crash teardown, reconnection
 # sync, gap-stall timers) are where lifetime bugs would hide.
 cmake -B build-asan -G Ninja -DMD_SANITIZE=address \
@@ -54,15 +61,13 @@ MD_BENCH_FANOUT_CLIENTS=64 MD_BENCH_FANOUT_TOPICS=4 MD_BENCH_FANOUT_BURSTS=10 \
   MD_BENCH_FANOUT_OUT=/dev/null MD_BENCH_MONITOR_OUT=/dev/null \
   ./build/bench/bench_fanout || exit 1
 
-# Egress leg: the zero-copy wire-buffer path (SendQueue refcounting, writev
-# scatter-gather, adaptive flush) across both event-loop backends. The
-# parity suite in transport_test parameterizes every case over epoll and
-# io_uring — on kernels without the required io_uring features the io_uring
-# half skips with an explicit capability message rather than failing. The
-# same binary then runs under ASan (buffer lifetime: iovec pins must keep
-# shared buffers readable across close-mid-flush and Clear) and TSan
-# (cross-thread Send against the loop's flush pass). bench_fanout above
-# already smoke-checks loss-free delivery on both backends.
+# Egress leg: the zero-copy wire-buffer path (SendQueue refcounting,
+# sendmsg scatter-gather, adaptive flush, graceful close) over real sockets
+# in transport_test. The same binary then runs under ASan (buffer lifetime:
+# a shared buffer stays readable across close-mid-flush and Clear, and a
+# drained CloseAfterFlush frees its connection) and TSan (cross-thread Send
+# against the loop's flush pass). bench_fanout above already smoke-checks
+# loss-free delivery.
 ./build/tests/transport_test || exit 1
 cmake --build build-asan --target transport_test || exit 1
 ./build-asan/tests/transport_test || exit 1

@@ -86,7 +86,7 @@ TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
       tm_(RegistryOf(cfg_)),
       monitor_(verify::MakeHostMonitor(cfg_.runtimeVerify, cfg_.verifyConfig,
                                        cfg_.serverId, RegistryOf(cfg_))),
-      loop_(CreateNetLoop(cfg_.eventLoop)),
+      loop_(std::make_unique<EpollLoop>()),
       door_(RegistryOf(cfg_),
             {.labels = obs::ServerLabel(cfg_.serverId),
              .backpressure = cfg_.clientBackpressure,

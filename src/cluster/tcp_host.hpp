@@ -32,8 +32,7 @@
 #include "coord/node.hpp"
 #include "core/front_door.hpp"
 #include "proto/codec.hpp"
-#include "transport/transport.hpp"
-#include "transport/wire.hpp"
+#include "transport/epoll_loop.hpp"
 #include "verify/monitor.hpp"
 
 namespace md::cluster {
@@ -65,9 +64,6 @@ struct TcpHostConfig {
   /// send-queue depths (DESIGN.md §11); exports through the cluster registry.
   bool runtimeVerify = false;
   verify::MonitorConfig verifyConfig;
-  /// Event-loop backend for the host's sockets. io_uring falls back to epoll
-  /// (with a warning) when the running kernel lacks the required features.
-  LoopKind eventLoop = LoopKind::kEpoll;
 };
 
 class TcpClusterHost {
@@ -127,7 +123,7 @@ class TcpClusterHost {
   TcpHostConfig cfg_;
   obs::TransportMetrics tm_;  // must outlive loop_
   std::unique_ptr<verify::Monitor> monitor_;
-  std::unique_ptr<NetLoop> loop_;
+  std::unique_ptr<EpollLoop> loop_;
   std::thread thread_;
   std::atomic<bool> running_{false};
 

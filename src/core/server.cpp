@@ -98,7 +98,7 @@ Status Server::Start() {
 
   for (int i = 0; i < cfg_.ioThreads; ++i) {
     auto io = std::make_unique<IoThread>();
-    io->loop = CreateNetLoop(cfg_.eventLoop);
+    io->loop = std::make_unique<EpollLoop>();
     io->loop->SetMetrics(&tm_);
     auto listener = io->loop->Listen(boundPort_ != 0 ? boundPort_ : cfg_.port);
     if (!listener.ok()) {

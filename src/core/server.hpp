@@ -40,6 +40,7 @@
 #include "core/front_door.hpp"
 #include "core/registry.hpp"
 #include "core/sequencer.hpp"
+#include "transport/epoll_loop.hpp"
 #include "wal/log.hpp"
 
 namespace md::core {
@@ -61,9 +62,6 @@ struct ServerConfig {
   /// the newest message of each of its topics.
   bool enableConflation = false;
   ConflateConfig conflate;
-  /// Which real-network event loop backend the IoThreads run. io_uring
-  /// falls back to epoll (with a warning) when the kernel can't run it.
-  LoopKind eventLoop = LoopKind::kEpoll;
   /// Slow-consumer handling (core/backpressure.hpp): send-queue watermarks
   /// every client connection is held to, and the eviction grace.
   BackpressureConfig backpressure;
@@ -118,7 +116,7 @@ class Server {
   };
 
   struct IoThread {
-    std::unique_ptr<NetLoop> loop;
+    std::unique_ptr<EpollLoop> loop;
     ListenerPtr listener;
     std::thread thread;
   };

@@ -27,9 +27,9 @@ constexpr std::string_view kCoreBytesPerSession = "md_core_bytes_per_session";
 constexpr std::string_view kCoreBytesPerSessionHelp =
     "Slab-accounted engine bytes in use divided by active sessions";
 
-// Renamed from md_transport_epoll_wakeups_total: both loop backends (epoll
-// AND io_uring) increment it, once per loop iteration — timer ticks and
-// posted-task wakeups included — so the old name overstated what it counted.
+// Renamed from md_transport_epoll_wakeups_total: the loop increments it once
+// per loop iteration — timer ticks and posted-task wakeups included — so the
+// old name overstated what it counted.
 constexpr std::string_view kTransLoopIterations =
     "md_transport_loop_iterations_total";
 constexpr std::string_view kTransLoopIterationsHelp =

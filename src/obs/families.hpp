@@ -33,14 +33,13 @@ struct CoreMetrics {
   Gauge& bytesPerSession;
 };
 
-/// Transport loop counters (process-wide; all loops — epoll or io_uring —
-/// share one bundle).
+/// Transport loop counters (one bundle per host, shared by all its loops).
 struct TransportMetrics {
   explicit TransportMetrics(MetricsRegistry& registry,
                             std::string_view labels = "");
 
-  /// Loop iterations completed — NOT poll wakeups: both the epoll and
-  /// io_uring backends tick this once per iteration, timer ticks included.
+  /// Loop iterations completed — NOT poll wakeups: EpollLoop ticks this
+  /// once per iteration, timer ticks included.
   Counter& loopIterations;
   Counter& bytesRead;
   Counter& bytesWritten;

@@ -178,11 +178,11 @@ void TcpConnection::CloseAfterFlush() {
   if (closeAfterFlush_) return;
   closeAfterFlush_ = true;
   // A peer that never drains (the very consumer being evicted) must not pin
-  // the fd forever; reap after a bounded grace.
+  // the fd forever; reap after a bounded grace. CloseNow cancels the timer,
+  // so a drained close releases the connection right away.
   auto self = shared_from_this();
-  loop_.ScheduleTimer(kCloseFlushGrace, [self] {
-    if (self->fd_ >= 0) self->CloseNow();
-  });
+  closeTimer_ =
+      loop_.ScheduleTimer(kCloseFlushGrace, [self] { self->CloseNow(); });
 }
 
 void TcpConnection::SetReadPaused(bool paused) {
@@ -193,6 +193,10 @@ void TcpConnection::SetReadPaused(bool paused) {
 
 void TcpConnection::CloseNow() {
   if (fd_ < 0) return;
+  if (closeTimer_ != 0) {
+    loop_.CancelTimer(closeTimer_);
+    closeTimer_ = 0;
+  }
   loop_.Deregister(fd_);
   ::close(fd_);
   const int fd = fd_;

@@ -26,6 +26,10 @@
 
 namespace md {
 
+namespace obs {
+struct TransportMetrics;
+}  // namespace obs
+
 class EpollLoop;
 
 namespace detail {
@@ -86,6 +90,7 @@ class TcpConnection final : public Connection,
   bool readPaused_ = false;
   bool closeAfterFlush_ = false;
   bool flushQueued_ = false;  // in the loop's pending-flush list
+  std::uint64_t closeTimer_ = 0;  // CloseAfterFlush grace timer; 0 = none
 };
 
 class TcpListener final : public Listener {
@@ -107,7 +112,7 @@ class TcpListener final : public Listener {
 
 }  // namespace detail
 
-class EpollLoop final : public NetLoop {
+class EpollLoop final : public EventLoop {
  public:
   EpollLoop();
   ~EpollLoop() override;
@@ -124,6 +129,17 @@ class EpollLoop final : public NetLoop {
   Result<ListenerPtr> Listen(std::uint16_t port) override;
   void Connect(const std::string& host, std::uint16_t port,
                ConnectCallback cb) override;
+
+  /// Optional instrumentation (wakeups, bytes, syscalls, queue depth). The
+  /// bundle must outlive the loop; call before Run(). nullptr disables.
+  /// Atomic because Post() (any thread) counts into the bundle while the
+  /// owner may still be installing it.
+  void SetMetrics(obs::TransportMetrics* metrics) noexcept {
+    metrics_.store(metrics, std::memory_order_release);
+  }
+  [[nodiscard]] obs::TransportMetrics* metrics() const noexcept {
+    return metrics_.load(std::memory_order_acquire);
+  }
 
   // Internal plumbing for connections/listeners (dispatch is by fd).
   void Register(int fd, std::uint32_t events);
@@ -176,6 +192,7 @@ class EpollLoop final : public NetLoop {
   int emergencyFd_ = -1;
   // Sticky: a Stop() that lands before Run() still ends it.
   std::atomic<bool> stopped_{false};
+  std::atomic<obs::TransportMetrics*> metrics_{nullptr};
   std::vector<std::uint8_t> readBuf_ = std::vector<std::uint8_t>(64 * 1024);
   std::vector<std::shared_ptr<detail::TcpConnection>> flushPending_;
 

@@ -1,7 +1,7 @@
-// Backend selection for the real-network event loop: parses the
-// --event-loop flag value, probes the running kernel for the io_uring
-// features UringLoop needs, and constructs the chosen backend with a
-// graceful fallback to epoll.
+// Kernel-capability probe behind IoUringAvailable(): reports whether this
+// kernel offers io_uring with the features an io_uring event loop would
+// need. Benchmark runs record the answer next to their results; no host
+// runs an io_uring backend.
 
 #include <linux/io_uring.h>
 #include <sys/mman.h>
@@ -10,21 +10,17 @@
 
 #include <cerrno>
 #include <cstring>
-#include <mutex>
 
-#include "common/logging.hpp"
 #include "common/strutil.hpp"
-#include "transport/epoll_loop.hpp"
 #include "transport/transport.hpp"
-#include "transport/uring_loop.hpp"
 
 namespace md {
 
 namespace {
 
-// One-shot kernel probe: set up a tiny ring, verify the feature bits and the
-// provided-buffer-ring registration the UringLoop depends on, tear down.
-// Failure reasons are kept for the warning CreateNetLoop emits.
+// One-shot kernel probe: set up a tiny ring, verify the EXT_ARG feature bit
+// and a provided-buffer-ring registration, tear down. The failure reason is
+// kept for IoUringAvailable's `whyNot`.
 struct UringProbe {
   bool available = false;
   std::string whyNot;
@@ -45,7 +41,7 @@ UringProbe RunUringProbe() {
     ::close(fd);
     return probe;
   }
-  // Multishot recv needs a registered provided-buffer ring (>= 5.19).
+  // Provided-buffer rings (multishot recv) arrived in 5.19.
   void* ring = ::mmap(nullptr, 8 * sizeof(io_uring_buf), PROT_READ | PROT_WRITE,
                       MAP_ANONYMOUS | MAP_PRIVATE, -1, 0);
   if (ring == MAP_FAILED) {
@@ -71,50 +67,12 @@ UringProbe RunUringProbe() {
   return probe;
 }
 
-const UringProbe& CachedProbe() {
-  static const UringProbe probe = RunUringProbe();
-  return probe;
-}
-
 }  // namespace
 
-std::optional<LoopKind> ParseLoopKind(std::string_view name) {
-  if (name == "epoll") return LoopKind::kEpoll;
-  if (name == "io_uring" || name == "uring") return LoopKind::kIoUring;
-  return std::nullopt;
-}
-
-const char* LoopKindName(LoopKind kind) noexcept {
-  switch (kind) {
-    case LoopKind::kEpoll:
-      return "epoll";
-    case LoopKind::kIoUring:
-      return "io_uring";
-  }
-  return "unknown";
-}
-
 bool IoUringAvailable(std::string* whyNot) {
-  const UringProbe& probe = CachedProbe();
+  static const UringProbe probe = RunUringProbe();
   if (!probe.available && whyNot != nullptr) *whyNot = probe.whyNot;
   return probe.available;
-}
-
-std::unique_ptr<NetLoop> CreateNetLoop(LoopKind kind) {
-  if (kind == LoopKind::kIoUring) {
-    std::string whyNot;
-    if (!IoUringAvailable(&whyNot)) {
-      MD_WARN("io_uring requested but unavailable (%s); falling back to epoll",
-              whyNot.c_str());
-      return std::make_unique<EpollLoop>();
-    }
-    auto loop = UringLoop::Create();
-    if (loop.ok()) return std::move(*loop);
-    MD_WARN("io_uring init failed (%s); falling back to epoll",
-            loop.status().message().c_str());
-    return std::make_unique<EpollLoop>();
-  }
-  return std::make_unique<EpollLoop>();
 }
 
 }  // namespace md

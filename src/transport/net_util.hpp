@@ -1,4 +1,5 @@
-// Socket plumbing shared by the epoll and io_uring backends.
+// Socket plumbing for EpollLoop: non-blocking setup, listener creation,
+// peer naming and host resolution.
 #pragma once
 
 #include <arpa/inet.h>

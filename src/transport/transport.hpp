@@ -12,13 +12,10 @@
 // arrives in order and without duplication (TCP semantics).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -26,10 +23,6 @@
 #include "common/time.hpp"
 
 namespace md {
-
-namespace obs {
-struct TransportMetrics;
-}  // namespace obs
 
 /// Send-buffer watermarks (slow-consumer backpressure).
 ///
@@ -158,40 +151,11 @@ class EventLoop {
                        ConnectCallback cb) = 0;
 };
 
-/// Real-network event loop: what the server/cluster hosts program against so
-/// the epoll and io_uring backends are interchangeable. Adds the metrics
-/// bundle both backends feed.
-class NetLoop : public EventLoop {
- public:
-  /// Optional instrumentation (wakeups, bytes, syscalls, queue depth). The
-  /// bundle must outlive the loop; call before Run(). nullptr disables.
-  /// Atomic because Post() (any thread) counts into the bundle while the
-  /// owner may still be installing it.
-  void SetMetrics(obs::TransportMetrics* metrics) noexcept {
-    metrics_.store(metrics, std::memory_order_release);
-  }
-  [[nodiscard]] obs::TransportMetrics* metrics() const noexcept {
-    return metrics_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<obs::TransportMetrics*> metrics_{nullptr};
-};
-
-/// Which real-network backend to run.
-enum class LoopKind : std::uint8_t { kEpoll, kIoUring };
-
-/// "epoll" / "io_uring" (also accepts "uring"); nullopt on anything else.
-[[nodiscard]] std::optional<LoopKind> ParseLoopKind(std::string_view name);
-[[nodiscard]] const char* LoopKindName(LoopKind kind) noexcept;
-
-/// Probes the running kernel once: io_uring must exist and support the
-/// features the UringLoop needs (EXT_ARG timed waits). `whyNot` (optional)
-/// receives a human-readable reason when unavailable.
+/// Kernel-capability report for the environment record of benchmark runs:
+/// probes once whether this kernel offers io_uring with EXT_ARG timed waits
+/// and provided-buffer rings. It runs no backend — every host uses
+/// EpollLoop. `whyNot` (optional) receives a human-readable reason when
+/// unavailable.
 [[nodiscard]] bool IoUringAvailable(std::string* whyNot = nullptr);
-
-/// Creates the requested backend, falling back to epoll (with a warning)
-/// when io_uring is requested but the kernel can't run it.
-[[nodiscard]] std::unique_ptr<NetLoop> CreateNetLoop(LoopKind kind);
 
 }  // namespace md

@@ -2,7 +2,8 @@
 
 #include <sys/uio.h>
 
-#include <algorithm>
+#include <mutex>
+#include <vector>
 
 namespace md {
 
@@ -61,9 +62,8 @@ std::shared_ptr<Bytes> AcquireWireBuffer() {
 
 std::size_t WireBufferPoolSize() { return Pool().Size(); }
 
-std::size_t SendQueue::FillIovecs(
-    struct iovec* iov, std::size_t maxIov,
-    std::vector<std::shared_ptr<const Bytes>>* pins) const {
+std::size_t SendQueue::FillIovecs(struct iovec* iov,
+                                  std::size_t maxIov) const {
   std::size_t count = 0;
   for (const Node& node : nodes_) {
     if (count == maxIov) break;
@@ -72,7 +72,6 @@ std::size_t SendQueue::FillIovecs(
     iov[count].iov_base =
         const_cast<std::uint8_t*>(node.buf->data() + node.offset);
     iov[count].iov_len = remain;
-    if (pins != nullptr) pins->push_back(node.buf);
     ++count;
   }
   return count;

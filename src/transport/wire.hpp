@@ -16,8 +16,6 @@
 
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -73,20 +71,9 @@ class SendQueue {
     tail_->insert(tail_->end(), data.begin(), data.end());
   }
 
-  /// Ends the current coalescing run: later AppendCopy calls start a fresh
-  /// tail buffer. Required before handing iovecs to an asynchronous writer
-  /// (io_uring): an in-flight iovec must not be invalidated by a tail
-  /// reallocation.
-  void FreezeTail() noexcept { tail_ = nullptr; }
-
   /// Fills up to `maxIov` iovecs from the front of the queue. Returns the
-  /// number filled. Pointers stay valid until Consume/Append/Clear. An
-  /// asynchronous writer (io_uring) passes `pins`: it receives a reference
-  /// to every spanned buffer so the iovec targets survive even if the queue
-  /// is cleared while the kernel still reads them.
-  std::size_t FillIovecs(struct iovec* iov, std::size_t maxIov,
-                         std::vector<std::shared_ptr<const Bytes>>* pins =
-                             nullptr) const;
+  /// number filled. Pointers stay valid until Consume/Append/Clear.
+  std::size_t FillIovecs(struct iovec* iov, std::size_t maxIov) const;
 
   /// Drops `n` bytes from the front (n <= size()). Fully-consumed nodes
   /// release their buffer references immediately.

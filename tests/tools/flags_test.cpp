@@ -26,13 +26,13 @@ class Argv {
 };
 
 TEST(FlagsTest, ParsesSpaceAndEqualsFormsAndBareFlags) {
-  Argv a({"--port", "8800", "--event-loop=io_uring", "--batching"});
+  Argv a({"--port", "8800", "--wal-fsync=group", "--batching"});
   Flags flags;
   EXPECT_EQ(flags.Parse(a.argc(), a.argv(),
-                        {"port", "event-loop", "batching", "workers"}),
+                        {"port", "wal-fsync", "batching", "workers"}),
             "");
   EXPECT_EQ(flags.GetInt("port", 0), 8800);
-  EXPECT_EQ(flags.Get("event-loop"), "io_uring");
+  EXPECT_EQ(flags.Get("wal-fsync"), "group");
   EXPECT_TRUE(flags.GetBool("batching"));
   EXPECT_FALSE(flags.Has("workers"));
   EXPECT_EQ(flags.GetInt("workers", 2), 2);

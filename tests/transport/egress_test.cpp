@@ -5,10 +5,9 @@
 // scatter-gather batch preserves the byte stream exactly (frames never
 // interleave or tear), because short writes resume mid-node by construction.
 //
-// Part 2 — loop parity suite: the same behavioural contract (echo, mixed
-// copied/shared sends, watermark semantics, close-mid-flight safety) run
-// against both real-socket backends, parameterized over LoopKind. io_uring
-// cases skip with the kernel's own capability message when the probe fails.
+// Part 2 — the egress contract over real loopback sockets on EpollLoop:
+// mixed copied/shared sends, watermark semantics, close-mid-flight safety
+// and graceful close.
 #include <gtest/gtest.h>
 
 #include <sys/uio.h>
@@ -19,8 +18,7 @@
 #include <cstring>
 #include <thread>
 
-#include "transport/transport.hpp"
-#include "transport/wire.hpp"
+#include "transport/epoll_loop.hpp"
 
 namespace md {
 namespace {
@@ -116,42 +114,6 @@ TEST(SendQueueTest, CopiedAppendsCoalesceSharedAppendsDoNot) {
   EXPECT_EQ(q.size(), 40u);
 }
 
-TEST(SendQueueTest, FreezeTailPinsIovecAgainstLaterAppends) {
-  SendQueue q;
-  q.AppendCopy(BytesView(Pattern(32, 9)));
-  q.FreezeTail();
-  iovec iov[8];
-  ASSERT_EQ(q.FillIovecs(iov, 8), 1u);
-  const void* frozenBase = iov[0].iov_base;
-  // A frozen tail must not be reallocated underneath an in-flight iovec:
-  // later appends go to a fresh node, however many there are.
-  for (int i = 0; i < 64; ++i) q.AppendCopy(BytesView(Pattern(100, 10)));
-  ASSERT_EQ(q.FillIovecs(iov, 8), 2u);
-  EXPECT_EQ(iov[0].iov_base, frozenBase);
-  EXPECT_EQ(iov[0].iov_len, 32u);
-}
-
-TEST(SendQueueTest, PinsKeepBuffersReadableAfterClear) {
-  // The io_uring contract: the kernel may still be reading the iovec targets
-  // when the connection dies and the queue is cleared. The pins vector must
-  // be the only thing standing between those bytes and the allocator.
-  SendQueue q;
-  const Bytes frame = Pattern(4096, 21);
-  q.AppendShared(std::make_shared<const Bytes>(frame));
-  q.AppendCopy(BytesView(frame));
-  q.FreezeTail();
-  iovec iov[8];
-  std::vector<std::shared_ptr<const Bytes>> pins;
-  const std::size_t filled = q.FillIovecs(iov, 8, &pins);
-  ASSERT_EQ(filled, 2u);
-  ASSERT_EQ(pins.size(), 2u);
-  q.Clear();  // connection died mid-flight
-  for (std::size_t i = 0; i < filled; ++i) {
-    EXPECT_EQ(std::memcmp(iov[i].iov_base, frame.data(), iov[i].iov_len), 0)
-        << "iovec " << i << " target freed or corrupted despite pin";
-  }
-}
-
 TEST(SendQueueTest, PartialNodeConsumeAdjustsIovecBase) {
   SendQueue q;
   const Bytes frame = Pattern(100, 33);
@@ -182,23 +144,22 @@ TEST(WireBufferPoolTest, BuffersRecycleThroughThePool) {
 }
 
 // ---------------------------------------------------------------------------
-// Loop parity: the same egress contract over epoll and io_uring
+// The egress contract over real sockets
 // ---------------------------------------------------------------------------
 
 class LoopThread {
  public:
-  explicit LoopThread(LoopKind kind)
-      : loop_(CreateNetLoop(kind)), thread_([this] { loop_->Run(); }) {}
+  LoopThread() : thread_([this] { loop_.Run(); }) {}
   ~LoopThread() {
-    loop_->Stop();
+    loop_.Stop();
     thread_.join();
   }
-  NetLoop& loop() { return *loop_; }
+  EpollLoop& loop() { return loop_; }
 
   template <typename Fn>
   void RunOnLoop(Fn fn) {
     std::atomic<bool> done{false};
-    loop_->Post([&] {
+    loop_.Post([&] {
       fn();
       done.store(true);
     });
@@ -215,22 +176,12 @@ class LoopThread {
   }
 
  private:
-  std::unique_ptr<NetLoop> loop_;
+  EpollLoop loop_;
   std::thread thread_;
 };
 
-class EgressParityTest : public ::testing::TestWithParam<LoopKind> {
+class EpollEgressTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == LoopKind::kIoUring) {
-      std::string whyNot;
-      if (!IoUringAvailable(&whyNot)) {
-        GTEST_SKIP() << "io_uring unavailable on this kernel: " << whyNot;
-      }
-    }
-    lt_ = std::make_unique<LoopThread>(GetParam());
-  }
-
   struct Pair {
     ListenerPtr listener;
     ConnectionPtr client;
@@ -243,8 +194,8 @@ class EgressParityTest : public ::testing::TestWithParam<LoopKind> {
                    bool startPaused = false) {
     std::atomic<std::uint16_t> port{0};
     std::atomic<bool> accepted{false};
-    lt_->RunOnLoop([&] {
-      auto r = lt_->loop().Listen(0);
+    lt_.RunOnLoop([&] {
+      auto r = lt_.loop().Listen(0);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       pair.listener = std::move(*r);
       pair.listener->SetAcceptHandler([&pair, sink, count, startPaused,
@@ -260,8 +211,8 @@ class EgressParityTest : public ::testing::TestWithParam<LoopKind> {
       port.store(pair.listener->Port());
     });
     std::atomic<bool> connected{false};
-    lt_->RunOnLoop([&] {
-      lt_->loop().Connect("127.0.0.1", port.load(), [&](Result<ConnectionPtr> r) {
+    lt_.RunOnLoop([&] {
+      lt_.loop().Connect("127.0.0.1", port.load(), [&](Result<ConnectionPtr> r) {
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         pair.client = *r;
         connected.store(true);
@@ -270,10 +221,10 @@ class EgressParityTest : public ::testing::TestWithParam<LoopKind> {
     LoopThread::WaitFor([&] { return connected.load() && accepted.load(); });
   }
 
-  std::unique_ptr<LoopThread> lt_;
+  LoopThread lt_;
 };
 
-TEST_P(EgressParityTest, SharedAndCopiedSendsBothArrive) {
+TEST_F(EpollEgressTest, SharedAndCopiedSendsBothArrive) {
   Pair pair;
   Bytes sink;
   std::atomic<std::size_t> count{0};
@@ -281,18 +232,18 @@ TEST_P(EgressParityTest, SharedAndCopiedSendsBothArrive) {
 
   const Bytes a = Pattern(64, 1);
   const Bytes b = Pattern(64, 2);
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     ASSERT_TRUE(pair.client->Send(BytesView(a)).ok());
     ASSERT_TRUE(pair.client->Send(std::make_shared<const Bytes>(b)).ok());
   });
   LoopThread::WaitFor([&] { return count.load() == 128; });
   Bytes expected = a;
   expected.insert(expected.end(), b.begin(), b.end());
-  lt_->RunOnLoop([&] { EXPECT_EQ(sink, expected); });
-  lt_->RunOnLoop([&] { pair.client->Close(); });
+  lt_.RunOnLoop([&] { EXPECT_EQ(sink, expected); });
+  lt_.RunOnLoop([&] { pair.client->Close(); });
 }
 
-TEST_P(EgressParityTest, MixedMultiFrameBatchesNeverInterleave) {
+TEST_F(EpollEgressTest, MixedMultiFrameBatchesNeverInterleave) {
   // The partial-write torture test: many frames of prime-ish sizes, shared
   // and copied interleaved, enqueued in bursts against a stalled-then-resumed
   // reader so flushes hit short writes at arbitrary offsets mid-batch. The
@@ -305,12 +256,12 @@ TEST_P(EgressParityTest, MixedMultiFrameBatchesNeverInterleave) {
 
   constexpr int kFrames = 400;
   Bytes expected;
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     pair.client->SetWatermarks({/*soft=*/64 * 1024 * 1024,
                                 /*hard=*/SIZE_MAX, /*low=*/0});
   });
   for (int burst = 0; burst < 8; ++burst) {
-    lt_->RunOnLoop([&, burst] {
+    lt_.RunOnLoop([&, burst] {
       for (int i = 0; i < kFrames / 8; ++i) {
         const int n = burst * (kFrames / 8) + i;
         const std::size_t size = 1 + (static_cast<std::size_t>(n) * 977) % 40000;
@@ -332,20 +283,20 @@ TEST_P(EgressParityTest, MixedMultiFrameBatchesNeverInterleave) {
     // Let part of the backlog drain between bursts so the stream mixes
     // freshly-written and queue-resumed bytes.
     if (burst == 3) {
-      lt_->RunOnLoop([&] { pair.server->SetReadPaused(false); });
+      lt_.RunOnLoop([&] { pair.server->SetReadPaused(false); });
     }
   }
-  lt_->RunOnLoop([&] { pair.server->SetReadPaused(false); });
+  lt_.RunOnLoop([&] { pair.server->SetReadPaused(false); });
   const std::size_t total = expected.size();
   LoopThread::WaitFor([&] { return count.load() >= total; });
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     ASSERT_EQ(sink.size(), expected.size());
     EXPECT_TRUE(sink == expected) << "egress stream corrupted";
   });
-  lt_->RunOnLoop([&] { pair.client->Close(); });
+  lt_.RunOnLoop([&] { pair.client->Close(); });
 }
 
-TEST_P(EgressParityTest, WatermarkContractHoldsForSharedSends) {
+TEST_F(EpollEgressTest, WatermarkContractHoldsForSharedSends) {
   // Same invariants as TcpBackpressureTest, driven through Send(shared):
   // pending never exceeds hard, kCapacity-with-growth means accepted,
   // kCapacity-without-growth means whole-frame reject, drained fires once.
@@ -363,7 +314,7 @@ TEST_P(EgressParityTest, WatermarkContractHoldsForSharedSends) {
   bool sawSoftAccept = false;
   bool everOverHard = false;
   int trailingHardRejects = 0;
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     pair.client->SetWatermarks({kSoft, kHard, /*low=*/16 * 1024});
     pair.client->SetDrainedHandler([&] { drained.fetch_add(1); });
     const auto frame = std::make_shared<const Bytes>(Bytes(kFrame, 0x5A));
@@ -393,18 +344,18 @@ TEST_P(EgressParityTest, WatermarkContractHoldsForSharedSends) {
   EXPECT_GE(trailingHardRejects, 20);
 
   const std::size_t expected = acceptedBytes;
-  lt_->RunOnLoop([&] { pair.server->SetReadPaused(false); });
+  lt_.RunOnLoop([&] { pair.server->SetReadPaused(false); });
   LoopThread::WaitFor([&] { return count.load() >= expected; });
   std::this_thread::sleep_for(50ms);
   EXPECT_EQ(count.load(), expected);
   LoopThread::WaitFor([&] { return drained.load() == 1; });
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     pair.client->Close();
     pair.server->Close();
   });
 }
 
-TEST_P(EgressParityTest, DeferredBytesAreNotBackpressure) {
+TEST_F(EpollEgressTest, DeferredBytesAreNotBackpressure) {
   // Watermarks must measure kernel pushback, not flush latency. A healthy
   // (reading) peer with marks far below one task batch's volume: every
   // shared send must drain into the kernel and return OK — a kCapacity here
@@ -416,7 +367,7 @@ TEST_P(EgressParityTest, DeferredBytesAreNotBackpressure) {
 
   constexpr std::size_t kFrame = 16 * 1024;
   constexpr int kSends = 20;  // 320 KiB in one batch vs a 64 KiB hard mark
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     pair.client->SetWatermarks(
         {/*soft=*/8 * 1024, /*hard=*/64 * 1024, /*low=*/4 * 1024});
     const auto frame = std::make_shared<const Bytes>(Bytes(kFrame, 0xC3));
@@ -426,10 +377,10 @@ TEST_P(EgressParityTest, DeferredBytesAreNotBackpressure) {
     }
   });
   LoopThread::WaitFor([&] { return count.load() == kFrame * kSends; });
-  lt_->RunOnLoop([&] { pair.client->Close(); });
+  lt_.RunOnLoop([&] { pair.client->Close(); });
 }
 
-TEST_P(EgressParityTest, CloseMidFlushLeavesSharedBufferIntact) {
+TEST_F(EpollEgressTest, CloseMidFlushLeavesSharedBufferIntact) {
   // Two sessions share one wire buffer; one dies with the flush still in
   // flight. The survivor must still receive the exact bytes — under ASan
   // this is the use-after-free probe for the refcounted egress path.
@@ -444,17 +395,17 @@ TEST_P(EgressParityTest, CloseMidFlushLeavesSharedBufferIntact) {
   auto wire = AcquireWireBuffer();
   *wire = Pattern(2 * 1024 * 1024, 77);  // bigger than any socket buffer
   const WireBuffer sharedWire(std::move(wire));
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     Status st = doomed.client->Send(sharedWire);
     ASSERT_TRUE(st.ok() || st.code() == ErrorCode::kCapacity);
     st = alive.client->Send(sharedWire);
     ASSERT_TRUE(st.ok() || st.code() == ErrorCode::kCapacity);
     // Kill the stalled session immediately — its queue still references the
-    // shared buffer, and (on io_uring) the kernel may still be reading it.
+    // shared buffer.
     doomed.client->Close();
   });
   LoopThread::WaitFor([&] { return aliveCount.load() == sharedWire->size(); });
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     EXPECT_TRUE(aliveSink == *sharedWire) << "survivor's bytes corrupted";
     EXPECT_FALSE(doomed.client->IsOpen());
     EXPECT_EQ(doomed.client->PendingBytes(), 0u);
@@ -462,13 +413,13 @@ TEST_P(EgressParityTest, CloseMidFlushLeavesSharedBufferIntact) {
   });
 }
 
-TEST_P(EgressParityTest, CloseAfterFlushDeliversEverythingFirst) {
+TEST_F(EpollEgressTest, CloseAfterFlushDeliversEverythingFirst) {
   Pair pair;
   std::atomic<std::size_t> count{0};
   ConnectPair(pair, nullptr, &count);
 
   const std::size_t kTotal = 3 * 1024 * 1024;
-  lt_->RunOnLoop([&] {
+  lt_.RunOnLoop([&] {
     auto wire = AcquireWireBuffer();
     *wire = Pattern(kTotal, 11);
     ASSERT_TRUE(pair.client->Send(WireBuffer(std::move(wire))).ok());
@@ -477,32 +428,32 @@ TEST_P(EgressParityTest, CloseAfterFlushDeliversEverythingFirst) {
   LoopThread::WaitFor([&] { return count.load() == kTotal; });
 }
 
-// Stop() is sticky: a loop stopped before its thread reaches Run() leaves
-// Run() at once. A host stopped right after Start() joins its loop threads
-// instead of waiting on one that never saw the stop.
-TEST_P(EgressParityTest, StopBeforeRunEndsRun) {
-  auto loop = CreateNetLoop(GetParam());
-  loop->Stop();
-  std::atomic<bool> returned{false};
-  std::thread runner([&] {
-    loop->Run();
-    returned.store(true);
-  });
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(returned.load()) << "Run() ignored the Stop() that preceded it";
-  if (!returned.load()) loop->Stop();  // a running loop does see this one
-  runner.join();
-}
+// Once a graceful close has drained, nothing may keep the connection alive:
+// the bounded-grace reaper timer is cancelled with the close, so the
+// connection is freed right away rather than after kCloseFlushGrace.
+TEST_F(EpollEgressTest, CloseAfterFlushReleasesTheConnectionOnceDrained) {
+  Pair pair;
+  std::atomic<std::size_t> count{0};
+  ConnectPair(pair, nullptr, &count);
 
-INSTANTIATE_TEST_SUITE_P(AllLoops, EgressParityTest,
-                         ::testing::Values(LoopKind::kEpoll,
-                                           LoopKind::kIoUring),
-                         [](const ::testing::TestParamInfo<LoopKind>& info) {
-                           return std::string(LoopKindName(info.param));
-                         });
+  // Under the inline-flush threshold, so the bytes are still queued when
+  // CloseAfterFlush runs and the grace timer is armed.
+  constexpr std::size_t kTotal = 128 * 1024;
+  std::atomic<bool> peerSawEof{false};
+  std::weak_ptr<Connection> closed;
+  lt_.RunOnLoop([&] {
+    pair.server->SetCloseHandler([&] { peerSawEof.store(true); });
+    auto wire = AcquireWireBuffer();
+    *wire = Pattern(kTotal, 12);
+    ASSERT_TRUE(pair.client->Send(WireBuffer(std::move(wire))).ok());
+    ASSERT_GT(pair.client->PendingBytes(), 0u);
+    pair.client->CloseAfterFlush();
+    closed = pair.client;
+    pair.client.reset();
+  });
+  LoopThread::WaitFor([&] { return count.load() == kTotal && peerSawEof.load(); });
+  LoopThread::WaitFor([&] { return closed.expired(); }, 1000ms);
+}
 
 }  // namespace
 }  // namespace md

@@ -273,5 +273,26 @@ TEST(EpollLoopTest, ManyConcurrentConnections) {
   LoopThread::WaitFor([&] { return echoed.load() == kConns; });
 }
 
+// Stop() is sticky: a loop stopped before its thread reaches Run() leaves
+// Run() at once. A host stopped right after Start() joins its loop threads
+// instead of waiting on one that never saw the stop.
+TEST(EpollLoopTest, StopBeforeRunEndsRun) {
+  EpollLoop loop;
+  loop.Stop();
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.Run();
+    returned.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(returned.load()) << "Run() ignored the Stop() that preceded it";
+  if (!returned.load()) loop.Stop();  // a running loop does see this one
+  runner.join();
+}
+
+
 }  // namespace
 }  // namespace md

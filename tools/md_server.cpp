@@ -3,7 +3,6 @@
 // Single-node mode (the §4 engine):
 //   md_server --port 8800 --io-threads 4 --workers 4 [--batching]
 //             [--batch-delay-ms 10] [--conflation] [--conflate-ms 100]
-//             [--event-loop epoll|io_uring]
 //             [--wal-dir /var/lib/md/wal] [--wal-fsync always|group|os]
 //             [--wal-flush-ms 5] [--wal-segment-mb 4] [--wal-retain 8]
 //
@@ -32,28 +31,6 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
 
-// Shared by both modes: resolve --event-loop, erroring out on a typo rather
-// than silently running the default backend.
-bool ResolveEventLoop(const md::tools::Flags& flags, md::LoopKind* out) {
-  if (!flags.Has("event-loop")) return true;
-  const std::string name = flags.Get("event-loop", "epoll");
-  const auto kind = md::ParseLoopKind(name);
-  if (!kind) {
-    std::fprintf(stderr, "bad --event-loop '%s' (want epoll|io_uring)\n",
-                 name.c_str());
-    return false;
-  }
-  *out = *kind;
-  if (*kind == md::LoopKind::kIoUring) {
-    std::string whyNot;
-    if (!md::IoUringAvailable(&whyNot)) {
-      std::fprintf(stderr, "io_uring unavailable, will fall back to epoll: %s\n",
-                   whyNot.c_str());
-    }
-  }
-  return true;
-}
-
 int RunSingleNode(const md::tools::Flags& flags) {
   md::core::ServerConfig cfg;
   cfg.port = static_cast<std::uint16_t>(flags.GetInt("port", 8800));
@@ -64,7 +41,6 @@ int RunSingleNode(const md::tools::Flags& flags) {
   cfg.batch.maxDelay = flags.GetInt("batch-delay-ms", 10) * md::kMillisecond;
   cfg.enableConflation = flags.GetBool("conflation");
   cfg.conflate.interval = flags.GetInt("conflate-ms", 100) * md::kMillisecond;
-  if (!ResolveEventLoop(flags, &cfg.eventLoop)) return 2;
   cfg.cache.maxMessagesPerTopic =
       static_cast<std::size_t>(flags.GetInt("cache-messages", 1000));
   cfg.runtimeVerify = flags.GetBool("verify");
@@ -94,9 +70,8 @@ int RunSingleNode(const md::tools::Flags& flags) {
     std::fprintf(stderr, "start failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("%s: single-node server on port %u (%d io threads, %d workers, %s%s%s%s%s)\n",
+  std::printf("%s: single-node server on port %u (%d io threads, %d workers%s%s%s%s)\n",
               cfg.serverId.c_str(), server.Port(), cfg.ioThreads, cfg.workers,
-              md::LoopKindName(cfg.eventLoop),
               cfg.enableBatching ? ", batching" : "",
               cfg.enableConflation ? ", conflation" : "",
               cfg.runtimeVerify ? ", verify" : "",
@@ -136,7 +111,6 @@ int RunClusterMember(const md::tools::Flags& flags) {
       static_cast<std::size_t>(flags.GetInt("ack-copies", 2));
   cfg.seed = static_cast<std::uint64_t>(flags.GetInt("seed", cfg.nodeId));
   cfg.runtimeVerify = flags.GetBool("verify");
-  if (!ResolveEventLoop(flags, &cfg.eventLoop)) return 2;
 
   for (const std::string& peerSpec : flags.GetAll("peer")) {
     const auto parts = md::SplitView(peerSpec, ',');
@@ -197,7 +171,7 @@ int main(int argc, char** argv) {
   const md::tools::Flags flags(
       argc, argv,
       {"ack-copies", "batch-delay-ms", "batching", "cache-messages",
-       "client-port", "conflate-ms", "conflation", "coord-port", "event-loop",
+       "client-port", "conflate-ms", "conflation", "coord-port",
        "help", "id", "io-threads", "node", "peer", "peer-port",
        "port", "seed", "verify", "verify-budget", "verify-inject",
        "verify-sample", "wal-dir", "wal-flush-ms", "wal-fsync", "wal-retain",
