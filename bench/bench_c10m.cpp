@@ -256,7 +256,7 @@ int main() {
 
     EpollLoop loop;
     std::thread loopThread([&loop] { loop.Run(); });
-    std::atomic<long> connected{0};
+    std::atomic<long> subscribed{0};  // counted at SUBACK
     std::vector<std::unique_ptr<client::Client>> subs;
     Rng rng(7);
     for (long c = 0; c < smokeClients; ++c) {
@@ -268,19 +268,16 @@ int main() {
       auto sub = std::make_unique<client::Client>(loop, cfg);
       auto* subPtr = sub.get();
       const std::string topic = TopicName(c % kSmokeTopics);
-      loop.Post([&connected, &smokeReceived, subPtr, topic] {
-        subPtr->SetConnectionListener([&connected](bool up) {
-          if (up) connected.fetch_add(1);
-        });
-        subPtr->Subscribe(topic, [&smokeReceived](const Message&) {
-          smokeReceived.fetch_add(1);
-        });
+      loop.Post([&subscribed, &smokeReceived, subPtr, topic] {
+        subPtr->Subscribe(
+            topic, [&smokeReceived](const Message&) { smokeReceived.fetch_add(1); },
+            [&subscribed] { subscribed.fetch_add(1); });
         subPtr->Start();
       });
       subs.push_back(std::move(sub));
     }
     const auto connectStart = std::chrono::steady_clock::now();
-    while (connected.load() < smokeClients &&
+    while (subscribed.load() < smokeClients &&
            std::chrono::steady_clock::now() - connectStart < 60s) {
       std::this_thread::sleep_for(5ms);
     }
@@ -293,7 +290,7 @@ int main() {
     loop.Post([&pub] { pub.Start(); });
     while (!pub.IsConnected()) std::this_thread::sleep_for(1ms);
 
-    smokeExpected = static_cast<std::uint64_t>(connected.load()) *
+    smokeExpected = static_cast<std::uint64_t>(subscribed.load()) *
                     static_cast<std::uint64_t>(kSmokeBursts);
     const auto publishStart = std::chrono::steady_clock::now();
     for (long b = 0; b < kSmokeBursts; ++b) {

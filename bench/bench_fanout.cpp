@@ -102,7 +102,7 @@ bool RunMode(const ModeSpec& mode, long clients, long topics, long bursts,
   Histogram latency;
   std::mutex histMutex;
   std::atomic<std::uint64_t> received{0};
-  std::atomic<long> connected{0};
+  std::atomic<long> subscribed{0};  // counted at SUBACK
 
   std::vector<std::unique_ptr<client::Client>> subs;
   subs.reserve(static_cast<std::size_t>(clients));
@@ -119,28 +119,28 @@ bool RunMode(const ModeSpec& mode, long clients, long topics, long bursts,
     auto* subPtr = sub.get();
     const std::string topic = "fanout/topic-" + std::to_string(c % topics);
     loop->Post([&, subPtr, topic] {
-      subPtr->SetConnectionListener([&](bool up) {
-        if (up) connected.fetch_add(1);
-      });
-      subPtr->Subscribe(topic, [&](const Message& m) {
-        received.fetch_add(1);
-        const Duration lat = RealClock::Instance().Now() - m.publishTs;
-        std::lock_guard lock(histMutex);
-        latency.Record(lat);
-      });
+      subPtr->Subscribe(
+          topic,
+          [&](const Message& m) {
+            received.fetch_add(1);
+            const Duration lat = RealClock::Instance().Now() - m.publishTs;
+            std::lock_guard lock(histMutex);
+            latency.Record(lat);
+          },
+          [&] { subscribed.fetch_add(1); });
       subPtr->Start();
     });
     subs.push_back(std::move(sub));
     if (c % 500 == 499) std::this_thread::sleep_for(10ms);
   }
   const auto connectStart = std::chrono::steady_clock::now();
-  while (connected.load() < clients &&
+  while (subscribed.load() < clients &&
          std::chrono::steady_clock::now() - connectStart < 60s) {
     std::this_thread::sleep_for(5ms);
   }
-  if (connected.load() < clients) {
-    std::fprintf(stderr, "only %ld/%ld subscribers connected\n",
-                 connected.load(), clients);
+  if (subscribed.load() < clients) {
+    std::fprintf(stderr, "only %ld/%ld subscribers subscribed\n",
+                 subscribed.load(), clients);
   }
 
   EpollLoop pubLoop;
@@ -166,7 +166,7 @@ bool RunMode(const ModeSpec& mode, long clients, long topics, long bursts,
 
   const std::uint64_t publishes =
       static_cast<std::uint64_t>(bursts) * static_cast<std::uint64_t>(topics);
-  out.expected = static_cast<std::uint64_t>(connected.load()) *
+  out.expected = static_cast<std::uint64_t>(subscribed.load()) *
                  static_cast<std::uint64_t>(bursts);
   const auto publishStart = std::chrono::steady_clock::now();
   for (long b = 0; b < bursts; ++b) {

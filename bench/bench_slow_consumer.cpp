@@ -85,7 +85,7 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
   std::mutex histMutex;
   std::atomic<std::uint64_t> healthyReceived{0};
   std::atomic<std::uint64_t> stalledReceived{0};
-  std::atomic<long> connected{0};
+  std::atomic<long> subscribed{0};  // counted at SUBACK
   const std::string topic = "slowcons/feed";
 
   auto makeConfig = [&](const std::string& id) {
@@ -104,15 +104,15 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
         loop, makeConfig((enforced ? "sc-h-" : "sc-hu-") + std::to_string(c)));
     auto* subPtr = sub.get();
     loop.Post([&, subPtr] {
-      subPtr->SetConnectionListener([&](bool up) {
-        if (up) connected.fetch_add(1);
-      });
-      subPtr->Subscribe(topic, [&](const Message& m) {
-        healthyReceived.fetch_add(1);
-        const Duration lat = RealClock::Instance().Now() - m.publishTs;
-        std::lock_guard lock(histMutex);
-        latency.Record(lat);
-      });
+      subPtr->Subscribe(
+          topic,
+          [&](const Message& m) {
+            healthyReceived.fetch_add(1);
+            const Duration lat = RealClock::Instance().Now() - m.publishTs;
+            std::lock_guard lock(histMutex);
+            latency.Record(lat);
+          },
+          [&] { subscribed.fetch_add(1); });
       subPtr->Start();
     });
     healthy.push_back(std::move(sub));
@@ -120,22 +120,20 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
   auto stalled = std::make_unique<client::Client>(
       loop, makeConfig(enforced ? "sc-stall" : "sc-stall-u"));
   loop.Post([&] {
-    stalled->SetConnectionListener([&](bool up) {
-      if (up) connected.fetch_add(1);
-    });
-    stalled->Subscribe(topic,
-                       [&](const Message&) { stalledReceived.fetch_add(1); });
+    stalled->Subscribe(
+        topic, [&](const Message&) { stalledReceived.fetch_add(1); },
+        [&] { subscribed.fetch_add(1); });
     stalled->Start();
   });
 
   const auto connectStart = std::chrono::steady_clock::now();
-  while (connected.load() < clients + 1 &&
+  while (subscribed.load() < clients + 1 &&
          std::chrono::steady_clock::now() - connectStart < 30s) {
     std::this_thread::sleep_for(2ms);
   }
-  if (connected.load() < clients + 1) {
-    std::fprintf(stderr, "only %ld/%ld subscribers connected\n",
-                 connected.load(), clients + 1);
+  if (subscribed.load() < clients + 1) {
+    std::fprintf(stderr, "only %ld/%ld subscribers subscribed\n",
+                 subscribed.load(), clients + 1);
     return false;
   }
 

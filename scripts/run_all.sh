@@ -34,23 +34,26 @@ MD_BENCH_SLOWCONS_CLIENTS=8 MD_BENCH_SLOWCONS_MSGS=600 \
   MD_BENCH_SLOWCONS_OUT=/dev/null ./build/bench/bench_slow_consumer || exit 1
 
 # Metrics leg: the exposition goldens and live-scrape test, plain and under
-# ThreadSanitizer — the sharded counters, tracer in-flight map and registry
-# snapshot are the concurrency-bearing surfaces of src/obs.
+# ThreadSanitizer — the sharded counters and histograms (every IoThread
+# records publish stage times into them) and the registry snapshot are the
+# concurrency-bearing surfaces of src/obs.
 ./build/tests/obs_test || exit 1
 cmake -B build-tsan -G Ninja -DMD_SANITIZE=thread \
   && cmake --build build-tsan --target obs_test core_test || exit 1
 ./build-tsan/tests/obs_test || exit 1
 
 # Fan-out leg: the CoW subscriber-snapshot churn test, the Worker-batch
-# hand-off ordering tests and the client front-door tests under TSan
-# (writers hammer Subscribe/Unsubscribe/DropClient against concurrent
-# snapshot readers; outboxes cross from Worker to IoThread; the front door's
-# session table is shared by IoThreads and Workers), the hand-off,
-# slow-consumer and front-door tests under ASan (sessions and shared wire
-# buffers live in an outbox until its batch is written, including across
-# eviction and close-after-flush), then a small bench_fanout sweep as a
-# delivery smoke check — the binary exits nonzero unless delivered ==
-# expected on every row.
+# hand-off tests (ordering, and the one stage record a publish carries from
+# its Worker to the IoThread that writes it) and the client front-door tests
+# under TSan (writers hammer Subscribe/Unsubscribe/DropClient against
+# concurrent snapshot readers; outboxes cross from Worker to IoThread; the
+# front door's session table is shared by IoThreads and Workers), the
+# hand-off, slow-consumer and front-door tests under ASan (sessions and
+# shared wire buffers live in an outbox until its batch is written,
+# including across eviction and close-after-flush), then a small
+# bench_fanout sweep and a 300-client bench_c10k_real as delivery smoke
+# checks — each binary counts a subscriber once its SUBACK arrives and
+# exits nonzero on any lost notification.
 ./build-tsan/tests/core_test \
   --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*:*FrontDoor*' \
   || exit 1
@@ -60,6 +63,7 @@ cmake --build build-asan --target core_test || exit 1
 MD_BENCH_FANOUT_CLIENTS=64 MD_BENCH_FANOUT_TOPICS=4 MD_BENCH_FANOUT_BURSTS=10 \
   MD_BENCH_FANOUT_OUT=/dev/null MD_BENCH_MONITOR_OUT=/dev/null \
   ./build/bench/bench_fanout || exit 1
+MD_BENCH_CLIENTS=300 ./build/bench/bench_c10k_real || exit 1
 
 # Egress leg: the zero-copy wire-buffer path (SendQueue refcounting,
 # sendmsg scatter-gather, adaptive flush, graceful close) over real sockets

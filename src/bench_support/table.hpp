@@ -40,7 +40,8 @@ struct ShapeCheck {
   bool pass = false;
 };
 
-inline void PrintShapeChecks(const std::vector<ShapeCheck>& checks) {
+/// Returns whether every check passed.
+inline bool PrintShapeChecks(const std::vector<ShapeCheck>& checks) {
   std::printf("\nShape checks (paper -> measured):\n");
   int passed = 0;
   for (const auto& c : checks) {
@@ -49,6 +50,7 @@ inline void PrintShapeChecks(const std::vector<ShapeCheck>& checks) {
     if (c.pass) ++passed;
   }
   std::printf("  %d/%zu shape checks passed\n", passed, checks.size());
+  return passed == static_cast<int>(checks.size());
 }
 
 }  // namespace md::bench

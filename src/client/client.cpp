@@ -11,7 +11,6 @@ namespace md::client {
 Client::Client(EventLoop& loop, ClientConfig cfg)
     : loop_(loop), cfg_(std::move(cfg)), rng_(cfg_.seed) {
   clientHash_ = Fnv1a64(cfg_.clientId);
-  if (cfg_.useWebSocket) cfg_.transport = Transport::kWebSocket;
 }
 
 Client::~Client() { Stop(); }

@@ -63,7 +63,6 @@ struct ClientConfig {
   std::vector<ServerAddress> servers;
   std::string clientId = "client";
   Transport transport = Transport::kRawFraming;
-  bool useWebSocket = false;  // legacy alias for transport = kWebSocket
   bool autoReconnect = true;
   ReconnectPolicy reconnectPolicy = ReconnectPolicy::kExponentialBackoff;
   Duration backoffBase = 100 * kMillisecond;

@@ -94,6 +94,16 @@ TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
              .monitor = monitor_.get(),
              .injectEndpoint = false},
             {.onFrame = [this](const core::SessionPtr& s, Frame&& f) {
+               // A (re)subscribe or unsubscribe starts the client's stream
+               // afresh, before the node sends any resume backfill: the
+               // monitor re-baselines instead of flagging a replay.
+               if (monitor_) {
+                 if (const auto* sub = std::get_if<SubscribeFrame>(&f)) {
+                   monitor_->Forget(s->handle, sub->topic);
+                 } else if (const auto* unsub = std::get_if<UnsubscribeFrame>(&f)) {
+                   monitor_->Forget(s->handle, unsub->topic);
+                 }
+               }
                node_->OnClientFrame(s->handle, f);
                return OkStatus();
              },

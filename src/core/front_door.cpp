@@ -25,6 +25,22 @@ WireBuffer CopyToWire(BytesView data) {
   return wire;
 }
 
+/// The verbs a client may send; anything else (a peer or reply frame) on a
+/// client port is a protocol error.
+bool IsClientVerb(const Frame& frame) noexcept {
+  switch (TypeOf(frame)) {
+    case FrameType::kConnect:
+    case FrameType::kSubscribe:
+    case FrameType::kUnsubscribe:
+    case FrameType::kPublish:
+    case FrameType::kPing:
+    case FrameType::kDisconnect:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 // A WS endpoint must see a proper Close frame (1013 "try again later"), not a
@@ -169,7 +185,9 @@ void ClientFrontDoor::ParseFrames(const SessionPtr& session) {
     auto r = NextFrame(*session);
     if (r.status.ok() && r.frame) {
       m_.frames.Inc();
-      r.status = sink_.onFrame(session, std::move(*r.frame));
+      r.status = IsClientVerb(*r.frame)
+                     ? sink_.onFrame(session, std::move(*r.frame))
+                     : Err(ErrorCode::kProtocol, "not a client frame");
     }
     if (!r.status.ok()) {
       Fail(*session, r.status);

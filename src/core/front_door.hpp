@@ -49,8 +49,10 @@ class ClientFrontDoor {
  public:
   /// Where parsed client traffic goes. Both calls run on the session's loop.
   struct Sink {
-    /// One decoded frame, in arrival order. A non-ok status closes the
-    /// session at once and counts as a protocol error.
+    /// One decoded client verb (CONNECT, SUBSCRIBE, UNSUBSCRIBE, PUBLISH,
+    /// PING, DISCONNECT), in arrival order; any other frame closes the
+    /// session as a protocol error before it gets here. A non-ok status
+    /// closes the session at once and counts as a protocol error.
     std::function<Status(const SessionPtr& session, Frame&& frame)> onFrame;
     /// The connection closed. Runs once per session, after its handle left
     /// the table, whoever closed it.

@@ -18,7 +18,7 @@ Server::Server(ServerConfig cfg)
       m_(metrics_, obs::ServerLabel(cfg_.serverId)),
       tm_(metrics_),
       wm_(metrics_, obs::ServerLabel(cfg_.serverId)),
-      tracer_(metrics_, [] { return RealClock::Instance().Now(); }, "wall"),
+      stages_(metrics_),
       monitor_(verify::MakeHostMonitor(cfg_.runtimeVerify, cfg_.verifyConfig,
                                        cfg_.serverId, metrics_)),
       cache_(cfg_.cache),
@@ -40,12 +40,6 @@ Server::Server(ServerConfig cfg)
   if (!cfg_.wal.dir.empty()) {
     wal_ = std::make_unique<wal::Log>(wal::PosixEnv::Instance(), cfg_.wal, &wm_);
     cache_.AttachWal(wal_.get());
-  }
-  if (monitor_) {
-    tracer_.SetStageSink([m = monitor_.get()](const obs::TraceKey& key,
-                                              obs::Stage stage) {
-      m->OnStage(key, stage);
-    });
   }
 }
 
@@ -236,18 +230,10 @@ void Server::HandleFrame(Worker& w, const SessionPtr& session,
     Reply(w, session, PongFrame{ping->nonce});
     return;
   }
-  // Closes go through the outbox too: they run on the session's IoThread,
-  // after the frames this Worker queued for it earlier. A DISCONNECT lets
-  // those frames (its acks) flush first.
-  const bool disconnect = std::get_if<DisconnectFrame>(&frame) != nullptr;
-  if (!disconnect) {
-    // Cluster frames are not valid on a single-node client port.
-    MD_DEBUG("closing session %llu: unexpected frame type",
-             static_cast<unsigned long long>(session->handle));
-    m_.protoErrors.Inc();
-  }
-  Enqueue(w, session, Egress{.kind = disconnect ? EgressKind::kCloseAfterFlush
-                                                : EgressKind::kClose});
+  // DISCONNECT, the one verb left (the front door rejects every other
+  // frame). The close goes through the outbox too: it runs on the session's
+  // IoThread after the frames this Worker queued for it earlier (its acks).
+  Enqueue(w, session, Egress{.kind = EgressKind::kCloseAfterFlush});
 }
 
 void Server::HandleSubscribe(Worker& w, const SessionPtr& session,
@@ -276,19 +262,20 @@ void Server::HandleSubscribe(Worker& w, const SessionPtr& session,
 
 void Server::HandlePublish(Worker& w, const SessionPtr& session,
                            const PublishFrame& pub) {
-  const obs::TraceKey traceKey{pub.pubId.clientHash, pub.pubId.counter};
-  tracer_.Begin(traceKey);
+  // The stamps travel with the first delivery and are recorded at its first
+  // live socket write; a publication that never gets there records nothing.
+  obs::StageTimes times;
+  times.Stamp(obs::Stage::kPublishReceived);
 
   const std::uint32_t group = cache_.GroupOf(pub.topic);
   const auto pos = sequencer_.Assign(group, pub.topic);
   if (!pos) {
-    tracer_.Discard(traceKey);
     if (pub.wantAck) {
       Reply(w, session, PubAckFrame{pub.pubId, PubAckCode::kFailed});
     }
     return;
   }
-  tracer_.Stamp(traceKey, obs::Stage::kSequenced);
+  times.Stamp(obs::Stage::kSequenced);
 
   Message msg;
   msg.topic = pub.topic;
@@ -298,7 +285,7 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
   msg.pubId = pub.pubId;
   msg.publishTs = pub.publishTs;
   cache_.Append(msg, RealClock::Instance().Now());
-  tracer_.Stamp(traceKey, obs::Stage::kCached);
+  times.Stamp(obs::Stage::kCached);
   m_.published.Inc();
 
   // Acknowledge after the message is durably cached (single-node guarantee;
@@ -309,28 +296,21 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
   // Fan-out: grab the topic's CoW subscriber snapshot (lock-brief shared_ptr
   // copy) and resolve handles through the sharded session table.
   const SubscriberSnapshot subscribers = registry_.Snapshot(pub.topic);
-  if (!subscribers || subscribers->empty()) {
-    tracer_.Discard(traceKey);
-    return;
-  }
+  if (!subscribers || subscribers->empty()) return;
   std::vector<SessionPtr>& live = w.fanout;
   for (const ClientHandle h : *subscribers) {
     SessionPtr target = door_.Find(h);
     if (!target || !target->open.load(std::memory_order_relaxed)) continue;
     live.push_back(std::move(target));
   }
-  if (live.empty()) {
-    tracer_.Discard(traceKey);  // every subscriber already closed
-    return;
-  }
-  tracer_.Stamp(traceKey, obs::Stage::kFannedOut);
+  if (live.empty()) return;  // every subscriber already closed
+  times.Stamp(obs::Stage::kFannedOut);
 
   if (cfg_.enableConflation) {
     // Conflation works on messages, so encoding happens per emission (the
     // delivered counter advances there as suppressed duplicates are
     // intentionally never delivered). Emission is decoupled from this
-    // publish, so its trace ends here.
-    tracer_.Discard(traceKey);
+    // publish, so it is not traced.
     const Egress offer{.kind = EgressKind::kOfferConflated,
                        .msg = std::make_shared<const Message>(std::move(msg))};
     for (const SessionPtr& target : live) Enqueue(w, target, offer);
@@ -343,9 +323,9 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
 
   // Encode once per transport flavour present among the targets; every
   // subscriber on every IoThread queues a reference to the same bytes. The
-  // first live socket write finalizes the trace (first-subscriber latency).
+  // first live socket write records the stages (first-subscriber latency).
   std::array<Egress, Session::kModeCount> frames{};
-  std::optional<obs::TraceKey> trace = traceKey;
+  const obs::StageTimes* trace = &times;
   for (const SessionPtr& target : live) {
     const Session::Mode mode = target->CurrentMode();
     Egress& frame = frames[static_cast<std::size_t>(mode)];
@@ -358,7 +338,7 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
       monitor_->OnDelivery(target->handle, delivered.topic, PosOf(delivered),
                            delivered.pubId);
     }
-    Enqueue(w, target, frame, std::exchange(trace, std::nullopt));
+    Enqueue(w, target, frame, std::exchange(trace, nullptr));
   }
   m_.delivered.Inc(live.size());
   live.clear();
@@ -381,7 +361,7 @@ void Server::Reply(Worker& w, const SessionPtr& session, const Frame& frame) {
 }
 
 void Server::Enqueue(Worker& w, const SessionPtr& target, const Egress& frame,
-                     std::optional<obs::TraceKey> trace) {
+                     const obs::StageTimes* trace) {
   Outbox& box = w.outboxes[target->ioIndex];
   const auto at = static_cast<std::uint32_t>(box.targets.size());
   box.targets.push_back(target);
@@ -396,7 +376,7 @@ void Server::Enqueue(Worker& w, const SessionPtr& target, const Egress& frame,
   Egress& entry = box.entries.emplace_back(frame);
   entry.begin = at;
   entry.end = at + 1;
-  entry.trace = trace;
+  if (trace) entry.trace = *trace;
 }
 
 void Server::FlushOutbox(Worker& w, std::size_t io) {
@@ -412,25 +392,24 @@ void Server::WriteOutbox(const Outbox& box) {
   // All writes funnel through the session's IoThread: the connection, the
   // batcher and the conflator are only ever touched here.
   for (const Egress& e : box.entries) {
-    bool stamped = false;
+    bool recorded = false;
     for (std::uint32_t i = e.begin; i < e.end; ++i) {
       const SessionPtr& s = box.targets[i];
       if (!s->open.load(std::memory_order_relaxed)) continue;
-      if (e.kind == EgressKind::kClose) {
-        door_.Close(*s);
-      } else if (e.kind == EgressKind::kCloseAfterFlush) {
+      if (e.kind == EgressKind::kCloseAfterFlush) {
         door_.CloseAfterFlush(s);
       } else if (e.kind == EgressKind::kOfferConflated) {
         OfferConflatedOnLoop(s, *e.msg);
       } else {
         door_.WriteOut(s, e.wire);
-        if (e.trace && !stamped) {
-          tracer_.Stamp(*e.trace, obs::Stage::kSocketWritten);
-          stamped = true;
+        if (e.trace && !recorded) {
+          obs::StageTimes times = *e.trace;
+          times.Stamp(obs::Stage::kSocketWritten);
+          stages_.Record(times);
+          recorded = true;
         }
       }
     }
-    if (e.trace && !stamped) tracer_.Discard(*e.trace);  // all closed meanwhile
   }
 }
 

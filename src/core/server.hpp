@@ -69,7 +69,7 @@ struct ServerConfig {
   /// The registry must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
   /// Always-on runtime verification (DESIGN.md §11): embed a verify::Monitor
-  /// fed from the fan-out, backpressure and tracer paths, exporting
+  /// fed from the fan-out and backpressure paths, exporting
   /// md_invariant_violations_total{kind=...} through this server's registry.
   bool runtimeVerify = false;
   verify::MonitorConfig verifyConfig;
@@ -125,7 +125,6 @@ class Server {
   enum class EgressKind : std::uint8_t {
     kWrite,           // queue `wire`
     kOfferConflated,  // enableConflation: offer `msg` to each conflator
-    kClose,           // protocol error: close, dropping what is still queued
     kCloseAfterFlush, // DISCONNECT: close behind the frames queued before
   };
 
@@ -138,7 +137,7 @@ class Server {
     std::shared_ptr<const Message> msg;  // conflation only
     std::uint32_t begin = 0;             // [begin, end) in Outbox::targets
     std::uint32_t end = 0;
-    std::optional<obs::TraceKey> trace;  // stamped on the first live write
+    std::optional<obs::StageTimes> trace;  // recorded at the first live write
   };
 
   /// A Worker's frames for one IoThread, in the order it produced them.
@@ -178,9 +177,10 @@ class Server {
   /// Encodes `frame` in the session's transport flavour into its outbox.
   void Reply(Worker& w, const SessionPtr& session, const Frame& frame);
   /// Appends `target` to its IoThread's outbox, extending the last entry
-  /// when it carries the same frame (a fan-out run).
+  /// when it carries the same frame (a fan-out run). A set `trace` (a
+  /// publish's first delivery) starts an entry that carries those stamps.
   void Enqueue(Worker& w, const SessionPtr& target, const Egress& frame,
-               std::optional<obs::TraceKey> trace = std::nullopt);
+               const obs::StageTimes* trace = nullptr);
   /// Posts the outbox for IoThread `io` as one task, if it holds anything.
   void FlushOutbox(Worker& w, std::size_t io);
   /// The loop-side writer: runs a flushed outbox on its IoThread.
@@ -195,7 +195,7 @@ class Server {
   obs::CoreMetrics m_;
   obs::TransportMetrics tm_;
   obs::WalMetrics wm_;
-  obs::Tracer tracer_;
+  obs::StageRecorder stages_;
   std::unique_ptr<verify::Monitor> monitor_;
   std::unique_ptr<wal::Log> wal_;
   wal::RecoveryStats walRecovery_;

@@ -270,8 +270,6 @@ void RegisterStandardFamilies(MetricsRegistry& registry) {
   registry.GetHistogram(
       "md_trace_end_to_end_ns",
       "Publish-received to terminal-stage latency per publication");
-  registry.GetCounter("md_trace_dropped_total",
-                      "Traces evicted before reaching their terminal stage");
 }
 
 std::string ServerLabel(std::string_view serverName) {

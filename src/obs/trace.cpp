@@ -1,6 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <utility>
+#include <string>
 
 namespace md::obs {
 
@@ -15,95 +15,30 @@ const char* StageName(Stage stage) noexcept {
   return "unknown";
 }
 
-Tracer::Tracer(MetricsRegistry& registry, std::function<TimePoint()> now,
-               std::string_view domain, Stage terminal)
-    : registry_(registry),
-      now_(std::move(now)),
-      terminal_(terminal),
-      endToEnd_(registry.GetHistogram(
+StageRecorder::StageRecorder(MetricsRegistry& registry)
+    : endToEnd_(registry.GetHistogram(
           "md_trace_end_to_end_ns",
           "Publish-received to terminal-stage latency per publication",
-          "domain=\"" + std::string(domain) + "\"")),
-      dropped_(registry.GetCounter(
-          "md_trace_dropped_total",
-          "Traces evicted before reaching their terminal stage",
-          "domain=\"" + std::string(domain) + "\"")) {
+          "domain=\"wall\"")) {
   // Stage 0 has no predecessor; slots 1..N-1 hold consecutive-stage deltas.
   for (std::size_t i = 1; i < kStageCount; ++i) {
     stage_[i] = &registry.GetHistogram(
         "md_trace_stage_ns", "Latency between consecutive pipeline stages",
-        "domain=\"" + std::string(domain) + "\",stage=\"" +
+        std::string("domain=\"wall\",stage=\"") +
             StageName(static_cast<Stage>(i)) + "\"");
   }
 }
 
-void Tracer::SetStageSink(std::function<void(const TraceKey&, Stage)> sink) {
-  stageSink_ = std::move(sink);
-}
-
-void Tracer::Begin(const TraceKey& key) {
-  if (stageSink_) stageSink_(key, Stage::kPublishReceived);
-  const TimePoint t = now_();
-  std::lock_guard lock(mu_);
-  Inflight& trace = inflight_[key];
-  trace.at.fill(kUnset);
-  trace.at[0] = t;
-  order_.push_back(key);
-  // Drain FIFO entries whose trace already finalized so order_ stays bounded
-  // even when every trace completes promptly.
-  while (!order_.empty() && !inflight_.contains(order_.front())) {
-    order_.pop_front();
-  }
-  while (inflight_.size() > kMaxInflight) EvictOldestLocked();
-}
-
-void Tracer::Stamp(const TraceKey& key, Stage stage) {
-  if (stageSink_) stageSink_(key, stage);
-  const TimePoint t = now_();
-  std::lock_guard lock(mu_);
-  const auto it = inflight_.find(key);
-  if (it == inflight_.end()) return;
-  it->second.at[static_cast<std::size_t>(stage)] = t;
-  if (stage == terminal_) {
-    Finalize(it->second);
-    inflight_.erase(it);
-  }
-}
-
-void Tracer::Discard(const TraceKey& key) {
-  std::lock_guard lock(mu_);
-  inflight_.erase(key);
-}
-
-std::size_t Tracer::InflightForTest() const {
-  std::lock_guard lock(mu_);
-  return inflight_.size();
-}
-
-void Tracer::Finalize(const Inflight& trace) {
-  TimePoint prev = trace.at[0];
-  if (prev == kUnset) return;
-  TimePoint last = prev;
+void StageRecorder::Record(const StageTimes& times) {
+  const TimePoint first = times.at[0];
+  TimePoint last = first;
   for (std::size_t i = 1; i < kStageCount; ++i) {
-    const TimePoint at = trace.at[i];
-    if (at == kUnset) continue;  // stage skipped (e.g. cache disabled)
+    const TimePoint at = times.at[i];
+    if (at == StageTimes::kUnset) continue;  // stage skipped
     stage_[i]->Record(at - last);
     last = at;
-    if (static_cast<Stage>(i) == terminal_) break;
   }
-  endToEnd_.Record(last - prev);
-}
-
-void Tracer::EvictOldestLocked() {
-  while (!order_.empty()) {
-    const TraceKey victim = order_.front();
-    order_.pop_front();
-    if (inflight_.erase(victim) > 0) {
-      dropped_.Inc();
-      return;
-    }
-    // Stale queue entry (trace already finalized/discarded); keep draining.
-  }
+  endToEnd_.Record(last - first);
 }
 
 }  // namespace md::obs

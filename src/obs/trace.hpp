@@ -1,28 +1,17 @@
-// Per-message stage tracing.
+// Per-publication stage timing.
 //
-// A Tracer stamps the lifecycle of a publication through the broker:
+// A publication's path through the broker is stamped stage by stage:
 //   publish-received -> sequenced -> cached -> fanned-out -> socket-written
-// and records the delta between consecutive stages plus the end-to-end span
-// into registry histograms (md_trace_stage_ns{stage=...}, md_trace_end_to_end_ns).
-//
-// The clock is injected as a plain function so the same tracer runs on
-// virtual time under simnet (Scheduler::Now) and wall time under the real
-// transport (RealClock). The `domain` label ("virtual" / "wall") keeps the
-// two regimes separate in the exposition.
-//
-// In-flight state is bounded: at most kMaxInflight traces are tracked, with
-// FIFO eviction counted in md_trace_dropped_total so a stalled stage can
-// never leak memory.
+// into a StageTimes value that travels with the publication itself
+// (core::Server carries it from the Worker to the IoThread in the outbox
+// entry of the first delivery). A StageRecorder turns a finished record into
+// the delta between consecutive stages plus the end-to-end span, in registry
+// histograms: md_trace_stage_ns{domain="wall",stage=...} and
+// md_trace_end_to_end_ns{domain="wall"}.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
@@ -40,77 +29,33 @@ inline constexpr std::size_t kStageCount = 5;
 
 [[nodiscard]] const char* StageName(Stage stage) noexcept;
 
-/// Identity of one traced publication (client hash + per-client counter).
-struct TraceKey {
-  std::uint64_t clientHash = 0;
-  std::uint64_t counter = 0;
+/// One publication's stage timestamps. A stage it never reached stays kUnset.
+struct StageTimes {
+  static constexpr TimePoint kUnset = INT64_MIN;
 
-  bool operator==(const TraceKey&) const = default;
-};
+  std::array<TimePoint, kStageCount> at = {kUnset, kUnset, kUnset, kUnset,
+                                           kUnset};
 
-struct TraceKeyHash {
-  std::size_t operator()(const TraceKey& k) const noexcept {
-    // splitmix-style scramble; the two fields are already well distributed.
-    std::uint64_t x = k.clientHash ^ (k.counter * 0x9E3779B97F4A7C15ULL);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    return static_cast<std::size_t>(x);
+  /// Stamps `stage` at `t` (the wall clock by default).
+  void Stamp(Stage stage, TimePoint t = RealClock::Instance().Now()) noexcept {
+    at[static_cast<std::size_t>(stage)] = t;
   }
 };
 
-class Tracer {
+/// Records finished StageTimes into the md_trace_* histograms. Thread-safe.
+class StageRecorder {
  public:
-  static constexpr std::size_t kMaxInflight = 8192;
+  /// Registers the histograms once; `registry` must outlive the recorder.
+  explicit StageRecorder(MetricsRegistry& registry);
 
-  /// `now` supplies timestamps (virtual or wall); `domain` labels the clock
-  /// regime; `terminal` is the stage whose stamp finalizes a trace.
-  Tracer(MetricsRegistry& registry, std::function<TimePoint()> now,
-         std::string_view domain, Stage terminal = Stage::kSocketWritten);
-
-  /// Starts a trace at kPublishReceived. Replaces any stale trace with the
-  /// same key.
-  void Begin(const TraceKey& key);
-
-  /// Stamps `stage`; on the terminal stage records all stage deltas and the
-  /// end-to-end span, then forgets the trace. Unknown keys are ignored
-  /// (evicted or never begun).
-  void Stamp(const TraceKey& key, Stage stage);
-
-  /// Drops a trace without recording (publication rejected, conflated away,
-  /// no subscribers).
-  void Discard(const TraceKey& key);
-
-  /// Taps the raw stage stream: `sink` is invoked for every Begin (as
-  /// kPublishReceived) and Stamp, outside the tracer lock, on the stamping
-  /// thread. Set once before traffic starts (e.g. to feed verify::Monitor);
-  /// not synchronized against concurrent stamps.
-  void SetStageSink(std::function<void(const TraceKey&, Stage)> sink);
-
-  [[nodiscard]] std::size_t InflightForTest() const;
+  /// Records each reached stage's delta from the reached stage before it and
+  /// the span from kPublishReceived to the last reached stage.
+  /// kPublishReceived must be stamped.
+  void Record(const StageTimes& times);
 
  private:
-  struct Inflight {
-    std::array<TimePoint, kStageCount> at;
-  };
-
-  void Finalize(const Inflight& trace);
-  void EvictOldestLocked();
-
-  static constexpr TimePoint kUnset = INT64_MIN;
-
-  MetricsRegistry& registry_;
-  std::function<TimePoint()> now_;
-  Stage terminal_;
-
-  LatencyHistogram* stage_[kStageCount] = {};  // [i]: delta stage i-1 -> i
+  std::array<LatencyHistogram*, kStageCount> stage_{};  // [i]: delta into i
   LatencyHistogram& endToEnd_;
-  Counter& dropped_;
-  std::function<void(const TraceKey&, Stage)> stageSink_;
-
-  mutable std::mutex mu_;
-  std::unordered_map<TraceKey, Inflight, TraceKeyHash> inflight_;
-  std::deque<TraceKey> order_;  // FIFO eviction order (may hold stale keys)
 };
 
 }  // namespace md::obs

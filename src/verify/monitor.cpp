@@ -71,13 +71,6 @@ Monitor::Monitor(obs::MetricsRegistry& registry, MonitorConfig cfg)
                             ViolationKindName(static_cast<ViolationKind>(k)) +
                             "\""));
   }
-  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-    stageEvents_[s] = &registry.GetCounter(
-        "md_monitor_stage_events_total",
-        "Tracer pipeline stage events seen by the runtime monitor",
-        WithScope(cfg_, std::string("stage=\"") +
-                            obs::StageName(static_cast<obs::Stage>(s)) + "\""));
-  }
 }
 
 std::uint64_t Monitor::StreamKey(std::uint64_t sessionKey,
@@ -237,11 +230,6 @@ void Monitor::OnMetricsSnapshot(const obs::MetricsSnapshot& snapshot) {
       OnCounterSample(family.name + "{" + sample.labels + "}", sample.value);
     }
   }
-}
-
-void Monitor::OnStage(const obs::TraceKey& /*key*/, obs::Stage stage) {
-  const auto s = static_cast<std::size_t>(stage);
-  if (s < obs::kStageCount) stageEvents_[s]->Inc();
 }
 
 void Monitor::Forget(std::uint64_t sessionKey, std::string_view topic) {

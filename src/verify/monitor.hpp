@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "proto/message.hpp"
 #include "verify/invariants.hpp"
 
@@ -108,10 +107,6 @@ class Monitor {
   /// core::Server calls this on each /metrics scrape, so every scrape
   /// doubles as a consistency check.
   void OnMetricsSnapshot(const obs::MetricsSnapshot& snapshot);
-
-  /// Tap for the obs::Tracer stage stream (Tracer::SetStageSink): per-stage
-  /// event counts feed md_monitor_stage_events_total.
-  void OnStage(const obs::TraceKey& key, obs::Stage stage);
 
   /// Drops one stream's state (the engine calls this on unsubscribe, so a
   /// later resubscribe on the same connection re-baselines instead of being
@@ -198,7 +193,6 @@ class Monitor {
   obs::Counter& reportsDropped_;
   obs::Gauge& trackedStreams_;
   obs::Gauge& trackedBytes_;
-  obs::Counter* stageEvents_[obs::kStageCount] = {};
 };
 
 /// The monitor a host embeds (nullptr unless `enabled`), scoped to `host`

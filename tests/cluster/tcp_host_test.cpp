@@ -652,5 +652,57 @@ TEST_F(TcpClusterTest, OversizedClientFrameClosesClientAndDeliversNothing) {
   EXPECT_EQ(deliver->msg.pubId.counter, 7u) << "the oversized publication was delivered";
 }
 
+// A member's front door takes client verbs only: a peer frame sent to its
+// client port closes that client as one protocol error.
+TEST_F(TcpClusterTest, PeerFrameOnClientPortClosesAsProtocolError) {
+  StartCluster(1);
+  RawFramedClient client(hosts[0]->ClientPort());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SendAll({BroadcastFrame{}}));
+  EXPECT_FALSE(client.Next().has_value()) << "the peer frame was answered";
+  EXPECT_TRUE(client.AtEof());
+  obs::CoreMetrics core(*registries[0], obs::ServerLabel(hosts[0]->serverId()));
+  EXPECT_EQ(core.protoErrors.Value(), 1u);
+}
+
+// A member's runtime monitor starts a stream afresh on re-subscribe: a
+// client that resumes from behind what it has already received gets the
+// replay as a new stream, not as [duplicate]s.
+TEST_F(TcpClusterTest, ResubscribeWithResumeRaisesNoMonitorViolation) {
+  StartCluster(2, [](TcpHostConfig& cfg) { cfg.runtimeVerify = true; });
+  const std::string topic = "verify/resume";
+  RawFramedClient sub(hosts[0]->ClientPort());
+  ASSERT_TRUE(sub.SendAll({ConnectFrame{"resume-sub"}, SubscribeFrame{topic}}));
+  ASSERT_TRUE(sub.Expect<ConnAckFrame>());
+  ASSERT_TRUE(sub.Expect<SubAckFrame>());
+
+  RawFramedClient pub(hosts[0]->ClientPort());
+  ASSERT_TRUE(pub.SendAll({ConnectFrame{"resume-pub"}}));
+  ASSERT_TRUE(pub.Expect<ConnAckFrame>());
+  constexpr std::uint64_t kPublishes = 5;
+  ASSERT_NO_FATAL_FAILURE(PublishUntilAcked(pub, Publication(topic, "resume-pub", 1)));
+  for (std::uint64_t i = 2; i <= kPublishes; ++i) {
+    ASSERT_TRUE(pub.SendAll({Publication(topic, "resume-pub", i)}));
+    const auto ack = pub.Expect<PubAckFrame>();
+    ASSERT_TRUE(ack && ack->ok());
+  }
+  std::vector<Message> seen;
+  for (std::uint64_t i = 1; i <= kPublishes; ++i) {
+    const auto deliver = sub.Expect<DeliverFrame>();
+    ASSERT_TRUE(deliver.has_value()) << "delivery " << i << " never arrived";
+    seen.push_back(deliver->msg);
+  }
+
+  // Resume after the 2nd: the member replays the 3rd to the 5th.
+  ASSERT_TRUE(sub.SendAll({SubscribeFrame{topic, true, PosOf(seen[1])}}));
+  ASSERT_TRUE(sub.Expect<SubAckFrame>());
+  for (std::uint64_t i = 3; i <= kPublishes; ++i) {
+    const auto deliver = sub.Expect<DeliverFrame>();
+    ASSERT_TRUE(deliver.has_value()) << "replay of " << i << " never arrived";
+    EXPECT_EQ(deliver->msg.pubId.counter, i);
+  }
+  EXPECT_EQ(registries[0]->Snapshot().Total("md_invariant_violations_total"), 0.0);
+}
+
 }  // namespace
 }  // namespace md::cluster

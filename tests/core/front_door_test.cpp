@@ -1,6 +1,6 @@
 // The client front door behind a real core::Server (epoll IoThreads +
 // Workers) on loopback: how a session's close treats the frames queued
-// before it.
+// before it, and which frames it lets through.
 #include "core/server.hpp"
 
 #include <gtest/gtest.h>
@@ -61,6 +61,17 @@ TEST_P(ServerFrontDoorTest, DisconnectFlushesAcksQueuedBeforeIt) {
   }
   EXPECT_TRUE(client.AtEof());
   EXPECT_EQ(server->Stats().protocolErrors, 0u);
+}
+
+// Only client verbs pass the front door: a peer frame on a client port
+// closes the session as one protocol error, before any Worker sees it.
+TEST_P(ServerFrontDoorTest, NonClientFrameClosesAsProtocolError) {
+  RawFramedClient client(server->Port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SendAll({BroadcastFrame{}}));
+  EXPECT_FALSE(client.Next().has_value()) << "the peer frame was answered";
+  EXPECT_TRUE(client.AtEof());
+  EXPECT_EQ(server->Stats().protocolErrors, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Batching, ServerFrontDoorTest, ::testing::Bool(),

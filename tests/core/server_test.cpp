@@ -7,6 +7,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "client/client.hpp"
@@ -538,6 +540,52 @@ TEST_F(ServerFanoutTest, ResumeBackfillPrecedesLiveDeliveriesOfSameWrite) {
     const auto deliver = raw.Expect<DeliverFrame>();
     ASSERT_TRUE(deliver);
     ASSERT_EQ(deliver->msg.seq, seq);
+  }
+}
+
+// Stage tracing rides with the first delivery: one publish fanned out to
+// three subscribers (on both IoThreads with probability 3/4) adds exactly one
+// end-to-end sample and one sample per stage, and a publish to a topic
+// nobody subscribes to adds none.
+TEST_F(ServerFanoutTest, OnePublishRecordsOneStageSampleWhateverItsFanOut) {
+  const auto samples = [&](std::string_view name, const std::string& labels) {
+    const obs::MetricsSnapshot snap = registry.Snapshot();
+    const obs::SampleSnapshot* sample = snap.Find(name, labels);
+    return sample == nullptr ? std::uint64_t{0} : sample->count;
+  };
+  const auto endToEnd = [&] {
+    return samples("md_trace_end_to_end_ns", "domain=\"wall\"");
+  };
+
+  RawFramedClient pub(server->Port());
+  ASSERT_TRUE(pub.connected());
+  ASSERT_TRUE(pub.SendAll({Frame(Publication("traced/nobody", 1))}));
+  ASSERT_TRUE(pub.Expect<PubAckFrame>());
+  EXPECT_EQ(endToEnd(), 0u);
+
+  constexpr int kSubs = 3;
+  std::vector<std::unique_ptr<RawFramedClient>> subs;
+  for (int i = 0; i < kSubs; ++i) {
+    auto sub = std::make_unique<RawFramedClient>(server->Port());
+    ASSERT_TRUE(sub->connected());
+    ASSERT_TRUE(sub->SendAll({Frame(SubscribeFrame{"traced", false, {}})}));
+    ASSERT_TRUE(sub->Expect<SubAckFrame>());
+    subs.push_back(std::move(sub));
+  }
+  ASSERT_TRUE(pub.SendAll({Frame(Publication("traced", 2))}));
+  ASSERT_TRUE(pub.Expect<PubAckFrame>());
+  for (auto& sub : subs) ASSERT_TRUE(sub->Expect<DeliverFrame>());
+
+  ClientLoopThread::WaitFor([&] { return endToEnd() >= 1; });
+  EXPECT_EQ(endToEnd(), 1u);
+  for (const obs::Stage stage :
+       {obs::Stage::kSequenced, obs::Stage::kCached, obs::Stage::kFannedOut,
+        obs::Stage::kSocketWritten}) {
+    EXPECT_EQ(samples("md_trace_stage_ns",
+                      std::string("domain=\"wall\",stage=\"") +
+                          obs::StageName(stage) + "\""),
+              1u)
+        << obs::StageName(stage);
   }
 }
 

@@ -129,9 +129,6 @@ TEST(ExpositionGoldenTest, MonitorFamiliesRenderByteExactly) {
   monitor.OnCounterSample("demo_total{}", 5);
   monitor.OnCounterSample("demo_total{}", 3);         // real [metrics]
   monitor.OnRecoveryAudit("server-1", 1);             // real [durability]
-  monitor.OnStage({1, 2}, Stage::kPublishReceived);
-  monitor.OnStage({1, 3}, Stage::kPublishReceived);
-  monitor.OnStage({1, 2}, Stage::kFannedOut);
   monitor.Forget(in, "g/t");
   monitor.OnDelivery(in, "g/other", {1, 1}, {7, 7});  // one live stream left
 
@@ -261,7 +258,7 @@ TEST(MetricsEndpointTest, LiveServerServesFullSchemaOverHttp) {
             std::string::npos);
   EXPECT_NE(after.find("md_core_delivered_total{server=\"metrics-live\"} 1"),
             std::string::npos);
-  // The wall-domain tracer saw the full pipeline of that publication.
+  // That publication's stage record reached the wall-domain histograms.
   EXPECT_NE(after.find("md_trace_end_to_end_ns_count{domain=\"wall\"} 1"),
             std::string::npos);
 
@@ -296,7 +293,6 @@ TEST(MetricsEndpointTest, VerifyingServerExposesMonitorFamilies) {
            "# TYPE md_invariant_violations_total",
            "# TYPE md_monitor_events_total",
            "# TYPE md_monitor_tracked_bytes",
-           "# TYPE md_monitor_stage_events_total",
        }) {
     EXPECT_NE(first.find(family), std::string::npos)
         << "monitor family missing: " << family;

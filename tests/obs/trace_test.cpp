@@ -1,6 +1,6 @@
-// Tracer unit tests on a manual clock: stage deltas and end-to-end spans
-// land in the right registry histograms, skipped stages and discards record
-// nothing, and the in-flight map stays bounded under eviction pressure.
+// StageRecorder unit tests on manual timestamps: stage deltas and the
+// end-to-end span land in the right registry histograms, and skipped stages
+// record nothing.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,41 +12,32 @@ namespace {
 
 class TracerTest : public ::testing::Test {
  protected:
-  TracerTest()
-      : tracer_(registry_, [this] { return now_; }, "virtual") {}
-
   [[nodiscard]] const SampleSnapshot* StageSample(Stage stage) {
     snap_ = registry_.Snapshot();
-    const std::string labels = std::string("domain=\"virtual\",stage=\"") +
+    const std::string labels = std::string("domain=\"wall\",stage=\"") +
                                StageName(stage) + "\"";
     return snap_.Find("md_trace_stage_ns", labels);
   }
 
   [[nodiscard]] const SampleSnapshot* EndToEndSample() {
     snap_ = registry_.Snapshot();
-    return snap_.Find("md_trace_end_to_end_ns", "domain=\"virtual\"");
+    return snap_.Find("md_trace_end_to_end_ns", "domain=\"wall\"");
   }
 
   MetricsRegistry registry_;
-  TimePoint now_ = 0;
-  Tracer tracer_;
+  StageRecorder recorder_{registry_};
   MetricsSnapshot snap_;
 };
 
 TEST_F(TracerTest, RecordsConsecutiveStageDeltasAndEndToEnd) {
-  const TraceKey key{42, 1};
-  now_ = 1'000;
-  tracer_.Begin(key);
-  now_ = 3'000;
-  tracer_.Stamp(key, Stage::kSequenced);   // +2000
-  now_ = 4'500;
-  tracer_.Stamp(key, Stage::kCached);      // +1500
-  now_ = 5'000;
-  tracer_.Stamp(key, Stage::kFannedOut);   // +500
-  now_ = 9'000;
-  tracer_.Stamp(key, Stage::kSocketWritten);  // +4000, finalizes
+  StageTimes times;
+  times.Stamp(Stage::kPublishReceived, 1'000);
+  times.Stamp(Stage::kSequenced, 3'000);      // +2000
+  times.Stamp(Stage::kCached, 4'500);         // +1500
+  times.Stamp(Stage::kFannedOut, 5'000);      // +500
+  times.Stamp(Stage::kSocketWritten, 9'000);  // +4000
+  recorder_.Record(times);
 
-  EXPECT_EQ(tracer_.InflightForTest(), 0u);
   const auto* seq = StageSample(Stage::kSequenced);
   ASSERT_NE(seq, nullptr);
   EXPECT_EQ(seq->count, 1u);
@@ -67,73 +58,20 @@ TEST_F(TracerTest, RecordsConsecutiveStageDeltasAndEndToEnd) {
 }
 
 TEST_F(TracerTest, SkippedStagesRecordNothingButEndToEndStillLands) {
-  const TraceKey key{42, 2};
-  now_ = 100;
-  tracer_.Begin(key);
-  now_ = 700;
-  tracer_.Stamp(key, Stage::kSocketWritten);  // skips 3 middle stages
+  StageTimes times;
+  times.Stamp(Stage::kPublishReceived, 100);
+  times.Stamp(Stage::kSocketWritten, 700);  // skips 3 middle stages
+  recorder_.Record(times);
 
   const auto* e2e = EndToEndSample();
   ASSERT_NE(e2e, nullptr);
   EXPECT_EQ(e2e->count, 1u);
   EXPECT_EQ(e2e->min, 600);
+  const auto* written = StageSample(Stage::kSocketWritten);
+  ASSERT_NE(written, nullptr);
+  EXPECT_EQ(written->min, 600);
   const auto* seq = StageSample(Stage::kSequenced);
   ASSERT_TRUE(seq == nullptr || seq->count == 0);
-}
-
-TEST_F(TracerTest, DiscardAndUnknownKeysRecordNothing) {
-  const TraceKey key{42, 3};
-  now_ = 100;
-  tracer_.Begin(key);
-  tracer_.Discard(key);
-  EXPECT_EQ(tracer_.InflightForTest(), 0u);
-
-  tracer_.Stamp(key, Stage::kSocketWritten);       // already discarded
-  tracer_.Stamp(TraceKey{9, 9}, Stage::kCached);   // never begun
-  const auto* e2e = EndToEndSample();
-  ASSERT_TRUE(e2e == nullptr || e2e->count == 0);
-}
-
-TEST_F(TracerTest, TerminalStampWithoutLaterStagesDoubleCounting) {
-  // Re-stamping after finalization must be a no-op (first-subscriber
-  // semantics: only the first socket write ends the trace).
-  const TraceKey key{42, 4};
-  tracer_.Begin(key);
-  now_ = 50;
-  tracer_.Stamp(key, Stage::kSocketWritten);
-  now_ = 9'999;
-  tracer_.Stamp(key, Stage::kSocketWritten);
-  const auto* e2e = EndToEndSample();
-  ASSERT_NE(e2e, nullptr);
-  EXPECT_EQ(e2e->count, 1u);
-  EXPECT_EQ(e2e->max, 50);
-}
-
-TEST_F(TracerTest, InflightIsBoundedAndEvictionsAreCounted) {
-  for (std::uint64_t i = 0; i < Tracer::kMaxInflight + 500; ++i) {
-    tracer_.Begin(TraceKey{7, i});
-  }
-  EXPECT_LE(tracer_.InflightForTest(), Tracer::kMaxInflight);
-  snap_ = registry_.Snapshot();
-  EXPECT_GE(snap_.Value("md_trace_dropped_total", "domain=\"virtual\""), 500.0);
-  // Evicted traces are forgotten: stamping them records nothing.
-  tracer_.Stamp(TraceKey{7, 0}, Stage::kSocketWritten);
-  const auto* e2e = EndToEndSample();
-  ASSERT_TRUE(e2e == nullptr || e2e->count == 0);
-}
-
-TEST_F(TracerTest, BeginReplacesStaleTraceWithSameKey) {
-  const TraceKey key{42, 5};
-  now_ = 100;
-  tracer_.Begin(key);
-  now_ = 10'000;
-  tracer_.Begin(key);  // a publisher retry restarts the trace
-  now_ = 10'200;
-  tracer_.Stamp(key, Stage::kSocketWritten);
-  const auto* e2e = EndToEndSample();
-  ASSERT_NE(e2e, nullptr);
-  EXPECT_EQ(e2e->count, 1u);
-  EXPECT_EQ(e2e->min, 200);  // measured from the second Begin
 }
 
 }  // namespace

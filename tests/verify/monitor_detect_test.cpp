@@ -235,22 +235,6 @@ TEST(MonitorDetectTest, ScopeLabelsEveryMonitorFamily) {
             0.0);
 }
 
-TEST(MonitorDetectTest, StageSinkCountsPerStage) {
-  obs::MetricsRegistry registry;
-  Monitor m(registry, {});
-  const obs::TraceKey key{1, 2};
-  m.OnStage(key, obs::Stage::kPublishReceived);
-  m.OnStage(key, obs::Stage::kPublishReceived);
-  m.OnStage(key, obs::Stage::kFannedOut);
-  const auto snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.Value("md_monitor_stage_events_total",
-                           "stage=\"publish_received\""),
-            2.0);
-  EXPECT_EQ(snapshot.Value("md_monitor_stage_events_total",
-                           "stage=\"fanned_out\""),
-            1.0);
-}
-
 // --- injection through the chaos driver (end-to-end self-test) --------------
 
 // The same path `md_chaos --monitor --inject KIND` exercises: a full
