@@ -62,7 +62,7 @@ RunStats RunBatched(Duration maxDelay, std::size_t maxBytes) {
   BatchConfig cfg;
   cfg.maxDelay = maxDelay;
   cfg.maxBytes = maxBytes;
-  Batcher batcher(cfg, [&](BytesView flushed) { s.bytesOut += flushed.size(); });
+  Batcher batcher(cfg, [&](WireBuffer flushed) { s.bytesOut += flushed->size(); });
 
   TimePoint lastEnqueue = 0;
   std::vector<TimePoint> pendingTimes;
@@ -79,13 +79,13 @@ RunStats RunBatched(Duration maxDelay, std::size_t maxBytes) {
           pendingTimes.clear();
         }
       }
-      Bytes wire;
+      auto wire = AcquireWireBuffer();
       EncodeFramed(Frame(DeliverFrame{MakeMsg(i % 10, static_cast<std::uint64_t>(i))}),
-                   wire);
+                   *wire);
       ++s.messagesIn;
       ++s.messagesOut;
       const std::uint64_t prevFlushes = batcher.FlushCount();
-      batcher.Enqueue(BytesView(wire), now);
+      batcher.Enqueue(std::move(wire), now);
       pendingTimes.push_back(now);
       if (batcher.FlushCount() > prevFlushes) {
         for (const TimePoint t : pendingTimes) addedDelay.Record(now - t);

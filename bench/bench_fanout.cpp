@@ -10,9 +10,9 @@
 // Headline metrics per row: cross-thread posts per publish (from
 // md_transport_tasks_posted_total), sendmsg calls per publish and per
 // delivery and all syscalls per delivery (from
-// md_transport_syscalls_total{op=send|sendmsg|recv}), copied bytes per
-// delivery (md_transport_copy_bytes_total), throughput, and client-observed
-// e2e latency. The verify leg also writes BENCH_monitor_overhead.json.
+// md_transport_syscalls_total{op=sendmsg|recv}), throughput, and
+// client-observed e2e latency. The verify leg also writes
+// BENCH_monitor_overhead.json.
 //
 // Environment overrides:
 //   MD_BENCH_FANOUT_CLIENTS  subscriber population        (default 400)
@@ -68,9 +68,7 @@ struct ModeResult {
   double postsPerPublish = 0;   // md_transport_tasks_posted_total delta / publishes
   double sendmsgPerPublish = 0;    // sendmsg delta / publishes
   double sendmsgPerDelivery = 0;   // sendmsg delta / deliveries
-  double syscallsPerDelivery = 0;  // send+sendmsg+recv delta / deliveries
-  double sendmsgShare = 0;         // sendmsg / (send+sendmsg) egress calls
-  double copyBytesPerDelivery = 0; // md_transport_copy_bytes_total delta / deliveries
+  double syscallsPerDelivery = 0;  // sendmsg+recv delta / deliveries
   double monitorEvents = 0;     // md_monitor_events_total (verify mode only)
   double monitorViolations = 0; // md_invariant_violations_total, all kinds
   LatencySummary latency;       // client-observed publish timestamp -> receipt
@@ -158,11 +156,8 @@ bool RunMode(const ModeSpec& mode, long clients, long topics, long bursts,
   const obs::MetricsSnapshot before = registry.Snapshot();
   const double postsBefore = before.Total("md_transport_tasks_posted_total");
   const double syscallsBefore = before.Total("md_transport_syscalls_total");
-  const double sendBefore =
-      before.Value("md_transport_syscalls_total", "op=\"send\"");
   const double sendmsgBefore =
       before.Value("md_transport_syscalls_total", "op=\"sendmsg\"");
-  const double copyBefore = before.Total("md_transport_copy_bytes_total");
 
   const std::uint64_t publishes =
       static_cast<std::uint64_t>(bursts) * static_cast<std::uint64_t>(topics);
@@ -204,18 +199,11 @@ bool RunMode(const ModeSpec& mode, long clients, long topics, long bursts,
   out.syscallsPerDelivery =
       (after.Total("md_transport_syscalls_total") - syscallsBefore) /
       deliveredD;
-  const double sendCalls =
-      after.Value("md_transport_syscalls_total", "op=\"send\"") - sendBefore;
   const double sendmsgCalls =
       after.Value("md_transport_syscalls_total", "op=\"sendmsg\"") -
       sendmsgBefore;
   out.sendmsgPerPublish = sendmsgCalls / static_cast<double>(publishes);
   out.sendmsgPerDelivery = sendmsgCalls / deliveredD;
-  out.sendmsgShare = (sendCalls + sendmsgCalls) > 0
-                         ? sendmsgCalls / (sendCalls + sendmsgCalls)
-                         : 0;
-  out.copyBytesPerDelivery =
-      (after.Total("md_transport_copy_bytes_total") - copyBefore) / deliveredD;
   out.monitorEvents = after.Value("md_monitor_events_total", "server=\"fanout\"");
   out.monitorViolations = after.Total("md_invariant_violations_total");
   {
@@ -240,13 +228,12 @@ void PrintMode(const char* label, const ModeResult& r) {
   std::printf(
       "%-22s delivered %llu/%llu in %.2f s | %.0f msgs/s | %.0f ns/delivery | "
       "%.3f posts/publish | %.3f sendmsg/publish | %.4f sendmsg/delivery | "
-      "%.3f syscalls/delivery | %.1f copy B/delivery | "
-      "e2e p50 %.2f ms p99 %.2f ms\n",
+      "%.3f syscalls/delivery | e2e p50 %.2f ms p99 %.2f ms\n",
       label, static_cast<unsigned long long>(r.delivered),
       static_cast<unsigned long long>(r.expected), r.elapsedSec, r.msgsPerSec,
       r.nsPerDelivery, r.postsPerPublish, r.sendmsgPerPublish,
-      r.sendmsgPerDelivery, r.syscallsPerDelivery,
-      r.copyBytesPerDelivery, r.latency.medianMs, r.latency.p99Ms);
+      r.sendmsgPerDelivery, r.syscallsPerDelivery, r.latency.medianMs,
+      r.latency.p99Ms);
 }
 
 void WriteJsonMode(std::FILE* f, const char* key, const ModeResult& r,
@@ -263,8 +250,6 @@ void WriteJsonMode(std::FILE* f, const char* key, const ModeResult& r,
                "    \"sendmsg_per_publish\": %.3f,\n"
                "    \"sendmsg_per_delivery\": %.4f,\n"
                "    \"syscalls_per_delivery\": %.4f,\n"
-               "    \"sendmsg_share\": %.3f,\n"
-               "    \"copy_bytes_per_delivery\": %.1f,\n"
                "    \"e2e_p50_ms\": %.3f,\n"
                "    \"e2e_p99_ms\": %.3f\n"
                "  }%s\n",
@@ -272,8 +257,7 @@ void WriteJsonMode(std::FILE* f, const char* key, const ModeResult& r,
                static_cast<unsigned long long>(r.delivered),
                r.serverDelivered, r.elapsedSec, r.msgsPerSec, r.nsPerDelivery,
                r.postsPerPublish, r.sendmsgPerPublish, r.sendmsgPerDelivery,
-               r.syscallsPerDelivery, r.sendmsgShare, r.copyBytesPerDelivery,
-               r.latency.medianMs, r.latency.p99Ms, trailingComma ? "," : "");
+               r.syscallsPerDelivery, r.latency.medianMs, r.latency.p99Ms, trailingComma ? "," : "");
 }
 
 }  // namespace
@@ -313,21 +297,6 @@ int main() {
   if (!RunMode(kVerify, clients, topics, bursts, verifiedRes)) return 1;
   PrintMode(kVerify.key, verifiedRes);
 
-  // What one delivery puts on a raw-framed subscriber's wire: the size the
-  // copy-bytes bound below is relative to.
-  Message sample;
-  sample.topic = "fanout/topic-0";
-  sample.payload = Bytes(64, 0x42);
-  sample.epoch = 1;
-  sample.seq = static_cast<std::uint64_t>(bursts);
-  sample.pubId = PublicationId{Fnv1a64("fo-pub"), static_cast<std::uint64_t>(bursts)};
-  sample.publishTs = RealClock::Instance().Now();
-  Bytes deliverWire;
-  EncodeFramed(Frame(DeliverFrame{sample}), deliverWire);
-  const double deliverBytes = static_cast<double>(deliverWire.size());
-  std::printf("\ncopy bytes per delivery: %.1f (deliver frame %.0f B)\n",
-              zeroCopyRes.copyBytesPerDelivery, deliverBytes);
-
   std::vector<ShapeCheck> checks;
   for (const auto& [spec, res] : {std::pair{&kZeroCopy, &zeroCopyRes},
                                    std::pair{&kVerify, &verifiedRes}}) {
@@ -356,11 +325,6 @@ int main() {
                 postsBound);
   checks.push_back({postsLabel, postsBound, zeroCopyRes.postsPerPublish,
                     zeroCopyRes.postsPerPublish <= postsBound});
-  // Zero-copy egress must eliminate (nearly all) per-delivery memcpy into
-  // session buffers: a delivery copies less than a tenth of its own frame.
-  checks.push_back({"zerocopy copy-bytes/delivery < 10% of the deliver frame",
-                    deliverBytes * 0.1, zeroCopyRes.copyBytesPerDelivery,
-                    zeroCopyRes.copyBytesPerDelivery < deliverBytes * 0.1});
   // Scatter-gather batching: the zero-copy path should issue well under one
   // egress syscall per delivery (one writev covers a whole fan-out batch).
   checks.push_back({"zerocopy syscalls/delivery < 1",

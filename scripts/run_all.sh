@@ -65,16 +65,21 @@ MD_BENCH_FANOUT_CLIENTS=64 MD_BENCH_FANOUT_TOPICS=4 MD_BENCH_FANOUT_BURSTS=10 \
   ./build/bench/bench_fanout || exit 1
 MD_BENCH_CLIENTS=300 ./build/bench/bench_c10k_real || exit 1
 
-# Egress leg: the zero-copy wire-buffer path (SendQueue refcounting,
-# sendmsg scatter-gather, adaptive flush, graceful close) over real sockets
-# in transport_test. The same binary then runs under ASan (buffer lifetime:
-# a shared buffer stays readable across close-mid-flush and Clear, and a
-# drained CloseAfterFlush frees its connection) and TSan (cross-thread Send
-# against the loop's flush pass). bench_fanout above already smoke-checks
+# Egress leg: the one send path. Every connection write — the hosts'
+# frames and the client library's handshakes, frames and pongs alike — is a
+# pooled, refcounted WireBuffer queued by reference (SendQueue) and written by
+# the loop's flush pass with sendmsg scatter-gather. transport_test covers it
+# over real sockets and inproc pipes; the same binary then runs under ASan
+# (buffer lifetime: a shared buffer stays readable across close-mid-flush and
+# Clear, and a drained CloseAfterFlush frees its connection) and TSan
+# (cross-thread Post against the loop's flush pass). client_test runs under
+# ASan too: the client's buffers come from the shared pool and can outlive a
+# connection that closes mid-flush. bench_fanout above already smoke-checks
 # loss-free delivery.
 ./build/tests/transport_test || exit 1
-cmake --build build-asan --target transport_test || exit 1
+cmake --build build-asan --target transport_test client_test || exit 1
 ./build-asan/tests/transport_test || exit 1
+./build-asan/tests/client_test || exit 1
 cmake --build build-tsan --target transport_test || exit 1
 ./build-tsan/tests/transport_test || exit 1
 

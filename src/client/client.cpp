@@ -118,16 +118,14 @@ void Client::OnConnected(ConnectionPtr conn) {
     case Transport::kWebSocket: {
       state_ = State::kWsHandshake;
       wsKey_ = ws::GenerateKey(rng_);
-      const std::string request = ws::BuildClientHandshake(
-          addr.host + ":" + std::to_string(addr.port), "/", wsKey_);
-      (void)conn_->Send(AsBytes(request));
+      (void)conn_->Send(ToWire(ws::BuildClientHandshake(
+          addr.host + ":" + std::to_string(addr.port), "/", wsKey_)));
       break;
     }
     case Transport::kHttpStream: {
       state_ = State::kHttpHandshake;
-      const std::string request = http::BuildStreamRequest(
-          addr.host + ":" + std::to_string(addr.port));
-      (void)conn_->Send(AsBytes(request));
+      (void)conn_->Send(ToWire(http::BuildStreamRequest(
+          addr.host + ":" + std::to_string(addr.port))));
       break;
     }
     case Transport::kRawFraming:
@@ -224,10 +222,10 @@ void Client::OnData(BytesView data) {
       }
       if (!r.frame) break;
       if (r.frame->opcode == ws::Opcode::kPing) {
-        Bytes pong;
-        ws::EncodeWsFrame(ws::Opcode::kPong, BytesView(r.frame->payload), pong,
+        auto pong = AcquireWireBuffer();
+        ws::EncodeWsFrame(ws::Opcode::kPong, BytesView(r.frame->payload), *pong,
                           rng_.Next() & 0xFFFFFFFF);
-        (void)conn_->Send(BytesView(pong));
+        (void)conn_->Send(std::move(pong));
         continue;
       }
       if (r.frame->opcode == ws::Opcode::kClose) {
@@ -269,27 +267,29 @@ void Client::OnData(BytesView data) {
 
 void Client::SendFrame(const Frame& frame) {
   if (!conn_ || state_ != State::kEstablished) return;
-  Bytes wire;
+  // Encoded once into a pooled buffer and queued by reference, as the
+  // hosts do; the loop's flush pass writes it.
+  auto wire = AcquireWireBuffer();
   switch (cfg_.transport) {
     case Transport::kWebSocket: {
       Bytes body;
       EncodeFrame(frame, body);
       // Client-to-server frames must be masked (RFC 6455 §5.3).
-      ws::EncodeWsFrame(ws::Opcode::kBinary, BytesView(body), wire,
+      ws::EncodeWsFrame(ws::Opcode::kBinary, BytesView(body), *wire,
                         static_cast<std::uint32_t>(rng_.Next()));
       break;
     }
     case Transport::kHttpStream: {
       Bytes body;
       EncodeFrame(frame, body);
-      http::EncodeChunk(BytesView(body), wire);
+      http::EncodeChunk(BytesView(body), *wire);
       break;
     }
     case Transport::kRawFraming:
-      EncodeFramed(frame, wire);
+      EncodeFramed(frame, *wire);
       break;
   }
-  (void)conn_->Send(BytesView(wire));
+  (void)conn_->Send(std::move(wire));
 }
 
 void Client::OnEstablished() {

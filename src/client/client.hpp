@@ -102,6 +102,9 @@ class Client {
 
   /// Begins connecting. All callbacks fire on the loop thread.
   void Start();
+  /// Closes the connection at once. Frames are written by the loop's flush
+  /// pass, after the current task: anything sent earlier in the same task
+  /// (a PublishNoAck, say) is discarded with the connection.
   void Stop();
 
   /// Subscribes to `topic`; `handler` receives its messages in order.

@@ -132,10 +132,9 @@ void ClusterNode::Restart() {
 
 void ClusterNode::RecoverFromWal() {
   if (!wal_) return;
-  const TimePoint now = env_.Now();
-  lastRecovery_ = wal_->Recover([this, now](Message&& msg) {
+  lastRecovery_ = wal_->Recover([this](Message&& msg) {
     // InsertRecovered: sorted + deduped, and does NOT re-append to the WAL.
-    cache_.InsertRecovered(msg, now);
+    cache_.InsertRecovered(msg);
   });
   if (lastRecovery_.records > 0 || lastRecovery_.tornTails > 0 ||
       lastRecovery_.corruptSkipped > 0) {

@@ -1,7 +1,8 @@
 // Batching and conflation (paper §4).
 //
 // Batching collects encoded frames for a client until a byte budget or a
-// time budget is reached, then emits them as a single I/O operation.
+// time budget is reached, then emits them together, to leave in a single
+// I/O operation.
 // Conflation aggregates messages per topic over an interval and emits only
 // the newest message of each topic — appropriate for "current value" streams
 // (prices, scores) updated at high frequency.
@@ -15,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -23,6 +25,7 @@
 #include "common/time.hpp"
 #include "common/topic_intern.hpp"
 #include "proto/message.hpp"
+#include "transport/wire.hpp"
 
 namespace md::core {
 
@@ -31,19 +34,22 @@ struct BatchConfig {
   std::size_t maxBytes = 64 * 1024;       // flush when this much is pending
 };
 
-/// Byte-level batcher: accumulates already-encoded frames.
+/// Frame-level batcher: holds references to already-encoded frames until a
+/// budget is reached, then hands them over in order. Nothing is copied; the
+/// connection's flush pass writes a whole batch with one sendmsg.
 class Batcher {
  public:
-  using FlushFn = std::function<void(BytesView)>;
+  using FlushFn = std::function<void(WireBuffer)>;
 
   Batcher(BatchConfig cfg, FlushFn flush)
       : cfg_(cfg), flush_(std::move(flush)) {}
 
   /// Adds one encoded frame; may trigger an immediate size-based flush.
-  void Enqueue(BytesView frameBytes, TimePoint now) {
+  void Enqueue(WireBuffer frame, TimePoint now) {
     if (pending_.empty()) firstEnqueued_ = now;
-    pending_.insert(pending_.end(), frameBytes.begin(), frameBytes.end());
-    if (pending_.size() >= cfg_.maxBytes) Flush();
+    pendingBytes_ += frame->size();
+    pending_.push_back(std::move(frame));
+    if (pendingBytes_ >= cfg_.maxBytes) Flush();
   }
 
   /// Earliest time a time-based flush is due (nullopt when nothing pending).
@@ -57,34 +63,24 @@ class Batcher {
     if (!pending_.empty() && now >= firstEnqueued_ + cfg_.maxDelay) Flush();
   }
 
+  /// Hands every pending frame to the flush callback, oldest first.
   void Flush() {
     if (pending_.empty()) return;
     ++flushCount_;
-    flushedBytes_ += pending_.size();
-    flush_(BytesView(pending_));
-    // clear() keeps the allocation, so the steady state refills the same
-    // buffer with zero reallocations window after window. Only a
-    // pathological burst far beyond the size budget releases memory.
-    pending_.clear();
-    if (pending_.capacity() > ShrinkThreshold()) Bytes().swap(pending_);
+    flushedBytes_ += pendingBytes_;
+    pendingBytes_ = 0;
+    for (WireBuffer& frame : std::exchange(pending_, {})) flush_(std::move(frame));
   }
 
-  [[nodiscard]] std::size_t PendingBytes() const noexcept { return pending_.size(); }
-  /// Retained buffer capacity (tests assert no-realloc steady state).
-  [[nodiscard]] std::size_t BufferCapacity() const noexcept {
-    return pending_.capacity();
-  }
-  /// Capacity above which Flush releases the buffer instead of retaining it.
-  [[nodiscard]] std::size_t ShrinkThreshold() const noexcept {
-    return 4 * cfg_.maxBytes + 64 * 1024;
-  }
+  [[nodiscard]] std::size_t PendingBytes() const noexcept { return pendingBytes_; }
   [[nodiscard]] std::uint64_t FlushCount() const noexcept { return flushCount_; }
   [[nodiscard]] std::uint64_t FlushedBytes() const noexcept { return flushedBytes_; }
 
  private:
   BatchConfig cfg_;
   FlushFn flush_;
-  Bytes pending_;
+  std::vector<WireBuffer> pending_;
+  std::size_t pendingBytes_ = 0;
   TimePoint firstEnqueued_ = 0;
   std::uint64_t flushCount_ = 0;
   std::uint64_t flushedBytes_ = 0;

@@ -20,10 +20,10 @@ bool Cache::Append(const Message& msg, TimePoint now) {
   TopicHistory& history = shard.topics[id];
 
   if (!history.entries.empty()) {
-    const StreamPos last = PosOf(history.entries.back().msg);
+    const StreamPos last = PosOf(history.entries.back());
     if (PosOf(msg) <= last) return false;  // duplicate or stale
   }
-  history.entries.push_back({msg, now});
+  history.entries.push_back(msg);
   while (history.entries.size() > cfg_.maxMessagesPerTopic) {
     history.entries.pop_front();
   }
@@ -40,10 +40,10 @@ bool Cache::Insert(const Message& msg, TimePoint now) {
   return InsertLocked(shard, msg, now, /*writeWal=*/true);
 }
 
-bool Cache::InsertRecovered(const Message& msg, TimePoint now) {
+bool Cache::InsertRecovered(const Message& msg) {
   Shard& shard = ShardFor(msg.topic);
   std::lock_guard lock(shard.mutex);
-  return InsertLocked(shard, msg, now, /*writeWal=*/false);
+  return InsertLocked(shard, msg, /*now=*/0, /*writeWal=*/false);
 }
 
 bool Cache::InsertLocked(Shard& shard, const Message& msg, TimePoint now,
@@ -55,9 +55,9 @@ bool Cache::InsertLocked(Shard& shard, const Message& msg, TimePoint now,
 
   const auto it = std::lower_bound(
       entries.begin(), entries.end(), PosOf(msg),
-      [](const CachedMessage& m, StreamPos p) { return PosOf(m.msg) < p; });
-  if (it != entries.end() && PosOf(it->msg) == PosOf(msg)) return false;
-  entries.insert(it, {msg, now});
+      [](const Message& m, StreamPos p) { return PosOf(m) < p; });
+  if (it != entries.end() && PosOf(*it) == PosOf(msg)) return false;
+  entries.insert(it, msg);
   while (entries.size() > cfg_.maxMessagesPerTopic) entries.pop_front();
   if (writeWal && wal_ != nullptr) {
     (void)wal_->Append(GroupOf(msg.topic), msg, now);
@@ -79,9 +79,9 @@ std::vector<Message> Cache::GetAfter(const std::string& topic, StreamPos pos,
   const auto& entries = history->entries;
   auto first = std::upper_bound(
       entries.begin(), entries.end(), pos,
-      [](StreamPos p, const CachedMessage& m) { return p < PosOf(m.msg); });
+      [](StreamPos p, const Message& m) { return p < PosOf(m); });
   for (; first != entries.end() && out.size() < maxCount; ++first) {
-    out.push_back(first->msg);
+    out.push_back(*first);
   }
   return out;
 }
@@ -93,7 +93,7 @@ std::optional<StreamPos> Cache::LastPos(const std::string& topic) const {
   std::lock_guard lock(shard.mutex);
   const TopicHistory* history = shard.topics.Find(id);
   if (history == nullptr || history->entries.empty()) return std::nullopt;
-  return PosOf(history->entries.back().msg);
+  return PosOf(history->entries.back());
 }
 
 std::vector<std::pair<TopicId, std::string_view>> Cache::SortedTopicsLocked(
@@ -117,7 +117,7 @@ std::vector<Message> Cache::GroupSnapshot(std::uint32_t group) const {
   std::lock_guard lock(shard.mutex);
   for (const auto& [id, name] : SortedTopicsLocked(shard)) {
     const TopicHistory* history = shard.topics.Find(id);
-    for (const auto& cached : history->entries) out.push_back(cached.msg);
+    out.insert(out.end(), history->entries.begin(), history->entries.end());
   }
   return out;
 }
@@ -130,7 +130,7 @@ std::vector<std::pair<std::string, StreamPos>> Cache::GroupPositions(
   std::lock_guard lock(shard.mutex);
   for (const auto& [id, name] : SortedTopicsLocked(shard)) {
     const TopicHistory* history = shard.topics.Find(id);
-    out.emplace_back(std::string(name), PosOf(history->entries.back().msg));
+    out.emplace_back(std::string(name), PosOf(history->entries.back()));
   }
   return out;
 }
@@ -143,7 +143,7 @@ std::vector<std::pair<std::string, StreamPos>> Cache::GroupEarliestPositions(
   std::lock_guard lock(shard.mutex);
   for (const auto& [id, name] : SortedTopicsLocked(shard)) {
     const TopicHistory* history = shard.topics.Find(id);
-    out.emplace_back(std::string(name), PosOf(history->entries.front().msg));
+    out.emplace_back(std::string(name), PosOf(history->entries.front()));
   }
   return out;
 }
@@ -156,9 +156,9 @@ std::vector<std::pair<std::string, StreamPos>> Cache::GroupContiguousPositions(
   std::lock_guard lock(shard.mutex);
   for (const auto& [id, name] : SortedTopicsLocked(shard)) {
     const auto& entries = shard.topics.Find(id)->entries;
-    StreamPos last = PosOf(entries.front().msg);
+    StreamPos last = PosOf(entries.front());
     for (std::size_t i = 1; i < entries.size(); ++i) {
-      const StreamPos next = PosOf(entries[i].msg);
+      const StreamPos next = PosOf(entries[i]);
       // Same contiguity rule as the live gap check: only a same-epoch +1
       // step is provably hole-free (epoch changes restart sequences).
       if (next.epoch != last.epoch || next.seq != last.seq + 1) break;
@@ -167,23 +167,6 @@ std::vector<std::pair<std::string, StreamPos>> Cache::GroupContiguousPositions(
     out.emplace_back(std::string(name), last);
   }
   return out;
-}
-
-void Cache::EvictExpired(TimePoint now) {
-  if (cfg_.maxAge == 0) return;
-  const TimePoint cutoff = now - cfg_.maxAge;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    std::vector<TopicId> emptied;
-    shard.topics.ForEach([&](TopicId id, TopicHistory& history) {
-      auto& entries = history.entries;
-      while (!entries.empty() && entries.front().storedAt < cutoff) {
-        entries.pop_front();
-      }
-      if (entries.empty()) emptied.push_back(id);
-    });
-    for (const TopicId id : emptied) shard.topics.Erase(id);
-  }
 }
 
 std::size_t Cache::TotalMessages() const {

@@ -14,8 +14,7 @@
 // FNV-1a hash of the topic NAME — ids are local and never affect which group
 // (and therefore which cluster coordinator / WAL stream) a topic belongs to.
 //
-// Retention is bounded per topic (count) — production deployments bound by
-// time as well; both knobs exist here.
+// Retention is bounded per topic, by message count.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,6 @@ namespace md::core {
 struct CacheConfig {
   std::uint32_t topicGroups = 100;       // paper: "typical installation uses 100"
   std::size_t maxMessagesPerTopic = 1000;
-  Duration maxAge = 0;                   // 0 = no age-based eviction
 };
 
 class Cache {
@@ -65,7 +63,7 @@ class Cache {
 
   /// Insert WITHOUT writing the WAL — the apply path of WAL recovery (the
   /// record is already durable; re-appending it would double it on disk).
-  bool InsertRecovered(const Message& msg, TimePoint now = 0);
+  bool InsertRecovered(const Message& msg);
 
   /// Messages of `topic` strictly after `pos`, in (epoch, seq) order.
   [[nodiscard]] std::vector<Message> GetAfter(const std::string& topic,
@@ -101,9 +99,6 @@ class Cache {
   [[nodiscard]] std::vector<std::pair<std::string, StreamPos>>
   GroupEarliestPositions(std::uint32_t group) const;
 
-  /// Drop entries older than `now - maxAge` (no-op when maxAge == 0).
-  void EvictExpired(TimePoint now);
-
   /// Total cached messages (approximate under concurrency).
   [[nodiscard]] std::size_t TotalMessages() const;
 
@@ -115,15 +110,10 @@ class Cache {
   void Clear();
 
  private:
-  struct CachedMessage {
-    Message msg;
-    TimePoint storedAt;
-  };
-
   struct TopicHistory {
     // Ordered by (epoch, seq); blocks come from the slab arena so history
     // churn does not fragment the general heap.
-    std::deque<CachedMessage, SlabAllocator<CachedMessage>> entries;
+    std::deque<Message, SlabAllocator<Message>> entries;
   };
 
   struct Shard {

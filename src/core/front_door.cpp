@@ -17,14 +17,6 @@ namespace md::core {
 
 namespace {
 
-/// Copies bytes that were not encoded into a wire buffer (handshake and HTTP
-/// responses, batcher output).
-WireBuffer CopyToWire(BytesView data) {
-  auto wire = AcquireWireBuffer();
-  wire->assign(data.begin(), data.end());
-  return wire;
-}
-
 /// The verbs a client may send; anything else (a peer or reply frame) on a
 /// client port is a protocol error.
 bool IsClientVerb(const Frame& frame) noexcept {
@@ -97,8 +89,8 @@ void ClientFrontDoor::Accept(EventLoop& loop, std::size_t ioIndex,
   slow_.Attach(*session);
   if (opts_.batch) {
     session->batcher = std::make_unique<Batcher>(
-        *opts_.batch, [this, weak = std::weak_ptr<Session>(session)](BytesView data) {
-          if (auto s = weak.lock()) Send(*s, CopyToWire(data));
+        *opts_.batch, [this, weak = std::weak_ptr<Session>(session)](WireBuffer wire) {
+          if (auto s = weak.lock()) Send(*s, std::move(wire));
         });
   }
   m_.accepted.Inc();
@@ -164,7 +156,7 @@ void ClientFrontDoor::ParseFrames(const SessionPtr& session) {
       return;
     }
     if (!hs.handshake) return;  // need more bytes
-    Send(*session, CopyToWire(AsBytes(ws::BuildServerHandshakeResponse(hs.handshake->key))));
+    Send(*session, ToWire(ws::BuildServerHandshakeResponse(hs.handshake->key)));
     session->mode.store(Mode::kWs, std::memory_order_relaxed);
   }
 
@@ -175,7 +167,7 @@ void ClientFrontDoor::ParseFrames(const SessionPtr& session) {
       return;
     }
     if (!req.complete) return;
-    Send(*session, CopyToWire(AsBytes(http::BuildStreamResponse())));
+    Send(*session, ToWire(http::BuildStreamResponse()));
     session->mode.store(Mode::kHttp, std::memory_order_relaxed);
   }
 
@@ -341,9 +333,9 @@ void ClientFrontDoor::WriteOut(const SessionPtr& session, WireBuffer wire) {
     Send(*session, std::move(wire));
     return;
   }
-  // The batcher coalesces frames into its own buffer; its flush copies them
-  // into one wire buffer and sends that.
-  session->batcher->Enqueue(BytesView(*wire), session->loop->Now());
+  // The batcher holds the reference; its flush hands each frame to the
+  // slow-consumer policy, and the connection writes the batch in one pass.
+  session->batcher->Enqueue(std::move(wire), session->loop->Now());
   if (!session->flushTimerArmed && session->batcher->PendingBytes() > 0) {
     session->flushTimerArmed = true;
     session->loop->ScheduleTimer(opts_.batch->maxDelay,

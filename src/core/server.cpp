@@ -52,9 +52,8 @@ Status Server::Start() {
   // history and the sequencer resumes AFTER the newest recovered position
   // per topic (re-issuing a durable position would fork the stream).
   if (wal_) {
-    const TimePoint now = RealClock::Instance().Now();
     walRecovery_ = wal_->Recover(
-        [this, now](Message&& msg) { cache_.InsertRecovered(msg, now); });
+        [this](Message&& msg) { cache_.InsertRecovered(msg); });
     if (walRecovery_.records != 0 || walRecovery_.tornTails != 0 ||
         walRecovery_.corruptSkipped != 0 || walRecovery_.badSegments != 0) {
       MD_INFO(

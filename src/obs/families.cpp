@@ -50,9 +50,6 @@ constexpr std::string_view kTransTasksPostedHelp =
 constexpr std::string_view kTransSyscalls = "md_transport_syscalls_total";
 constexpr std::string_view kTransSyscallsHelp =
     "Socket data syscalls issued, by operation";
-constexpr std::string_view kTransCopyBytes = "md_transport_copy_bytes_total";
-constexpr std::string_view kTransCopyBytesHelp =
-    "Payload bytes copied into egress send queues (zero-copy sends excluded)";
 
 constexpr std::string_view kSlowSoftOverflows =
     "md_slow_consumer_soft_overflows_total";
@@ -193,14 +190,12 @@ TransportMetrics::TransportMetrics(MetricsRegistry& r, std::string_view labels)
       timersFired(r.GetCounter(kTransTimers, kTransTimersHelp, labels)),
       tasksPosted(
           r.GetCounter(kTransTasksPosted, kTransTasksPostedHelp, labels)),
-      // The op label distinguishes the three data-path syscalls; the bundle
+      // The op label distinguishes the two data-path syscalls; the bundle
       // is process-wide (unlabeled otherwise), so the fixed label text is
       // the child key.
-      syscallsSend(r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"send\"")),
-      syscallsSendmsg(
+      sendmsgCalls(
           r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"sendmsg\"")),
-      syscallsRecv(r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"recv\"")),
-      copyBytes(r.GetCounter(kTransCopyBytes, kTransCopyBytesHelp, labels)) {}
+      recvCalls(r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"recv\"")) {}
 
 SlowConsumerMetrics::SlowConsumerMetrics(MetricsRegistry& r,
                                          std::string_view labels)

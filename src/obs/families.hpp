@@ -47,16 +47,10 @@ struct TransportMetrics {
   Counter& timersFired;
   Counter& tasksPosted;
   // Egress/ingress syscall accounting (md_transport_syscalls_total{op=...}):
-  // direct single-buffer sends, scatter-gather flushes, and reads. Divided by
-  // deliveries these give the syscalls-per-delivery stat the fan-out bench
-  // reports.
-  Counter& syscallsSend;
-  Counter& syscallsSendmsg;
-  Counter& syscallsRecv;
-  // Payload bytes memcpy'd into egress buffers: the tail of a copying
-  // Send(BytesView) the kernel did not take inline (the client library's
-  // path). Shared wire-buffer sends never touch it.
-  Counter& copyBytes;
+  // scatter-gather flushes and reads. Divided by deliveries the sendmsg
+  // count gives the syscalls-per-delivery stat the fan-out bench reports.
+  Counter& sendmsgCalls;
+  Counter& recvCalls;
 };
 
 /// Slow-consumer backpressure counters (per server, labeled server="<name>"

@@ -58,58 +58,7 @@ TcpConnection::~TcpConnection() {
   }
 }
 
-Status TcpConnection::Send(BytesView data) {
-  if (fd_ < 0) return Err(ErrorCode::kClosed, "connection closed");
-
-  // Hard watermark: reject the whole frame up front. Checking before the
-  // direct write keeps frames atomic — a partially-written frame whose tail
-  // was refused would corrupt the stream. (out_.size() <= wm_.hard holds by
-  // induction, so the subtraction cannot underflow.)
-  if (data.size() > wm_.hard - out_.size()) {
-    // Same flush-before-reject as the zero-copy flavor: a deferred queue is
-    // not kernel backpressure until a drain attempt fails.
-    if (!wantWrite_) {
-      Flush();
-      if (fd_ < 0) return Err(ErrorCode::kClosed, "write failed");
-    }
-    if (data.size() > wm_.hard - out_.size()) {
-      return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
-    }
-  }
-
-  // Fast path: nothing buffered — try a direct write first.
-  std::size_t written = 0;
-  if (out_.empty()) {
-    // MSG_NOSIGNAL: writing into a connection the peer already closed must
-    // surface as an error, not kill the process with SIGPIPE.
-    const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-    if (auto* m = loop_.metrics()) m->syscallsSend.Inc();
-    if (n > 0) {
-      written = static_cast<std::size_t>(n);
-      if (auto* m = loop_.metrics()) m->bytesWritten.Inc(written);
-    } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      CloseNow();
-      return Err(ErrorCode::kClosed, "write failed");
-    }
-    if (written < data.size()) {
-      // The kernel pushed back mid-frame: queue the remainder and let
-      // EPOLLOUT drive the drain, exactly like the historical path.
-      if (!wantWrite_) {
-        wantWrite_ = true;
-        UpdateEpollInterest();
-      }
-    }
-  }
-  if (written == data.size()) return OkStatus();
-
-  out_.AppendCopy(data.subspan(written));
-  if (auto* m = loop_.metrics()) {
-    m->copyBytes.Inc(data.size() - written);
-  }
-  return FinishAppend(data.size() - written);
-}
-
-Status TcpConnection::Send(std::shared_ptr<const Bytes> data) {
+Status TcpConnection::Send(WireBuffer data) {
   if (fd_ < 0) return Err(ErrorCode::kClosed, "connection closed");
   if (data == nullptr || data->empty()) return OkStatus();
   if (data->size() > wm_.hard - out_.size()) {
@@ -130,10 +79,6 @@ Status TcpConnection::Send(std::shared_ptr<const Bytes> data) {
   // batch coalesces into one sendmsg.
   const std::size_t appended = data->size();
   out_.AppendShared(std::move(data));
-  return FinishAppend(appended);
-}
-
-Status TcpConnection::FinishAppend(std::size_t appended) {
   if (auto* m = loop_.metrics()) {
     m->sendQueueBytes.Add(static_cast<std::int64_t>(appended));
   }
@@ -237,7 +182,7 @@ void TcpConnection::HandleReadable() {
     msg.msg_iov = &iov;
     msg.msg_iovlen = 1;
     const ssize_t n = ::recvmsg(fd_, &msg, 0);
-    if (auto* m = loop_.metrics()) m->syscallsRecv.Inc();
+    if (auto* m = loop_.metrics()) m->recvCalls.Inc();
     if (n > 0) {
       if (auto* m = loop_.metrics()) m->bytesRead.Inc(static_cast<std::size_t>(n));
       if (dataHandler_) dataHandler_(BytesView(buf, static_cast<std::size_t>(n)));
@@ -265,7 +210,7 @@ void TcpConnection::Flush() {
     msg.msg_iov = iov;
     msg.msg_iovlen = iovCount;
     const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (auto* m = loop_.metrics()) m->syscallsSendmsg.Inc();
+    if (auto* m = loop_.metrics()) m->sendmsgCalls.Inc();
     if (n > 0) {
       out_.Consume(static_cast<std::size_t>(n));
       if (auto* m = loop_.metrics()) {

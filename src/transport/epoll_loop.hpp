@@ -40,8 +40,7 @@ class TcpConnection final : public Connection,
   TcpConnection(EpollLoop& loop, int fd, std::string peer);
   ~TcpConnection() override;
 
-  Status Send(BytesView data) override;
-  Status Send(std::shared_ptr<const Bytes> data) override;
+  Status Send(WireBuffer data) override;
   void Close() override;
   void CloseAfterFlush() override;
   [[nodiscard]] bool IsOpen() const override { return fd_ >= 0; }
@@ -79,8 +78,6 @@ class TcpConnection final : public Connection,
   void UpdateEpollInterest();
   /// Queues this connection for the loop's next flush pass (idempotent).
   void RequestFlush();
-  /// Common post-append bookkeeping: gauge, flush scheduling, soft check.
-  Status FinishAppend(std::size_t appended);
 
   EpollLoop& loop_;
   int fd_;

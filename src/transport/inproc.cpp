@@ -9,33 +9,14 @@ namespace detail {
 InprocConnection::InprocConnection(InprocLoop& loop, std::string peerName)
     : loop_(loop), peerName_(std::move(peerName)) {}
 
-Status InprocConnection::Send(BytesView data) {
+Status InprocConnection::Send(WireBuffer data) {
   if (!open_) return Err(ErrorCode::kClosed, "connection closed");
+  if (data == nullptr || data->empty()) return OkStatus();
   auto peer = peer_.lock();
   if (!peer) return Err(ErrorCode::kClosed, "peer gone");
   // Same watermark contract as TcpConnection: whole-frame hard rejection
   // first (outPending_ <= wm_.hard by induction), soft advisory after the
   // bytes are accepted.
-  if (data.size() > wm_.hard - outPending_) {
-    return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
-  }
-  outPending_ += data.size();
-  Bytes copy(data.begin(), data.end());
-  loop_.scheduler().Schedule(
-      loop_.deliveryDelay(),
-      [peer, copy = std::move(copy)]() mutable { peer->DeliverData(std::move(copy)); });
-  if (outPending_ > wm_.soft) {
-    overSoft_ = true;
-    return Err(ErrorCode::kCapacity, "write buffer over soft watermark");
-  }
-  return OkStatus();
-}
-
-Status InprocConnection::Send(std::shared_ptr<const Bytes> data) {
-  if (!open_) return Err(ErrorCode::kClosed, "connection closed");
-  if (data == nullptr || data->empty()) return OkStatus();
-  auto peer = peer_.lock();
-  if (!peer) return Err(ErrorCode::kClosed, "peer gone");
   if (data->size() > wm_.hard - outPending_) {
     return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
   }
@@ -44,7 +25,7 @@ Status InprocConnection::Send(std::shared_ptr<const Bytes> data) {
   // immutable) until every receiver on every loop has consumed it.
   loop_.scheduler().Schedule(
       loop_.deliveryDelay(),
-      [peer, data = std::move(data)] { peer->DeliverShared(data); });
+      [peer, data = std::move(data)]() mutable { peer->Deliver(std::move(data)); });
   if (outPending_ > wm_.soft) {
     overSoft_ = true;
     return Err(ErrorCode::kCapacity, "write buffer over soft watermark");
@@ -58,7 +39,7 @@ void InprocConnection::Close() {
   // Parked-but-never-consumed bytes must not leak the sender's accounting.
   if (!parked_.empty()) {
     std::size_t parkedBytes = 0;
-    for (const Bytes& b : parked_) parkedBytes += b.size();
+    for (const WireBuffer& b : parked_) parkedBytes += b->size();
     parked_.clear();
     if (auto peer = peer_.lock()) peer->OnPeerConsumed(parkedBytes);
   }
@@ -81,40 +62,23 @@ void InprocConnection::Close() {
   });
 }
 
-void InprocConnection::DeliverData(Bytes data) {
+void InprocConnection::Deliver(WireBuffer data) {
   if (!open_) {
     // Receiver already closed: bytes are discarded (as a dead TCP peer
     // would), but the sender's pending accounting must not leak.
-    if (auto peer = peer_.lock()) peer->OnPeerConsumed(data.size());
+    if (auto peer = peer_.lock()) peer->OnPeerConsumed(data->size());
     return;
   }
   if (readPaused_ || !parked_.empty()) {
     parked_.push_back(std::move(data));
     return;
   }
-  Consume(std::move(data));
+  Consume(data);
 }
 
-void InprocConnection::DeliverShared(const std::shared_ptr<const Bytes>& data) {
-  if (!open_) {
-    if (auto peer = peer_.lock()) peer->OnPeerConsumed(data->size());
-    return;
-  }
-  if (readPaused_ || !parked_.empty()) {
-    // Parking needs owned bytes (the deque outlives this event); the paused
-    // path is the exception, so the copy lives here and nowhere else.
-    parked_.emplace_back(data->begin(), data->end());
-    return;
-  }
-  const std::size_t n = data->size();
+void InprocConnection::Consume(const WireBuffer& data) {
   if (dataHandler_) dataHandler_(BytesView(*data));
-  if (auto peer = peer_.lock()) peer->OnPeerConsumed(n);
-}
-
-void InprocConnection::Consume(Bytes data) {
-  const std::size_t n = data.size();
-  if (dataHandler_) dataHandler_(BytesView(data));
-  if (auto peer = peer_.lock()) peer->OnPeerConsumed(n);
+  if (auto peer = peer_.lock()) peer->OnPeerConsumed(data->size());
 }
 
 void InprocConnection::OnPeerConsumed(std::size_t n) {
@@ -133,9 +97,9 @@ void InprocConnection::SetReadPaused(bool paused) {
   if (paused) return;
   // Drain the parked backlog in arrival order; a handler may re-pause.
   while (!readPaused_ && open_ && !parked_.empty()) {
-    Bytes data = std::move(parked_.front());
+    const WireBuffer data = std::move(parked_.front());
     parked_.pop_front();
-    Consume(std::move(data));
+    Consume(data);
   }
   if (open_ && !readPaused_ && parked_.empty() && pendingClose_) {
     pendingClose_ = false;

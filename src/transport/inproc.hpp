@@ -28,8 +28,7 @@ class InprocConnection final
  public:
   InprocConnection(InprocLoop& loop, std::string peerName);
 
-  Status Send(BytesView data) override;
-  Status Send(std::shared_ptr<const Bytes> data) override;
+  Status Send(WireBuffer data) override;
   void Close() override;
   [[nodiscard]] bool IsOpen() const override { return open_; }
   /// Bytes sent but not yet consumed by the peer's data handler — in-flight
@@ -46,10 +45,9 @@ class InprocConnection final
   void BindPeer(std::shared_ptr<InprocConnection> peer) { peer_ = std::move(peer); }
 
   // Called via scheduler events.
-  void DeliverData(Bytes data);
-  /// Zero-copy delivery: the handler reads straight from the shared buffer.
-  /// Parks a copy only when the reader is paused (the rare path).
-  void DeliverShared(const std::shared_ptr<const Bytes>& data);
+  /// Zero-copy delivery: the handler reads straight from the shared buffer;
+  /// a paused reader parks the reference.
+  void Deliver(WireBuffer data);
   void DeliverClose();
   /// Peer-side acknowledgement that `n` sent bytes were consumed.
   void OnPeerConsumed(std::size_t n);
@@ -60,14 +58,14 @@ class InprocConnection final
   }
 
  private:
-  void Consume(Bytes data);
+  void Consume(const WireBuffer& data);
 
   InprocLoop& loop_;
   std::string peerName_;
   std::weak_ptr<InprocConnection> peer_;
   bool open_ = true;
   std::size_t outPending_ = 0;
-  std::deque<Bytes> parked_;
+  std::deque<WireBuffer> parked_;
   bool readPaused_ = false;
   bool pendingClose_ = false;
 };

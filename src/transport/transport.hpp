@@ -9,7 +9,9 @@
 //
 // Contract: handlers are invoked on the owning loop's thread; Send() may be
 // called from the loop thread only (cross-thread senders use Post()). Data
-// arrives in order and without duplication (TCP semantics).
+// arrives in order and without duplication (TCP semantics). Every write is a
+// shared WireBuffer (wire.hpp): egress bytes are encoded once and never
+// copied again on their way to the socket.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
+#include "transport/wire.hpp"
 
 namespace md {
 
@@ -52,25 +55,25 @@ class Connection {
 
   virtual ~Connection() = default;
 
-  /// Buffered, non-blocking send. Returns kCapacity when the write buffer is
-  /// over the soft watermark (bytes accepted; caller should throttle) or when
-  /// the append would exceed the hard watermark (bytes rejected — the caller
-  /// can distinguish the two by comparing PendingBytes() across the call),
-  /// kClosed if closed.
-  virtual Status Send(BytesView data) = 0;
-
-  /// Zero-copy variant: queues a *reference* to the (immutable) buffer
-  /// instead of copying its bytes — the fan-out path shares one encoded
-  /// frame across every subscriber on the loop. Watermark semantics are
-  /// identical to Send(BytesView).
-  virtual Status Send(std::shared_ptr<const Bytes> data) = 0;
+  /// The only way bytes leave a connection: queues a *reference* to the
+  /// (immutable) wire buffer, never a copy, so one encoded frame can be
+  /// shared by every subscriber on the loop. Non-blocking; the bytes leave
+  /// on the loop's flush pass after the current task (a queue that grows
+  /// large may be flushed inside the call). Returns kCapacity when
+  /// the buffer is over the soft watermark (bytes accepted; caller should
+  /// throttle) or when the append would exceed the hard watermark (bytes
+  /// rejected — the caller can distinguish the two by comparing
+  /// PendingBytes() across the call), kClosed if closed.
+  virtual Status Send(WireBuffer data) = 0;
 
   /// Initiates close. The close handler fires (once) when fully closed.
-  /// Bytes still buffered are discarded.
+  /// Bytes still buffered are discarded — including a Send() made earlier
+  /// in the same task, which the flush pass has not written yet.
   virtual void Close() = 0;
 
   /// Graceful variant: lets already-buffered bytes flush to the peer first
-  /// (implementations bound the wait). Default = immediate Close().
+  /// (implementations bound the wait). Use it whenever the bytes just sent
+  /// must reach the peer. Default = immediate Close().
   virtual void CloseAfterFlush() { Close(); }
 
   [[nodiscard]] virtual bool IsOpen() const = 0;

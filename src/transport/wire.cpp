@@ -60,6 +60,12 @@ std::shared_ptr<Bytes> AcquireWireBuffer() {
           [](Bytes* b) { Pool().Put(std::unique_ptr<Bytes>(b)); }};
 }
 
+WireBuffer ToWire(std::string_view text) {
+  auto wire = AcquireWireBuffer();
+  wire->assign(text.begin(), text.end());
+  return wire;
+}
+
 std::size_t WireBufferPoolSize() { return Pool().Size(); }
 
 std::size_t SendQueue::FillIovecs(struct iovec* iov,
@@ -67,11 +73,9 @@ std::size_t SendQueue::FillIovecs(struct iovec* iov,
   std::size_t count = 0;
   for (const Node& node : nodes_) {
     if (count == maxIov) break;
-    const std::size_t remain = node.buf->size() - node.offset;
-    if (remain == 0) continue;  // freshly-created empty tail
     iov[count].iov_base =
         const_cast<std::uint8_t*>(node.buf->data() + node.offset);
-    iov[count].iov_len = remain;
+    iov[count].iov_len = node.buf->size() - node.offset;
     ++count;
   }
   return count;

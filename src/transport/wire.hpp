@@ -1,8 +1,9 @@
 // Zero-copy egress building blocks.
 //
-// A publish is encoded once per protocol mode into a refcounted wire buffer
-// (`std::shared_ptr<const Bytes>`); every subscriber's connection queues a
-// *reference* to it instead of copying the bytes into a per-session buffer.
+// Every byte a connection writes is a refcounted wire buffer
+// (`std::shared_ptr<const Bytes>`), encoded once — a publish once per
+// protocol mode, a handshake, ack or client frame once — and never copied
+// again: every subscriber's connection queues a *reference* to it.
 // The queue remembers (buffer, offset) pairs so partial writes resume
 // mid-buffer without ever tearing a frame, and a scatter-gather flush moves
 // many frames per syscall.
@@ -16,6 +17,7 @@
 
 #include <deque>
 #include <memory>
+#include <string_view>
 
 #include "common/bytes.hpp"
 
@@ -33,21 +35,19 @@ using WireBuffer = std::shared_ptr<const Bytes>;
 /// a WireBuffer (shared_ptr<Bytes> converts implicitly).
 [[nodiscard]] std::shared_ptr<Bytes> AcquireWireBuffer();
 
+/// A pooled wire buffer holding `text`: handshakes and other messages that
+/// are built as strings.
+[[nodiscard]] WireBuffer ToWire(std::string_view text);
+
 /// Pool introspection for tests.
 [[nodiscard]] std::size_t WireBufferPoolSize();
 
-/// Outbound byte queue holding (buffer-ref, offset) nodes.
+/// Outbound byte queue holding (buffer-ref, offset) nodes. Every append is
+/// zero-copy: the node references the caller's buffer.
 ///
-/// Two append flavours:
-///   - AppendShared: zero-copy; the node references the caller's buffer.
-///   - AppendCopy: copies into a mutable tail buffer that coalesces
-///     consecutive copied appends (handshakes, acks — small control frames),
-///     so tiny writes don't each allocate a node + buffer.
-///
-/// Consume() advances byte-wise across node boundaries, exactly like the
-/// flat ByteQueue it replaces, so short writes at any offset preserve frame
-/// boundaries by construction: bytes are only ever removed from the front in
-/// write order.
+/// Consume() advances byte-wise across node boundaries, so short writes at
+/// any offset preserve frame boundaries by construction: bytes are only ever
+/// removed from the front in write order.
 class SendQueue {
  public:
   [[nodiscard]] std::size_t size() const noexcept { return totalBytes_; }
@@ -57,18 +57,6 @@ class SendQueue {
     if (!buf || buf->empty()) return;
     totalBytes_ += buf->size();
     nodes_.push_back(Node{std::move(buf), 0});
-    tail_ = nullptr;  // shared node ends any coalescing run
-  }
-
-  void AppendCopy(BytesView data) {
-    if (data.empty()) return;
-    totalBytes_ += data.size();
-    if (tail_ == nullptr) {
-      auto buf = AcquireWireBuffer();
-      tail_ = buf.get();
-      nodes_.push_back(Node{std::move(buf), 0});
-    }
-    tail_->insert(tail_->end(), data.begin(), data.end());
   }
 
   /// Fills up to `maxIov` iovecs from the front of the queue. Returns the
@@ -87,26 +75,21 @@ class SendQueue {
         return;
       }
       n -= remain;
-      if (front.buf.get() == tail_) tail_ = nullptr;
       nodes_.pop_front();
     }
   }
 
   void Clear() noexcept {
     nodes_.clear();
-    tail_ = nullptr;
     totalBytes_ = 0;
   }
 
  private:
   struct Node {
-    std::shared_ptr<const Bytes> buf;
+    WireBuffer buf;
     std::size_t offset;
   };
 
-  // Mutable alias of the last node's buffer while it is still a coalescing
-  // tail this queue owns exclusively (created by AppendCopy, never shared).
-  Bytes* tail_ = nullptr;
   std::deque<Node> nodes_;
   std::size_t totalBytes_ = 0;
 };

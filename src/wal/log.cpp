@@ -122,10 +122,7 @@ Status Log::Append(std::uint32_t group, const Message& msg,
       break;
   }
 
-  if (g.bytes >= cfg_.segmentBytes ||
-      (cfg_.segmentMaxAge > 0 && now - g.openedAt >= cfg_.segmentMaxAge)) {
-    SealSegment(group, g);
-  }
+  if (g.bytes >= cfg_.segmentBytes) SealSegment(group, g);
   return syncStatus;
 }
 
@@ -168,7 +165,6 @@ Status Log::OpenSegment(std::uint32_t group, GroupState& g, TimePoint now) {
   g.file = std::move(file);
   g.index = g.nextIndex++;
   g.bytes = header.size();
-  g.openedAt = now;
   g.lastSyncAt = now;
   g.dirty = true;
   if (metrics_ != nullptr) metrics_->segments.Add(1);

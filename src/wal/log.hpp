@@ -15,12 +15,11 @@
 // torn tails / corrupt records / unusable segments, and then starts a FRESH
 // segment (maxIndex+1) — it never appends to a possibly-damaged tail.
 //
-// Retention keeps the newest `retainSegments` sealed segments per group
-// (plus the active one); callers must size segmentBytes * retainSegments
-// above the cache history they want to survive a crash, or messages still
-// cached in memory may not be recoverable after one. When segmentMaxAge > 0
-// it should match CacheConfig::maxAge so age-pruned segments only ever hold
-// records the cache has itself expired.
+// A segment is sealed once it reaches segmentBytes. Retention keeps the
+// newest `retainSegments` sealed segments per group (plus the active one);
+// callers must size segmentBytes * retainSegments above the cache history
+// they want to survive a crash, or messages still cached in memory may not
+// be recoverable after one.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +62,6 @@ struct WalConfig {
   Duration flushInterval = 5 * kMillisecond;
   /// Seal the active segment once it reaches this many bytes.
   std::uint64_t segmentBytes = 4ULL * 1024 * 1024;
-  /// Seal the active segment once it has been open this long (0 = size-only).
-  Duration segmentMaxAge = 0;
   /// Sealed segments kept per group; older ones are deleted.
   std::uint32_t retainSegments = 8;
 };
@@ -118,7 +115,6 @@ class Log {
     std::uint64_t index = 0;             // active segment index
     std::uint64_t nextIndex = 0;         // index for the next segment opened
     std::uint64_t bytes = 0;             // bytes written to active segment
-    TimePoint openedAt = 0;
     TimePoint lastSyncAt = 0;
     bool dirty = false;                  // unsynced appends outstanding
     std::vector<std::uint64_t> sealed;   // sealed segment indices, ascending

@@ -53,9 +53,9 @@ class FakeServer {
 
   void Send(const Frame& frame) {
     if (!conn_) return;
-    Bytes wire;
-    EncodeFramed(frame, wire);
-    (void)conn_->Send(BytesView(wire));
+    auto wire = AcquireWireBuffer();
+    EncodeFramed(frame, *wire);
+    (void)conn_->Send(std::move(wire));
   }
 
   /// Delivers with a unique publication id by default (as the real service

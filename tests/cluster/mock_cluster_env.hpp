@@ -1,8 +1,8 @@
 // Shared white-box harness for ClusterNode unit tests: a mock ClusterEnv
 // that records every outgoing frame, and a coord::Env bridged onto the
 // simulation scheduler so a single-member MiniZK commits writes instantly.
-// Used by the elastic-membership suites (quorum_test, fencing_test); the
-// original node_unit_test keeps its own private copy.
+// Used by node_unit_test and the elastic-membership suites (quorum_test,
+// fencing_test).
 #pragma once
 
 #include <string>

@@ -16,16 +16,16 @@ Message Msg(const std::string& topic, std::uint64_t seq) {
 TEST(BatcherTest, SizeTriggeredFlush) {
   BatchConfig cfg;
   cfg.maxBytes = 10;
-  std::vector<std::size_t> flushes;
-  Batcher batcher(cfg, [&](BytesView b) { flushes.push_back(b.size()); });
+  std::vector<std::size_t> flushed;
+  Batcher batcher(cfg, [&](WireBuffer w) { flushed.push_back(w->size()); });
 
-  const Bytes frame(4, 0xAA);
-  batcher.Enqueue(BytesView(frame), 0);  // 4 bytes pending
-  batcher.Enqueue(BytesView(frame), 0);  // 8
-  EXPECT_TRUE(flushes.empty());
-  batcher.Enqueue(BytesView(frame), 0);  // 12 >= 10 -> flush
-  ASSERT_EQ(flushes.size(), 1u);
-  EXPECT_EQ(flushes[0], 12u);
+  const WireBuffer frame = ToWire("abcd");
+  batcher.Enqueue(frame, 0);  // 4 bytes pending
+  batcher.Enqueue(frame, 0);  // 8
+  EXPECT_TRUE(flushed.empty());
+  batcher.Enqueue(frame, 0);  // 12 >= 10 -> flush
+  EXPECT_EQ(flushed, (std::vector<std::size_t>{4, 4, 4}));
+  EXPECT_EQ(batcher.FlushCount(), 1u);
   EXPECT_EQ(batcher.PendingBytes(), 0u);
 }
 
@@ -34,10 +34,9 @@ TEST(BatcherTest, TimeTriggeredFlush) {
   cfg.maxDelay = 10 * kMillisecond;
   cfg.maxBytes = 1 << 20;
   int flushed = 0;
-  Batcher batcher(cfg, [&](BytesView) { ++flushed; });
+  Batcher batcher(cfg, [&](WireBuffer) { ++flushed; });
 
-  const Bytes frame(4, 1);
-  batcher.Enqueue(BytesView(frame), 0);
+  batcher.Enqueue(ToWire("abcd"), 0);
   batcher.OnTime(5 * kMillisecond);  // too early
   EXPECT_EQ(flushed, 0);
   batcher.OnTime(10 * kMillisecond);
@@ -47,31 +46,36 @@ TEST(BatcherTest, TimeTriggeredFlush) {
 TEST(BatcherTest, DeadlineTracksFirstEnqueue) {
   BatchConfig cfg;
   cfg.maxDelay = 100;
-  Batcher batcher(cfg, [](BytesView) {});
+  Batcher batcher(cfg, [](WireBuffer) {});
   EXPECT_FALSE(batcher.Deadline().has_value());
-  const Bytes frame(1, 1);
-  batcher.Enqueue(BytesView(frame), 50);
-  batcher.Enqueue(BytesView(frame), 90);  // deadline stays at first enqueue
+  batcher.Enqueue(ToWire("a"), 50);
+  batcher.Enqueue(ToWire("b"), 90);  // deadline stays at first enqueue
   ASSERT_TRUE(batcher.Deadline().has_value());
   EXPECT_EQ(*batcher.Deadline(), 150);
 }
 
+// A flush hands over the very buffers that were enqueued, in order: the
+// batcher shares frames, it never copies them.
 TEST(BatcherTest, BatchPreservesByteOrder) {
   BatchConfig cfg;
-  std::string got;
-  Batcher batcher(cfg, [&](BytesView b) { got.append(AsStringView(b)); });
-  batcher.Enqueue(AsBytes("abc"), 0);
-  batcher.Enqueue(AsBytes("def"), 0);
+  std::vector<WireBuffer> got;
+  Batcher batcher(cfg, [&](WireBuffer w) { got.push_back(std::move(w)); });
+  const WireBuffer abc = ToWire("abc");
+  const WireBuffer def = ToWire("def");
+  batcher.Enqueue(abc, 0);
+  batcher.Enqueue(def, 0);
   batcher.Flush();
-  EXPECT_EQ(got, "abcdef");
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], abc);
+  EXPECT_EQ(got[1], def);
 }
 
 TEST(BatcherTest, CountsFlushesAndBytes) {
   BatchConfig cfg;
-  Batcher batcher(cfg, [](BytesView) {});
-  batcher.Enqueue(AsBytes("1234"), 0);
+  Batcher batcher(cfg, [](WireBuffer) {});
+  batcher.Enqueue(ToWire("1234"), 0);
   batcher.Flush();
-  batcher.Enqueue(AsBytes("56"), 0);
+  batcher.Enqueue(ToWire("56"), 0);
   batcher.Flush();
   batcher.Flush();  // empty: no-op
   EXPECT_EQ(batcher.FlushCount(), 2u);
@@ -143,41 +147,6 @@ TEST(ConflatorTest, FlushOnEmptyIsNoop) {
   conflator.Flush();
   conflator.OnTime(1000000);
   EXPECT_EQ(emitted, 0);
-}
-
-TEST(BatcherTest, SteadyStateRetainsCapacityAcrossFlushes) {
-  BatchConfig cfg;
-  cfg.maxBytes = 1 << 20;
-  Batcher batcher(cfg, [](BytesView) {});
-  const Bytes frame(256, 0xAB);
-
-  // Warm-up window sizes the buffer once.
-  for (int i = 0; i < 16; ++i) batcher.Enqueue(BytesView(frame), 0);
-  batcher.Flush();
-  const std::size_t cap = batcher.BufferCapacity();
-  ASSERT_GE(cap, 16u * 256u);
-
-  // Steady state: identical windows must never reallocate (clear() keeps
-  // capacity and the shrink guard only fires far above the byte budget).
-  for (int window = 0; window < 100; ++window) {
-    for (int i = 0; i < 16; ++i) batcher.Enqueue(BytesView(frame), 0);
-    batcher.Flush();
-    ASSERT_EQ(batcher.BufferCapacity(), cap) << "realloc in window " << window;
-  }
-}
-
-TEST(BatcherTest, PathologicalBurstReleasesBuffer) {
-  BatchConfig cfg;
-  cfg.maxBytes = 1024;
-  std::size_t flushedSize = 0;
-  Batcher batcher(cfg, [&](BytesView b) { flushedSize = b.size(); });
-
-  // One frame far beyond the shrink threshold triggers an immediate
-  // size-based flush and then releases the oversized buffer.
-  const Bytes huge(batcher.ShrinkThreshold() + 1, 0xCD);
-  batcher.Enqueue(BytesView(huge), 0);
-  EXPECT_EQ(flushedSize, huge.size());
-  EXPECT_LT(batcher.BufferCapacity(), batcher.ShrinkThreshold());
 }
 
 TEST(ConflatorTest, SteadyStateRetainsCapacityAcrossWindows) {

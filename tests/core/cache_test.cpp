@@ -123,29 +123,6 @@ TEST(CacheTest, TopicsLandInDifferentGroups) {
   EXPECT_GT(groups.size(), 50u);  // well spread
 }
 
-TEST(CacheTest, AgeBasedEviction) {
-  CacheConfig cfg;
-  cfg.maxAge = 100;
-  Cache cache(cfg);
-  cache.Append(Msg("t", 1, 1), /*now=*/0);
-  cache.Append(Msg("t", 1, 2), /*now=*/50);
-  cache.Append(Msg("t", 1, 3), /*now=*/200);
-  cache.EvictExpired(/*now=*/250);  // cutoff 150: seq 1 and 2 go
-  const auto rest = cache.GetAfter("t", {0, 0});
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].seq, 3u);
-}
-
-TEST(CacheTest, EvictionRemovesEmptyTopics) {
-  CacheConfig cfg;
-  cfg.maxAge = 10;
-  Cache cache(cfg);
-  cache.Append(Msg("t", 1, 1), 0);
-  cache.EvictExpired(1000);
-  EXPECT_EQ(cache.TotalMessages(), 0u);
-  EXPECT_FALSE(cache.LastPos("t").has_value());
-}
-
 TEST(CacheTest, ClearRemovesEverything) {
   Cache cache;
   cache.Append(Msg("t", 1, 1));

@@ -232,10 +232,10 @@ struct RawWsClient {
   void SendWsFrame(const Frame& frame) {
     Bytes body;
     EncodeFrame(frame, body);
-    Bytes wire;
-    ws::EncodeWsFrame(ws::Opcode::kBinary, BytesView(body), wire,
+    auto wire = AcquireWireBuffer();
+    ws::EncodeWsFrame(ws::Opcode::kBinary, BytesView(body), *wire,
                       /*maskKey=*/0xA1B2C3D4u);  // clients MUST mask
-    ASSERT_TRUE(conn->Send(BytesView(wire)).ok());
+    ASSERT_TRUE(conn->Send(std::move(wire)).ok());
   }
 };
 
@@ -270,7 +270,7 @@ TEST(SlowConsumerTest, EvictedWebSocketClientReceivesClose1013) {
     raw.wsKey = ws::GenerateKey(rng);
     const std::string req =
         ws::BuildClientHandshake("127.0.0.1", "/", raw.wsKey);
-    ASSERT_TRUE(raw.conn->Send(AsBytes(req)).ok());
+    ASSERT_TRUE(raw.conn->Send(ToWire(req)).ok());
   });
   ClientLoopThread::WaitFor([&] { return raw.bytesSeen.load() > 0; });
   lt.RunOnLoop([&] {

@@ -8,6 +8,7 @@
 //     when the buffer falls back to <= low.
 // The inproc test pins the exact per-send status sequence (deterministic);
 // the TCP tests assert the same properties through real kernel buffering.
+// Every send is a shared WireBuffer, the transport's only send path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,18 +66,18 @@ TEST_F(InprocBackpressureTest, WatermarkContractExactSequence) {
   serverConn->SetReadPaused(true);
   sched.Run();  // flush connection setup events
 
-  const Bytes frame(100, 0xAB);
+  const auto frame = std::make_shared<const Bytes>(100, 0xAB);
   // 100 -> 200: under soft, plain OK.
-  EXPECT_TRUE(clientConn->Send(BytesView(frame)).ok());
-  EXPECT_TRUE(clientConn->Send(BytesView(frame)).ok());
+  EXPECT_TRUE(clientConn->Send(frame).ok());
+  EXPECT_TRUE(clientConn->Send(frame).ok());
   EXPECT_EQ(clientConn->PendingBytes(), 200u);
   // 300..600: over soft — kCapacity, but the bytes are accepted.
   for (std::size_t expect : {300u, 400u, 500u, 600u}) {
-    EXPECT_EQ(clientConn->Send(BytesView(frame)).code(), ErrorCode::kCapacity);
+    EXPECT_EQ(clientConn->Send(frame).code(), ErrorCode::kCapacity);
     EXPECT_EQ(clientConn->PendingBytes(), expect);
   }
   // 700 would cross hard: whole-frame rejection, pending unchanged.
-  EXPECT_EQ(clientConn->Send(BytesView(frame)).code(), ErrorCode::kCapacity);
+  EXPECT_EQ(clientConn->Send(frame).code(), ErrorCode::kCapacity);
   EXPECT_EQ(clientConn->PendingBytes(), 600u);
   EXPECT_EQ(drained, 0);
 
@@ -90,7 +91,7 @@ TEST_F(InprocBackpressureTest, WatermarkContractExactSequence) {
   EXPECT_EQ(drained, 1);
 
   // The excursion is reset: the next send is a plain OK again.
-  EXPECT_TRUE(clientConn->Send(BytesView(frame)).ok());
+  EXPECT_TRUE(clientConn->Send(frame).ok());
   sched.Run();
   EXPECT_EQ(drained, 1);  // no second excursion, no second notification
 }
@@ -103,8 +104,8 @@ TEST_F(InprocBackpressureTest, ReceiverCloseRefundsParkedBytes) {
   serverConn->SetReadPaused(true);
   sched.Run();
 
-  const Bytes frame(100, 0xCD);
-  for (int i = 0; i < 3; ++i) (void)clientConn->Send(BytesView(frame));
+  const auto frame = std::make_shared<const Bytes>(100, 0xCD);
+  for (int i = 0; i < 3; ++i) (void)clientConn->Send(frame);
   EXPECT_EQ(clientConn->PendingBytes(), 300u);
   sched.Run();  // deliveries park at the paused receiver
 
@@ -209,10 +210,10 @@ TEST(TcpBackpressureTest, StalledPeerPendingPlateausAtHardWatermark) {
   lt.RunOnLoop([&] {
     pair.client->SetWatermarks({kSoft, kHard, /*low=*/16 * 1024});
     pair.client->SetDrainedHandler([&] { drained.fetch_add(1); });
-    const Bytes frame(kFrame, 0x5A);
+    const auto frame = std::make_shared<const Bytes>(kFrame, 0x5A);
     for (int i = 0; i < kSends; ++i) {
       const std::size_t before = pair.client->PendingBytes();
-      const Status st = pair.client->Send(BytesView(frame));
+      const Status st = pair.client->Send(frame);
       const std::size_t after = pair.client->PendingBytes();
       if (after > kHard) everOverHard = true;
       if (st.ok()) {
@@ -269,9 +270,9 @@ TEST(TcpBackpressureTest, SendQueueGaugeReturnsToZeroAfterChurn) {
     TcpPair pair;
     ConnectStalledPair(lt, pair);
     lt.RunOnLoop([&] {
-      const Bytes frame(64 * 1024, 0x77);
+      const auto frame = std::make_shared<const Bytes>(64 * 1024, 0x77);
       for (int i = 0; i < 48; ++i) {  // 3 MiB: beyond kernel buffering
-        (void)pair.client->Send(BytesView(frame));
+        (void)pair.client->Send(frame);
       }
     });
     switch (round) {

@@ -6,8 +6,8 @@
 // interleave or tear), because short writes resume mid-node by construction.
 //
 // Part 2 — the egress contract over real loopback sockets on EpollLoop:
-// mixed copied/shared sends, watermark semantics, close-mid-flight safety
-// and graceful close.
+// multi-frame batches, watermark semantics, close-mid-flight safety and
+// graceful close.
 #include <gtest/gtest.h>
 
 #include <sys/uio.h>
@@ -57,21 +57,17 @@ void TakeFrontInto(SendQueue& q, std::size_t n, Bytes& out) {
   }
 }
 
-/// Builds the canonical mixed queue: shared / copied / copied (coalesced) /
-/// shared / copied — five frames, four nodes. Returns the expected stream.
+/// Builds the canonical queue: five frames of unequal sizes, one node each,
+/// the second buffer queued twice (a frame shared by two sends). Returns the
+/// expected stream.
 Bytes BuildMixedQueue(SendQueue& q) {
-  const Bytes f1 = Pattern(61, 1);
-  const Bytes f2 = Pattern(17, 2);
-  const Bytes f3 = Pattern(29, 3);
-  const Bytes f4 = Pattern(47, 4);
-  const Bytes f5 = Pattern(5, 5);
-  q.AppendShared(std::make_shared<const Bytes>(f1));
-  q.AppendCopy(BytesView(f2));
-  q.AppendCopy(BytesView(f3));  // coalesces with f2
-  q.AppendShared(std::make_shared<const Bytes>(f4));
-  q.AppendCopy(BytesView(f5));
+  const auto f1 = std::make_shared<const Bytes>(Pattern(61, 1));
+  const auto f2 = std::make_shared<const Bytes>(Pattern(17, 2));
+  const auto f3 = std::make_shared<const Bytes>(Pattern(29, 3));
+  const auto f4 = std::make_shared<const Bytes>(Pattern(5, 5));
   Bytes expected;
-  for (const Bytes* f : {&f1, &f2, &f3, &f4, &f5}) {
+  for (const WireBuffer& f : {f1, f2, f3, f2, f4}) {
+    q.AppendShared(f);
     expected.insert(expected.end(), f->begin(), f->end());
   }
   return expected;
@@ -97,21 +93,6 @@ TEST(SendQueueTest, ConsumeAtEveryOffsetPreservesStream) {
     ASSERT_EQ(got, expected) << "stream corrupted at chunk size " << k;
     ASSERT_EQ(q.size(), 0u);
   }
-}
-
-TEST(SendQueueTest, CopiedAppendsCoalesceSharedAppendsDoNot) {
-  SendQueue q;
-  q.AppendCopy(BytesView(Pattern(10, 1)));
-  q.AppendCopy(BytesView(Pattern(10, 2)));
-  iovec iov[8];
-  EXPECT_EQ(q.FillIovecs(iov, 8), 1u);  // two copies, one coalesced node
-  EXPECT_EQ(iov[0].iov_len, 20u);
-
-  q.AppendShared(std::make_shared<const Bytes>(Pattern(10, 3)));
-  q.AppendCopy(BytesView(Pattern(10, 4)));
-  // copy+copy | shared | copy — the shared node ended the coalescing run.
-  EXPECT_EQ(q.FillIovecs(iov, 8), 3u);
-  EXPECT_EQ(q.size(), 40u);
 }
 
 TEST(SendQueueTest, PartialNodeConsumeAdjustsIovecBase) {
@@ -224,31 +205,13 @@ class EpollEgressTest : public ::testing::Test {
   LoopThread lt_;
 };
 
-TEST_F(EpollEgressTest, SharedAndCopiedSendsBothArrive) {
-  Pair pair;
-  Bytes sink;
-  std::atomic<std::size_t> count{0};
-  ConnectPair(pair, &sink, &count);
-
-  const Bytes a = Pattern(64, 1);
-  const Bytes b = Pattern(64, 2);
-  lt_.RunOnLoop([&] {
-    ASSERT_TRUE(pair.client->Send(BytesView(a)).ok());
-    ASSERT_TRUE(pair.client->Send(std::make_shared<const Bytes>(b)).ok());
-  });
-  LoopThread::WaitFor([&] { return count.load() == 128; });
-  Bytes expected = a;
-  expected.insert(expected.end(), b.begin(), b.end());
-  lt_.RunOnLoop([&] { EXPECT_EQ(sink, expected); });
-  lt_.RunOnLoop([&] { pair.client->Close(); });
-}
-
 TEST_F(EpollEgressTest, MixedMultiFrameBatchesNeverInterleave) {
-  // The partial-write torture test: many frames of prime-ish sizes, shared
-  // and copied interleaved, enqueued in bursts against a stalled-then-resumed
-  // reader so flushes hit short writes at arbitrary offsets mid-batch. The
-  // receiver must observe the exact concatenation — any frame interleaving,
-  // tearing, duplication or reordering breaks the byte-for-byte compare.
+  // The partial-write torture test: many frames of prime-ish sizes, every
+  // fourth one queued twice (one buffer shared by two sends), enqueued in
+  // bursts against a stalled-then-resumed reader so flushes hit short
+  // writes at arbitrary offsets mid-batch. The receiver must observe the
+  // exact concatenation — any frame interleaving, tearing, duplication or
+  // reordering breaks the byte-for-byte compare.
   Pair pair;
   Bytes sink;
   std::atomic<std::size_t> count{0};
@@ -266,18 +229,15 @@ TEST_F(EpollEgressTest, MixedMultiFrameBatchesNeverInterleave) {
         const int n = burst * (kFrames / 8) + i;
         const std::size_t size = 1 + (static_cast<std::size_t>(n) * 977) % 40000;
         const auto seed = static_cast<std::uint8_t>(n);
-        const Bytes frame = Pattern(size, seed);
-        expected.insert(expected.end(), frame.begin(), frame.end());
-        Status st = OkStatus();
-        if (n % 2 == 0) {
-          auto wire = AcquireWireBuffer();
-          wire->assign(frame.begin(), frame.end());
-          st = pair.client->Send(WireBuffer(std::move(wire)));
-        } else {
-          st = pair.client->Send(BytesView(frame));
+        auto wire = AcquireWireBuffer();
+        *wire = Pattern(size, seed);
+        const WireBuffer frame(std::move(wire));
+        for (int copies = n % 4 == 0 ? 2 : 1; copies > 0; --copies) {
+          expected.insert(expected.end(), frame->begin(), frame->end());
+          const Status st = pair.client->Send(frame);
+          ASSERT_TRUE(st.ok() || st.code() == ErrorCode::kCapacity)
+              << st.ToString();
         }
-        ASSERT_TRUE(st.ok() || st.code() == ErrorCode::kCapacity)
-            << st.ToString();
       }
     });
     // Let part of the backlog drain between bursts so the stream mixes
@@ -297,8 +257,8 @@ TEST_F(EpollEgressTest, MixedMultiFrameBatchesNeverInterleave) {
 }
 
 TEST_F(EpollEgressTest, WatermarkContractHoldsForSharedSends) {
-  // Same invariants as TcpBackpressureTest, driven through Send(shared):
-  // pending never exceeds hard, kCapacity-with-growth means accepted,
+  // Same invariants as TcpBackpressureTest, with one buffer shared by every
+  // send: pending never exceeds hard, kCapacity-with-growth means accepted,
   // kCapacity-without-growth means whole-frame reject, drained fires once.
   Pair pair;
   std::atomic<std::size_t> count{0};

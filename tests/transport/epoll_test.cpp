@@ -114,7 +114,7 @@ TEST(EpollLoopTest, ListenConnectSendReceive) {
   });
   LoopThread::WaitFor([&] { return connected.load(); });
 
-  lt.RunOnLoop([&] { ASSERT_TRUE(client->Send(AsBytes("hello")).ok()); });
+  lt.RunOnLoop([&] { ASSERT_TRUE(client->Send(ToWire("hello")).ok()); });
   LoopThread::WaitFor([&] { return gotData.load(); });
   EXPECT_EQ(received, "hello");
 }
@@ -156,13 +156,13 @@ TEST(EpollLoopTest, LargeTransferArrivesIntact) {
   });
   LoopThread::WaitFor([&] { return connected.load(); });
 
-  Bytes payload(kTotal);
+  auto payload = std::make_shared<Bytes>(kTotal);
   for (std::size_t i = 0; i < kTotal; ++i) {
-    payload[i] = static_cast<std::uint8_t>(i % 251);
+    (*payload)[i] = static_cast<std::uint8_t>(i % 251);
   }
   lt.RunOnLoop([&] {
     // A multi-megabyte write exercises the partial-write + EPOLLOUT path.
-    const Status s = client->Send(BytesView(payload));
+    const Status s = client->Send(payload);
     ASSERT_TRUE(s.ok() || s.code() == ErrorCode::kCapacity);
   });
   LoopThread::WaitFor([&] { return receivedBytes.load() == kTotal; }, 20000ms);
@@ -248,7 +248,9 @@ TEST(EpollLoopTest, ManyConcurrentConnections) {
     ASSERT_TRUE(r.ok());
     listener = std::move(*r);
     listener->SetAcceptHandler([](ConnectionPtr conn) {
-      conn->SetDataHandler([conn](BytesView data) { (void)conn->Send(data); });
+      conn->SetDataHandler([conn](BytesView data) {
+        (void)conn->Send(std::make_shared<const Bytes>(data.begin(), data.end()));
+      });
     });
     port.store(listener->Port());
   });
@@ -268,7 +270,7 @@ TEST(EpollLoopTest, ManyConcurrentConnections) {
   LoopThread::WaitFor([&] { return connectedCount.load() == kConns; });
 
   lt.RunOnLoop([&] {
-    for (auto& c : clients) ASSERT_TRUE(c->Send(AsBytes("x")).ok());
+    for (auto& c : clients) ASSERT_TRUE(c->Send(ToWire("x")).ok());
   });
   LoopThread::WaitFor([&] { return echoed.load() == kConns; });
 }

@@ -36,8 +36,8 @@ TEST_F(InprocTest, ListenConnectExchange) {
   ASSERT_TRUE(clientConn);
   ASSERT_TRUE(serverConn);
 
-  ASSERT_TRUE(clientConn->Send(AsBytes("hello ")).ok());
-  ASSERT_TRUE(clientConn->Send(AsBytes("world")).ok());
+  ASSERT_TRUE(clientConn->Send(ToWire("hello ")).ok());
+  ASSERT_TRUE(clientConn->Send(ToWire("world")).ok());
   sched.Run();
   EXPECT_EQ(serverReceived, "hello world");
 }
@@ -50,7 +50,7 @@ TEST_F(InprocTest, BidirectionalTraffic) {
     serverConn = c;
     c->SetDataHandler([c = c.get()](BytesView data) {
       // Echo back.
-      (void)c->Send(data);
+      (void)c->Send(std::make_shared<const Bytes>(data.begin(), data.end()));
     });
   });
 
@@ -63,7 +63,7 @@ TEST_F(InprocTest, BidirectionalTraffic) {
     });
   });
   sched.Run();
-  (void)clientConn->Send(AsBytes("ping"));
+  (void)clientConn->Send(ToWire("ping"));
   sched.Run();
   EXPECT_EQ(echoed, "ping");
 }
@@ -118,7 +118,7 @@ TEST_F(InprocTest, SendAfterCloseFails) {
   loop.Connect("srv", 1000, [&](Result<ConnectionPtr> r) { clientConn = *r; });
   sched.Run();
   clientConn->Close();
-  EXPECT_EQ(clientConn->Send(AsBytes("x")).code(), ErrorCode::kClosed);
+  EXPECT_EQ(clientConn->Send(ToWire("x")).code(), ErrorCode::kClosed);
 }
 
 TEST_F(InprocTest, DataSentBeforeCloseStillArrives) {
@@ -132,7 +132,7 @@ TEST_F(InprocTest, DataSentBeforeCloseStillArrives) {
   ConnectionPtr clientConn;
   loop.Connect("srv", 1000, [&](Result<ConnectionPtr> r) { clientConn = *r; });
   sched.Run();
-  (void)clientConn->Send(AsBytes("final words"));
+  (void)clientConn->Send(ToWire("final words"));
   clientConn->Close();
   sched.Run();
   EXPECT_EQ(received, "final words");
@@ -151,7 +151,7 @@ TEST_F(InprocTest, DeliveryDelayIsHonoured) {
   delayed.Connect("srv", 2000, [&](Result<ConnectionPtr> r) { clientConn = *r; });
   sched.Run();
   const TimePoint sendTime = sched.Now();
-  (void)clientConn->Send(AsBytes("x"));
+  (void)clientConn->Send(ToWire("x"));
   sched.Run();
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0] - sendTime, 5 * kMillisecond);

@@ -658,11 +658,11 @@ TEST(WalCacheTest, CacheAppendsAreRecoverableIntoAFreshCache) {
   Log fresh(env, TestConfig());
   core::Cache recovered(ccfg);
   const RecoveryStats stats = fresh.Recover(
-      [&recovered](Message&& m) { recovered.InsertRecovered(m, 0); });
+      [&recovered](Message&& m) { recovered.InsertRecovered(m); });
   EXPECT_EQ(stats.records, written.size());
   EXPECT_EQ(recovered.TotalMessages(), written.size());
   core::Cache reference(ccfg);
-  for (const auto& m : written) reference.InsertRecovered(m, 0);
+  for (const auto& m : written) reference.InsertRecovered(m);
   for (const auto& topic : {"topic/0", "topic/1", "topic/2"}) {
     EXPECT_EQ(recovered.LastPos(topic), reference.LastPos(topic)) << topic;
   }
@@ -673,7 +673,7 @@ TEST(WalCacheTest, ContiguousPositionsStopAtTheFirstHole) {
   ccfg.topicGroups = 1;
   core::Cache cache(ccfg);
   for (std::uint64_t seq : {1, 2, 3, 5, 6}) {  // hole at 4 (flip-skipped)
-    cache.InsertRecovered(MakeMsg("t", 1, seq), 0);
+    cache.InsertRecovered(MakeMsg("t", 1, seq));
   }
   const auto positions = cache.GroupPositions(0);
   ASSERT_EQ(positions.size(), 1U);
