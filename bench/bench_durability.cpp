@@ -154,7 +154,7 @@ RecoveryResult RunRecovery(bool durable, long msgs) {
   r.walRecovered = rec.records;
   r.walReplayMs = (t1 - t0) * 1e3;
   r.restartWallMs = (t2 - t0) * 1e3;
-  r.peerBackfilled = cluster.node(1).stats().recoveredMessages;
+  r.peerBackfilled = cluster.node(1).metrics().backfilled.Value();
   r.finalCached = cluster.node(1).cache().TotalMessages();
   return r;
 }

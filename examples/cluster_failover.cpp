@@ -103,7 +103,8 @@ int main() {
     if (cluster.node(i).CoordinatesGroup(group)) {
       std::printf("server-%zu now coordinates the topic's group (takeovers=%llu)\n",
                   i + 1,
-                  static_cast<unsigned long long>(cluster.node(i).stats().takeovers));
+                  static_cast<unsigned long long>(
+                      cluster.node(i).metrics().takeovers.Value()));
     }
   }
   std::printf("acknowledged publications: %d/8\n", acked);

@@ -902,7 +902,6 @@ class ChaosDriver {
     std::vector<bool> active(opts_.servers, true);
     if (opts_.elastic) {
       copts.nodeConfig.elastic = true;
-      copts.nodeConfig.quorumGate = true;
       for (const auto& ev : plan.events) {
         if (ev.kind == FaultEvent::Kind::kJoin && ev.victim < opts_.servers) {
           copts.deferredStart.insert(ev.victim);

@@ -1,11 +1,33 @@
 #include "cluster/node.hpp"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "common/logging.hpp"
 
 namespace md::cluster {
+
+namespace {
+
+/// Contact server gives up on a forwarded publication after this long and
+/// answers the publisher "failed" (it republishes).
+constexpr Duration kForwardTimeout = 2 * kSecond;
+/// Period of the partition self-fencing check (paper §5.2.2); also the
+/// membership join retry delay.
+constexpr Duration kFenceCheckInterval = 200 * kMillisecond;
+/// A topic whose broadcast stream shows a sequence gap stalls local fan-out
+/// while the backfill sync runs; after this long it resumes with whatever the
+/// cache holds (the syncing peer may have crashed mid-answer).
+constexpr Duration kGapSyncTimeout = kSecond;
+/// Membership events are debounced this long before recomputing the
+/// assignment, so a rolling join/leave wave coalesces into one hand-off set.
+constexpr Duration kRebalanceDebounce = 100 * kMillisecond;
+/// Old owner aborts a hand-off (unfreezes the slice and catches it up from
+/// the cache) if the new owner's ack does not arrive within this window.
+constexpr Duration kHandoffAckTimeout = kSecond;
+
+}  // namespace
 
 ClusterNode::ClusterNode(ClusterConfig cfg, ClusterEnv& env,
                          coord::CoordNode& coord, std::vector<std::string> peerIds)
@@ -17,6 +39,7 @@ ClusterNode::ClusterNode(ClusterConfig cfg, ClusterEnv& env,
       coord_(coord),
       peers_(std::move(peerIds)),
       cache_(cfg_.cache),
+      groups_(cfg_.topicGroups),
       cm_(cfg_.metrics != nullptr ? *cfg_.metrics
                                   : obs::MetricsRegistry::Default(),
           obs::ServerLabel(cfg_.serverId)),
@@ -31,29 +54,11 @@ ClusterNode::ClusterNode(ClusterConfig cfg, ClusterEnv& env,
     cache_.AttachWal(wal_.get());
   }
   if (cfg_.elastic) {
-    quorum_ = Quorum(cfg_.minQuorumVotes);
     memberUniverse_ = peers_;
     memberUniverse_.push_back(cfg_.serverId);
     std::sort(memberUniverse_.begin(), memberUniverse_.end());
     for (const std::string& id : memberUniverse_) quorum_.AddNode(id);
   }
-}
-
-ClusterNodeStats ClusterNode::stats() const {
-  ClusterNodeStats s;
-  s.published = cm_.published.Value();
-  s.forwarded = cm_.forwarded.Value();
-  s.delivered = cm_.delivered.Value();
-  s.rejects = cm_.rejects.Value();
-  s.takeovers = cm_.takeovers.Value();
-  s.fences = cm_.fences.Value();
-  s.recoveredMessages = cm_.backfilled.Value();
-  s.handoffs = cm_.handoffs.Value();
-  s.handoffAborts = cm_.handoffAborts.Value();
-  s.quorumRejects = cm_.quorumRejects.Value();
-  s.fenceRefusals = cm_.fenceRefusals.Value();
-  s.rebalances = cm_.rebalances.Value();
-  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -65,7 +70,7 @@ void ClusterNode::Start() {
   crashed_ = false;
   fenced_ = false;
   SetupWatches();
-  fenceTimer_ = env_.Schedule(cfg_.fenceCheckInterval, [this] { CheckFence(); });
+  fenceTimer_ = env_.Schedule(kFenceCheckInterval, [this] { CheckFence(); });
   if (wal_ && wal_->config().fsync == wal::FsyncPolicy::kGroupCommit) {
     walFlushTimer_ =
         env_.Schedule(wal_->config().flushInterval, [this] { WalFlushTick(); });
@@ -84,38 +89,42 @@ void ClusterNode::Crash() {
   // mercy (the sim's MemEnv then tears it realistically).
   if (wal_) wal_->Abandon();
   // Fail-stop: every piece of volatile state disappears.
-  for (const ClientHandle client : clients_) registry_.DropClient(client);
+  for (const auto& [client, id] : clients_) registry_.DropClient(client);
   clients_.clear();
   cache_.Clear();
-  gossip_.clear();
-  for (const std::uint32_t g : myGroups_) sequencer_.EndEpoch(g);
-  myGroups_.clear();
-  electing_.clear();
-  parked_.clear();
+  DropInFlightWork();
+  groups_.assign(cfg_.topicGroups, GroupState{});
   pendingContact_.clear();
-  cm_.replicationPending.Add(-static_cast<std::int64_t>(pendingCoord_.size()));
-  pendingCoord_.clear();
-  syncing_.clear();
-  for (const auto& [topic, timer] : gapStalled_) env_.Cancel(timer);
-  gapStalled_.clear();
-  deliveryCursor_.clear();
+  for (const auto& [topic, state] : topics_) {
+    if (state.stallTimer) env_.Cancel(*state.stallTimer);
+  }
+  topics_.clear();
   fenceStart_ = -1;  // a crash supersedes any open fence span
   // Elastic state is volatile too: the next incarnation rejoins with a fresh
   // fence epoch and rebuilds its membership view from the coordination store.
+  pendingAttach_.clear();
+  memberEpoch_.clear();
+  peerEpochFloor_.clear();
+  assignment_ = {};
+  for (const std::string& id : memberUniverse_) quorum_.SetOnline(id, false);
+}
+
+void ClusterNode::DropInFlightWork() {
+  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+    sequencer_.EndEpoch(g);
+    groups_[g].electing = false;
+    groups_[g].parked.clear();
+  }
+  cm_.replicationPending.Add(-static_cast<std::int64_t>(pendingCoord_.size()));
+  pendingCoord_.clear();
+  for (auto& [id, handoff] : outHandoffs_) env_.Cancel(handoff.timeoutTimer);
+  outHandoffs_.clear();
   env_.Cancel(rebalanceTimer_);
   rebalanceTimer_ = 0;
   env_.Cancel(joinTimer_);
   joinTimer_ = 0;
-  for (auto& [id, handoff] : outHandoffs_) env_.Cancel(handoff.timeoutTimer);
-  outHandoffs_.clear();
-  pendingAttach_.clear();
-  clientIds_.clear();
-  memberEpoch_.clear();
-  peerEpochFloor_.clear();
-  assignment_ = {};
   leaving_ = false;
   leaveDone_ = nullptr;
-  for (const std::string& id : memberUniverse_) quorum_.SetOnline(id, false);
 }
 
 void ClusterNode::Restart() {
@@ -168,14 +177,12 @@ void ClusterNode::SetupWatches() {
         case coord::WatchEventType::kChanged:
           if (event.value != cfg_.serverId) {
             // Another server coordinates now; epoch arrives via gossip.
-            myGroups_.erase(g);
             sequencer_.EndEpoch(g);
           }
           break;
         case coord::WatchEventType::kDeleted:
-          myGroups_.erase(g);
           sequencer_.EndEpoch(g);
-          gossip_.erase(g);
+          groups_[g].gossip.reset();
           // Race to take over groups we hold state for. Idle groups are
           // re-assigned lazily by the next publication.
           if (!cache_.GroupPositions(g).empty()) AttemptTakeover(g);
@@ -207,14 +214,14 @@ void ClusterNode::OnClientConnect(ClientHandle client, const std::string& client
     env_.CloseClient(client);
     return;
   }
-  clients_.insert(client);
-  if (!clientId.empty()) clientIds_[client] = clientId;
+  // A repeated CONNECT without an id keeps the id the session already has.
+  std::string& id = clients_[client];
+  if (!clientId.empty()) id = clientId;
   env_.SendToClient(client, ConnAckFrame{cfg_.serverId});
 }
 
 void ClusterNode::OnClientDisconnect(ClientHandle client) {
   clients_.erase(client);
-  clientIds_.erase(client);
   registry_.DropClient(client);
 }
 
@@ -262,8 +269,8 @@ void ClusterNode::HandleSubscribe(ClientHandle client, const SubscribeFrame& sub
     // A redirected hand-off session subscribing fresh adopts the transferred
     // cursor as its resume floor, so the backfill starts exactly at the
     // ownership boundary (consumed once per topic).
-    const auto idIt = clientIds_.find(client);
-    if (idIt != clientIds_.end()) {
+    const auto idIt = clients_.find(client);
+    if (idIt != clients_.end() && !idIt->second.empty()) {
       const auto attachIt = pendingAttach_.find(idIt->second);
       if (attachIt != pendingAttach_.end()) {
         auto& cursors = attachIt->second;
@@ -286,8 +293,9 @@ void ClusterNode::HandleSubscribe(ClientHandle client, const SubscribeFrame& sub
     // the provably contiguous prefix of the backfill and let the post-sync
     // DeliverInOrder flush hand over the rest (already-caught-up subscribers
     // filter the overlap).
-    const bool suspect = syncing_.contains(GroupOf(sub.topic)) ||
-                         gapStalled_.contains(sub.topic);
+    const auto topicIt = topics_.find(sub.topic);
+    const bool suspect = groups_[GroupOf(sub.topic)].syncing ||
+                         (topicIt != topics_.end() && topicIt->second.stallTimer);
     StreamPos last = resumeAfter;
     bool truncated = false;
     for (const Message& missed : cache_.GetAfter(sub.topic, resumeAfter)) {
@@ -305,8 +313,8 @@ void ClusterNode::HandleSubscribe(ClientHandle client, const SubscribeFrame& sub
     if (truncated) {
       // Rewind the shared fan-out cursor to the boundary so the post-sync
       // flush re-delivers from there; clients already past it dedup.
-      auto [it, inserted] = deliveryCursor_.try_emplace(sub.topic, last);
-      if (!inserted && last < it->second) it->second = last;
+      std::optional<StreamPos>& cursor = topics_[sub.topic].cursor;
+      if (!cursor || last < *cursor) cursor = last;
       StallDelivery(sub.topic);
     }
   }
@@ -326,14 +334,9 @@ void ClusterNode::HandlePublish(ClientHandle client, const PublishFrame& pub) {
 // Publication routing (paper §5.2.2)
 // ---------------------------------------------------------------------------
 
-void ClusterNode::RoutePublication(ParkedPublication pub) {
+void ClusterNode::RoutePublication(ParkedPublication pub, bool elect) {
   if (fenced_) {
-    if (!pub.originServerId.empty()) {
-      env_.SendToPeer(pub.originServerId, ForwardRejectFrame{pub.pubId, pub.topic});
-    } else if (pub.publisher != 0) {
-      env_.SendToClient(pub.publisher,
-                        PubAckFrame{pub.pubId, PubAckCode::kFailed});
-    }
+    Refuse(pub, PubAckCode::kFailed);
     return;
   }
   if (!HasWriteQuorum()) {
@@ -342,55 +345,41 @@ void ClusterNode::RoutePublication(ParkedPublication pub) {
     // publications bounce to their contact server, which answers its own
     // publisher.
     cm_.quorumRejects.Inc();
-    if (!pub.originServerId.empty()) {
-      env_.SendToPeer(pub.originServerId, ForwardRejectFrame{pub.pubId, pub.topic});
-    } else if (pub.publisher != 0) {
-      if (pendingContact_.contains(pub.pubId)) {
-        AckContactPending(pub.pubId, false);
-      } else {
-        env_.SendToClient(pub.publisher,
-                          PubAckFrame{pub.pubId, PubAckCode::kNoQuorum});
-      }
-    }
+    Refuse(pub, PubAckCode::kNoQuorum);
     return;
   }
   const std::uint32_t group = GroupOf(pub.topic);
-
-  if (myGroups_.contains(group)) {
-    SequenceAndBroadcast(pub);
+  if (const auto pos = sequencer_.Assign(group, pub.topic)) {
+    SequenceAndBroadcast(pub, *pos);
     return;
   }
 
-  if (electing_.contains(group)) {
-    parked_[group].push_back(std::move(pub));  // takeover already running
+  GroupState& state = groups_[group];
+  if (state.electing) {
+    state.parked.push_back(std::move(pub));  // takeover already running
+    return;
+  }
+  if (elect) {
+    // Not the coordinator. Whether designated for election or holding stale
+    // gossip at the sender, the right move is to run for coordinator: the
+    // MiniZK create arbitrates.
+    state.parked.push_back(std::move(pub));
+    AttemptTakeover(group);
     return;
   }
 
   // The contact server remembers the publication until the sequenced
   // broadcast comes back (the signal that two copies exist), then acks.
   if (pub.originServerId.empty() && pub.publisher != 0) {
-    PendingContact pending;
-    pending.publisher = pub.publisher;
-    pending.topic = pub.topic;
     const PublicationId pubId = pub.pubId;
-    pending.timeoutTimer = env_.Schedule(cfg_.forwardTimeout, [this, pubId] {
-      AckContactPending(pubId, false);  // publisher will republish
-    });
-    pendingContact_[pub.pubId] = pending;
+    pendingContact_[pubId] = PendingContact{
+        pub.publisher, env_.Schedule(kForwardTimeout, [this, pubId] {
+          AckContactPending(pubId, false);  // publisher will republish
+        })};
   }
 
-  const auto it = gossip_.find(group);
-  if (it != gossip_.end() && it->second.serverId != cfg_.serverId) {
-    // Known coordinator: forward.
-    cm_.forwarded.Inc();
-    ForwardPubFrame fwd;
-    fwd.topic = pub.topic;
-    fwd.payload = pub.payload;
-    fwd.pubId = pub.pubId;
-    fwd.originServerId = cfg_.serverId;
-    fwd.publishTs = pub.publishTs;
-    fwd.electIfUnassigned = false;
-    env_.SendToPeer(it->second.serverId, fwd);
+  if (state.gossip && state.gossip->serverId != cfg_.serverId) {
+    Forward(pub, state.gossip->serverId, /*electIfUnassigned=*/false);
     return;
   }
 
@@ -399,42 +388,44 @@ void ClusterNode::RoutePublication(ParkedPublication pub) {
   // role — paper footnote 2). The random pick may be ourselves.
   const std::size_t pick = env_.Random() % (peers_.size() + 1);
   if (pick == peers_.size()) {
-    parked_[group].push_back(std::move(pub));
+    state.parked.push_back(std::move(pub));
     AttemptTakeover(group);
   } else {
-    cm_.forwarded.Inc();
-    ForwardPubFrame fwd;
-    fwd.topic = pub.topic;
-    fwd.payload = pub.payload;
-    fwd.pubId = pub.pubId;
-    fwd.originServerId = cfg_.serverId;
-    fwd.publishTs = pub.publishTs;
-    fwd.electIfUnassigned = true;
-    env_.SendToPeer(peers_[pick], fwd);
+    Forward(pub, peers_[pick], /*electIfUnassigned=*/true);
   }
 }
 
-void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub) {
-  const std::uint32_t group = GroupOf(pub.topic);
-  const auto pos = sequencer_.Assign(group, pub.topic);
-  if (!pos) {
-    // Lost coordination between routing and sequencing; retry routing.
-    ParkedPublication copy = pub;
-    RoutePublication(std::move(copy));
-    return;
-  }
+void ClusterNode::Forward(const ParkedPublication& pub, const std::string& to,
+                          bool electIfUnassigned) {
+  cm_.forwarded.Inc();
+  env_.SendToPeer(to, ForwardPubFrame{pub.topic, pub.payload, pub.pubId,
+                                      cfg_.serverId, pub.publishTs,
+                                      electIfUnassigned});
+}
 
+void ClusterNode::Refuse(const ParkedPublication& pub, PubAckCode code) {
+  if (!pub.originServerId.empty()) {
+    env_.SendToPeer(pub.originServerId, ForwardRejectFrame{pub.pubId, pub.topic});
+  } else if (pub.publisher != 0) {
+    if (pendingContact_.contains(pub.pubId)) {
+      AckContactPending(pub.pubId, false);
+    } else {
+      env_.SendToClient(pub.publisher, PubAckFrame{pub.pubId, code});
+    }
+  }
+}
+
+void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub, StreamPos pos) {
   Message msg;
   msg.topic = pub.topic;
   msg.payload = pub.payload;
-  msg.epoch = pos->epoch;
-  msg.seq = pos->seq;
+  msg.epoch = pos.epoch;
+  msg.seq = pos.seq;
   msg.pubId = pub.pubId;
   msg.publishTs = pub.publishTs;
 
-  if (!deliveryCursor_.contains(msg.topic)) {
-    deliveryCursor_[msg.topic] = cache_.LastPos(msg.topic).value_or(StreamPos{});
-  }
+  std::optional<StreamPos>& cursor = topics_[msg.topic].cursor;
+  if (!cursor) cursor = cache_.LastPos(msg.topic).value_or(StreamPos{});
   cache_.Append(msg, env_.Now());
   cm_.published.Inc();
 
@@ -458,6 +449,7 @@ void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub) {
     cm_.replicationPending.Add(1);
   }
 
+  const std::uint32_t group = GroupOf(pub.topic);
   BroadcastFrame bcast;
   bcast.msg = msg;
   bcast.group = group;
@@ -471,11 +463,11 @@ void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub) {
 void ClusterNode::AttemptTakeover(std::uint32_t group) {
   // A leaving member must not acquire new coordinator roles — it is about to
   // delete the very group entries a takeover would create.
-  if (crashed_ || fenced_ || leaving_ || myGroups_.contains(group) ||
-      electing_.contains(group)) {
+  if (crashed_ || fenced_ || leaving_ || sequencer_.IsSequencing(group) ||
+      groups_[group].electing) {
     return;
   }
-  electing_.insert(group);
+  groups_[group].electing = true;
   // Atomic create in MiniZK: at most one server wins (paper §5.2.1).
   coord_.CreateEphemeral(
       GroupKey(group), cfg_.serverId, [this, group](Status s, std::uint64_t) {
@@ -483,7 +475,7 @@ void ClusterNode::AttemptTakeover(std::uint32_t group) {
         if (!s.ok()) {
           // Lost the race (or no quorum): unpark with a reject so
           // publishers republish toward the actual winner.
-          electing_.erase(group);
+          groups_[group].electing = false;
           RejectParked(group);
           return;
         }
@@ -493,7 +485,7 @@ void ClusterNode::AttemptTakeover(std::uint32_t group) {
         coord_.Put(EpochKey(group), cfg_.serverId,
                    [this, group](Status ps, std::uint64_t version) {
                      if (crashed_ || !started_) return;
-                     electing_.erase(group);
+                     groups_[group].electing = false;
                      if (!ps.ok()) {
                        coord_.Delete(GroupKey(group), {});
                        RejectParked(group);
@@ -506,13 +498,12 @@ void ClusterNode::AttemptTakeover(std::uint32_t group) {
 
 void ClusterNode::FinishTakeover(std::uint32_t group, std::uint32_t epoch) {
   cm_.takeovers.Inc();
-  myGroups_.insert(group);
   sequencer_.BeginEpoch(group, epoch);
   // Never reissue sequence numbers for positions already cached.
   for (const auto& [topic, pos] : cache_.GroupPositions(group)) {
     sequencer_.PrimeTopic(group, topic, pos);
   }
-  gossip_[group] = {cfg_.serverId, epoch};
+  groups_[group].gossip = Gossip{cfg_.serverId, epoch};
   MD_DEBUG("%s: coordinating group %u at epoch %u", cfg_.serverId.c_str(), group,
            epoch);
 
@@ -524,28 +515,16 @@ void ClusterNode::FinishTakeover(std::uint32_t group, std::uint32_t epoch) {
 }
 
 void ClusterNode::DrainParked(std::uint32_t group) {
-  auto node = parked_.extract(group);
-  if (node.empty()) return;
-  for (ParkedPublication& pub : node.mapped()) {
+  // Taken out first: routing may park a publication in this group again.
+  for (ParkedPublication& pub : std::exchange(groups_[group].parked, {})) {
     RoutePublication(std::move(pub));
   }
 }
 
 void ClusterNode::RejectParked(std::uint32_t group) {
-  auto node = parked_.extract(group);
-  if (node.empty()) return;
-  for (const ParkedPublication& pub : node.mapped()) {
+  for (const ParkedPublication& pub : std::exchange(groups_[group].parked, {})) {
     cm_.rejects.Inc();
-    if (!pub.originServerId.empty()) {
-      env_.SendToPeer(pub.originServerId, ForwardRejectFrame{pub.pubId, pub.topic});
-    } else if (pub.publisher != 0) {
-      if (pendingContact_.contains(pub.pubId)) {
-        AckContactPending(pub.pubId, false);
-      } else {
-        env_.SendToClient(pub.publisher,
-                          PubAckFrame{pub.pubId, PubAckCode::kFailed});
-      }
-    }
+    Refuse(pub, PubAckCode::kFailed);
   }
 }
 
@@ -555,6 +534,18 @@ void ClusterNode::RejectParked(std::uint32_t group) {
 
 void ClusterNode::OnPeerFrame(const std::string& from, const Frame& frame) {
   if (crashed_ || !started_) return;
+  // Frames that name a topic group index the per-group record: one naming a
+  // group this cluster does not have is malformed and dropped whole.
+  const std::uint32_t* group = nullptr;
+  if (const auto* bcast = std::get_if<BroadcastFrame>(&frame)) group = &bcast->group;
+  if (const auto* ann = std::get_if<GossipAnnounceFrame>(&frame)) group = &ann->group;
+  if (const auto* req = std::get_if<CacheSyncReqFrame>(&frame)) group = &req->group;
+  if (const auto* resp = std::get_if<CacheSyncRespFrame>(&frame)) group = &resp->group;
+  if (group != nullptr && *group >= groups_.size()) {
+    MD_WARN("%s: dropped a frame from %s naming group %u of %zu",
+            cfg_.serverId.c_str(), from.c_str(), *group, groups_.size());
+    return;
+  }
   if (const auto* bcast = std::get_if<BroadcastFrame>(&frame)) {
     OnBroadcast(from, *bcast);
     return;
@@ -605,9 +596,9 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
   // running elastic membership and is always accepted.
   if (RefuseStaleEpoch(from, bcast.fenceEpoch)) return;
   // Refresh gossip from live traffic: broadcasts carry the coordinator.
-  auto& entry = gossip_[bcast.group];
-  if (bcast.msg.epoch >= entry.epoch) {
-    entry = {bcast.coordinatorId, bcast.msg.epoch};
+  std::optional<Gossip>& gossip = groups_[bcast.group].gossip;
+  if (!gossip || bcast.msg.epoch >= gossip->epoch) {
+    gossip = Gossip{bcast.coordinatorId, bcast.msg.epoch};
   }
 
   // The transport is FIFO, so a sequence gap means broadcasts were lost to a
@@ -630,9 +621,8 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
     // publisher acks are not held up.
     StallDelivery(bcast.msg.topic);
   }
-  if (!deliveryCursor_.contains(bcast.msg.topic)) {
-    deliveryCursor_[bcast.msg.topic] = last.value_or(StreamPos{});
-  }
+  std::optional<StreamPos>& cursor = topics_[bcast.msg.topic].cursor;
+  if (!cursor) cursor = last.value_or(StreamPos{});
 
   cache_.Append(bcast.msg, env_.Now());
   env_.SendToPeer(from, BroadcastAckFrame{bcast.group, bcast.msg.epoch,
@@ -677,34 +667,13 @@ void ClusterNode::OnReplicatedNotice(const ReplicatedNoticeFrame& notice) {
 }
 
 void ClusterNode::OnForwardPub(const std::string& from, const ForwardPubFrame& fwd) {
-  if (fenced_) {
-    // A fenced node cannot win elections or replicate; bounce immediately so
-    // the publisher retries toward a healthy server.
-    const std::string origin = fwd.originServerId.empty() ? from : fwd.originServerId;
-    env_.SendToPeer(origin, ForwardRejectFrame{fwd.pubId, fwd.topic});
-    return;
-  }
   ParkedPublication pub;
   pub.topic = fwd.topic;
   pub.payload = fwd.payload;
   pub.pubId = fwd.pubId;
   pub.publishTs = fwd.publishTs;
   pub.originServerId = fwd.originServerId.empty() ? from : fwd.originServerId;
-
-  const std::uint32_t group = GroupOf(pub.topic);
-  if (myGroups_.contains(group)) {
-    SequenceAndBroadcast(pub);
-    return;
-  }
-  if (electing_.contains(group)) {
-    parked_[group].push_back(std::move(pub));
-    return;
-  }
-  // Not the coordinator. Whether designated for election or holding stale
-  // gossip at the sender, the right move is to run for coordinator: the
-  // MiniZK create arbitrates.
-  parked_[group].push_back(std::move(pub));
-  AttemptTakeover(group);
+  RoutePublication(std::move(pub), /*elect=*/true);
 }
 
 void ClusterNode::OnForwardReject(const ForwardRejectFrame& reject) {
@@ -716,13 +685,10 @@ void ClusterNode::OnForwardReject(const ForwardRejectFrame& reject) {
 }
 
 void ClusterNode::OnGossipAnnounce(const GossipAnnounceFrame& announce) {
-  auto& entry = gossip_[announce.group];
-  if (announce.epoch >= entry.epoch) {
-    entry = {announce.serverId, announce.epoch};
-    if (announce.serverId != cfg_.serverId) {
-      myGroups_.erase(announce.group);
-      sequencer_.EndEpoch(announce.group);
-    }
+  std::optional<Gossip>& gossip = groups_[announce.group].gossip;
+  if (!gossip || announce.epoch >= gossip->epoch) {
+    gossip = Gossip{announce.serverId, announce.epoch};
+    if (announce.serverId != cfg_.serverId) sequencer_.EndEpoch(announce.group);
     DrainParked(announce.group);
   }
 }
@@ -742,7 +708,7 @@ void ClusterNode::OnCacheSyncReq(const std::string& from, const CacheSyncReqFram
       if (h == head.end() || PosOf(msg) >= h->second) continue;
     }
     resp.messages.push_back(msg);
-    if (resp.messages.size() >= cfg_.cacheSyncChunk) {
+    if (resp.messages.size() >= kCacheSyncChunk) {
       resp.done = false;
       env_.SendToPeer(from, resp);
       resp.messages.clear();
@@ -757,22 +723,19 @@ void ClusterNode::OnCacheSyncResp(const CacheSyncRespFrame& resp) {
     if (cache_.Insert(msg, env_.Now())) cm_.backfilled.Inc();
   }
   if (!resp.done) return;
-  syncing_.erase(resp.group);
+  groups_[resp.group].syncing = false;
   // A completed sync is the release condition for topics stalled behind a
-  // sequence gap in this group.
-  for (auto it = gapStalled_.begin(); it != gapStalled_.end();) {
-    if (GroupOf(it->first) != resp.group) {
-      ++it;
-      continue;
+  // sequence gap in this group. Then flush every live stream in the group
+  // past the backfill. This also covers holes no broadcast ever exposed — a
+  // stream's tail lost to a link fault is recovered by the reconnection
+  // sync, and subscribers must still see it.
+  for (auto& [topic, state] : topics_) {
+    if (GroupOf(topic) != resp.group) continue;
+    if (state.stallTimer) {
+      env_.Cancel(*state.stallTimer);
+      state.stallTimer.reset();
     }
-    env_.Cancel(it->second);
-    it = gapStalled_.erase(it);
-  }
-  // Flush every live stream in the group past the backfill. This also covers
-  // holes no broadcast ever exposed — a stream's tail lost to a link fault is
-  // recovered by the reconnection sync, and subscribers must still see it.
-  for (const auto& [topic, cursor] : deliveryCursor_) {
-    if (GroupOf(topic) == resp.group) DeliverInOrder(topic);
+    if (state.cursor) DeliverInOrder(topic);
   }
 }
 
@@ -804,8 +767,9 @@ void ClusterNode::DeliverToLocalSubscribers(const Message& msg) {
 }
 
 void ClusterNode::DeliverInOrder(const std::string& topic) {
-  if (gapStalled_.contains(topic)) return;
-  StreamPos& cursor = deliveryCursor_[topic];
+  TopicState& state = topics_[topic];
+  if (state.stallTimer) return;
+  StreamPos& cursor = state.cursor ? *state.cursor : state.cursor.emplace();
   for (const Message& msg : cache_.GetAfter(topic, cursor)) {
     cursor = PosOf(msg);
     DeliverToLocalSubscribers(msg);
@@ -813,11 +777,12 @@ void ClusterNode::DeliverInOrder(const std::string& topic) {
 }
 
 void ClusterNode::StallDelivery(const std::string& topic) {
-  if (gapStalled_.contains(topic)) return;
-  gapStalled_[topic] = env_.Schedule(cfg_.gapSyncTimeout, [this, topic] {
+  TopicState& state = topics_[topic];
+  if (state.stallTimer) return;
+  state.stallTimer = env_.Schedule(kGapSyncTimeout, [this, topic] {
     // The backfill never completed (peer gone mid-sync). Resume with what the
     // cache holds rather than stalling the stream forever.
-    gapStalled_.erase(topic);
+    topics_[topic].stallTimer.reset();
     DeliverInOrder(topic);
   });
 }
@@ -828,7 +793,7 @@ void ClusterNode::StallDelivery(const std::string& topic) {
 
 void ClusterNode::CheckFence() {
   if (crashed_ || !started_) return;
-  fenceTimer_ = env_.Schedule(cfg_.fenceCheckInterval, [this] { CheckFence(); });
+  fenceTimer_ = env_.Schedule(kFenceCheckInterval, [this] { CheckFence(); });
 
   const bool quorum = coord_.HasQuorumContact();
   if (!quorum && !fenced_) {
@@ -847,38 +812,22 @@ void ClusterNode::Fence() {
   cm_.fences.Inc();
   MD_INFO("%s: lost quorum contact — fencing, closing %zu clients",
           cfg_.serverId.c_str(), clients_.size());
-  const auto clients = clients_;  // CloseClient may reenter OnClientDisconnect
-  for (const ClientHandle client : clients) {
+  const auto clients = std::exchange(clients_, {});  // CloseClient may reenter
+  for (const auto& [client, id] : clients) {
     env_.SendToClient(client, DisconnectFrame{"server fenced: lost cluster quorum"});
     env_.CloseClient(client);
     registry_.DropClient(client);
   }
-  clients_.clear();
-  clientIds_.clear();
-  // In-flight hand-offs cannot complete without the peers; their sessions are
-  // among the connections just closed.
-  for (auto& [id, handoff] : outHandoffs_) env_.Cancel(handoff.timeoutTimer);
-  outHandoffs_.clear();
-  env_.Cancel(rebalanceTimer_);
-  rebalanceTimer_ = 0;
-  env_.Cancel(joinTimer_);
-  joinTimer_ = 0;
-  leaving_ = false;
-  leaveDone_ = nullptr;
-  // Coordination roles are forfeited: the ephemerals will expire server-side.
-  for (const std::uint32_t g : myGroups_) sequencer_.EndEpoch(g);
-  myGroups_.clear();
-  electing_.clear();
-  // Parked and pending publications cannot complete.
-  for (auto& [group, queue] : parked_) {
-    for (const auto& pub : queue) {
-      if (!pub.originServerId.empty()) continue;  // origin will time out
-      if (pub.publisher != 0) cm_.rejects.Inc();
+  // Parked local publications cannot complete (forwarded ones time out at
+  // their origin). In-flight hand-offs cannot complete without the peers;
+  // their sessions are among the connections just closed. Coordination
+  // roles are forfeited: the ephemerals will expire server-side.
+  for (const GroupState& state : groups_) {
+    for (const ParkedPublication& pub : state.parked) {
+      if (pub.originServerId.empty() && pub.publisher != 0) cm_.rejects.Inc();
     }
   }
-  parked_.clear();
-  cm_.replicationPending.Add(-static_cast<std::int64_t>(pendingCoord_.size()));
-  pendingCoord_.clear();
+  DropInFlightWork();
 }
 
 void ClusterNode::Unfence() {
@@ -891,7 +840,7 @@ void ClusterNode::Unfence() {
     cm_.failoverNs.Record(span);
     fenceStart_ = -1;
   }
-  gossip_.clear();  // stale after the partition
+  for (GroupState& state : groups_) state.gossip.reset();  // stale after the partition
   // "When the partition is restored, the server can recover following the
   // same procedure as for a crash failure."
   StartCacheReconstruction();
@@ -902,9 +851,14 @@ void ClusterNode::Unfence() {
 }
 
 void ClusterNode::StartCacheReconstruction() {
-  if (peers_.empty()) return;
+  RequestSync(peers_, /*reconstruct=*/true);
+}
+
+void ClusterNode::RequestSync(const std::vector<std::string>& peers,
+                              bool reconstruct) {
+  if (peers.empty()) return;
   for (std::uint32_t g = 0; g < cfg_.topicGroups; ++g) {
-    syncing_.insert(g);
+    if (reconstruct) groups_[g].syncing = true;
     CacheSyncReqFrame req;
     req.group = g;
     // Contiguous-prefix cursors, not newest positions: a WAL-recovered
@@ -915,10 +869,10 @@ void ClusterNode::StartCacheReconstruction() {
     // The cursor can only prove "nothing missing AFTER it". A hole BEFORE
     // the first surviving record — a bit flip or ENOSPC window that took a
     // topic's head — looks identical to a history that simply started
-    // later, so also tell peers where our history begins and let them
-    // resend anything older they still hold.
-    req.head = cache_.GroupEarliestPositions(g);
-    for (const std::string& peer : peers_) env_.SendToPeer(peer, req);
+    // later, so a reconstruction also tells peers where our history begins
+    // and lets them resend anything older they still hold.
+    if (reconstruct) req.head = cache_.GroupEarliestPositions(g);
+    for (const std::string& peer : peers) env_.SendToPeer(peer, req);
   }
 }
 
@@ -963,7 +917,7 @@ void ClusterNode::JoinMembership() {
 
 void ClusterNode::RetryJoin() {
   env_.Cancel(joinTimer_);
-  joinTimer_ = env_.Schedule(cfg_.fenceCheckInterval, [this] {
+  joinTimer_ = env_.Schedule(kFenceCheckInterval, [this] {
     joinTimer_ = 0;
     JoinMembership();
   });
@@ -1029,7 +983,7 @@ bool ClusterNode::RefuseStaleEpoch(const std::string& senderId,
 void ClusterNode::ScheduleRebalance() {
   if (!cfg_.elastic || leaving_) return;
   env_.Cancel(rebalanceTimer_);
-  rebalanceTimer_ = env_.Schedule(cfg_.rebalanceDebounce, [this] {
+  rebalanceTimer_ = env_.Schedule(kRebalanceDebounce, [this] {
     rebalanceTimer_ = 0;
     if (crashed_ || !started_ || fenced_ || leaving_) return;
     Rebalance();
@@ -1043,23 +997,23 @@ void ClusterNode::Rebalance() {
   }
   cm_.activeMembers.Set(static_cast<std::int64_t>(members.size()));
   if (members.empty()) return;
-  const Assignment next =
-      Rebalancer::Compute(cfg_.subscriberPartitions, members);
+  Assignment next = Rebalancer::Compute(kSubscriberPartitions, members);
   if (next == assignment_) return;
-  assignment_ = next;
+  assignment_ = std::move(next);
   cm_.rebalances.Inc();
+  HandOffMovedPartitions();
+}
 
-  // Every subscriber partition hosted here whose sessions now belong to a
-  // different owner starts a hand-off (at most one in flight per partition).
+void ClusterNode::HandOffMovedPartitions() {
+  // At most one hand-off in flight per partition.
   std::set<std::uint32_t> hosted;
-  for (const ClientHandle client : clients_) {
-    const auto it = clientIds_.find(client);
-    if (it != clientIds_.end()) hosted.insert(PartitionOfClient(it->second));
+  for (const auto& [client, id] : clients_) {
+    if (!id.empty()) hosted.insert(Rebalancer::PartitionOf(id, kSubscriberPartitions));
   }
   std::set<std::uint32_t> inFlight;
   for (const auto& [id, handoff] : outHandoffs_) inFlight.insert(handoff.partition);
   for (const std::uint32_t partition : hosted) {
-    const std::string& owner = next.OwnerOf(partition);
+    const std::string& owner = assignment_.OwnerOf(partition);
     if (owner.empty() || owner == cfg_.serverId) continue;
     if (!inFlight.contains(partition)) StartHandoff(partition, owner);
   }
@@ -1076,17 +1030,17 @@ void ClusterNode::StartHandoff(std::uint32_t partition, const std::string& targe
   PendingHandoff handoff;
   handoff.partition = partition;
   handoff.target = target;
-  for (const ClientHandle client : clients_) {
-    const auto it = clientIds_.find(client);
-    if (it == clientIds_.end() || PartitionOfClient(it->second) != partition) {
+  for (const auto& [client, id] : clients_) {
+    if (id.empty() ||
+        Rebalancer::PartitionOf(id, kSubscriberPartitions) != partition) {
       continue;
     }
     HandoffSession session;
-    session.clientId = it->second;
+    session.clientId = id;
     for (const std::string& topic : registry_.SetFrozen(client, true)) {
-      const auto cur = deliveryCursor_.find(topic);
-      const StreamPos pos = cur != deliveryCursor_.end()
-                                ? cur->second
+      const auto cur = topics_.find(topic);
+      const StreamPos pos = cur != topics_.end() && cur->second.cursor
+                                ? *cur->second.cursor
                                 : cache_.LastPos(topic).value_or(StreamPos{});
       session.cursors.emplace_back(topic, pos);
     }
@@ -1103,7 +1057,7 @@ void ClusterNode::StartHandoff(std::uint32_t partition, const std::string& targe
            cfg_.serverId.c_str(), static_cast<unsigned long long>(id),
            partition, handoff.sessions.size(), target.c_str());
   handoff.timeoutTimer =
-      env_.Schedule(cfg_.handoffAckTimeout, [this, id] { AbortHandoff(id); });
+      env_.Schedule(kHandoffAckTimeout, [this, id] { AbortHandoff(id); });
   outHandoffs_[id] = std::move(handoff);
   env_.SendToPeer(target, begin);
 }
@@ -1174,10 +1128,10 @@ void ClusterNode::AbortHandoff(std::uint64_t handoffId) {
   for (const auto& [client, session] : handoff.sessions) {
     if (!clients_.contains(client)) continue;
     for (const auto& [topic, frozenAt] : session.cursors) {
-      const auto cur = deliveryCursor_.find(topic);
-      if (cur == deliveryCursor_.end()) continue;
+      const auto cur = topics_.find(topic);
+      if (cur == topics_.end() || !cur->second.cursor) continue;
       for (const Message& missed : cache_.GetAfter(topic, frozenAt)) {
-        if (cur->second < PosOf(missed)) break;
+        if (*cur->second.cursor < PosOf(missed)) break;
         cm_.delivered.Inc();
         env_.SendToClient(client, DeliverFrame{missed});
       }
@@ -1203,21 +1157,8 @@ void ClusterNode::Leave(std::function<void()> done) {
     if (id != cfg_.serverId && quorum_.IsOnline(id)) rest.push_back(id);
   }
   if (!rest.empty()) {
-    assignment_ = Rebalancer::Compute(cfg_.subscriberPartitions, rest);
-    std::set<std::uint32_t> hosted;
-    for (const ClientHandle client : clients_) {
-      const auto it = clientIds_.find(client);
-      if (it != clientIds_.end()) hosted.insert(PartitionOfClient(it->second));
-    }
-    std::set<std::uint32_t> inFlight;
-    for (const auto& [id, handoff] : outHandoffs_) {
-      inFlight.insert(handoff.partition);
-    }
-    for (const std::uint32_t partition : hosted) {
-      const std::string& owner = assignment_.OwnerOf(partition);
-      if (owner.empty() || owner == cfg_.serverId) continue;
-      if (!inFlight.contains(partition)) StartHandoff(partition, owner);
-    }
+    assignment_ = Rebalancer::Compute(kSubscriberPartitions, rest);
+    HandOffMovedPartitions();
   }
   MaybeFinishLeave();
 }
@@ -1229,12 +1170,12 @@ void ClusterNode::MaybeFinishLeave() {
   // peers' watches and whoever holds replicated state races to take over
   // (§5.2.1). Without this, publications for our groups would keep routing
   // to a member that no longer exists.
-  for (const std::uint32_t g : myGroups_) {
+  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+    if (!sequencer_.IsSequencing(g)) continue;
     sequencer_.EndEpoch(g);
-    gossip_.erase(g);
+    groups_[g].gossip.reset();
     coord_.Delete(GroupKey(g), {});
   }
-  myGroups_.clear();
   // The ephemeral delete is the leave event peers observe; their floors rise
   // past this incarnation so nothing it still has buffered can land.
   coord_.Delete(coord::MemberKey(cfg_.serverId), {});
@@ -1252,12 +1193,7 @@ void ClusterNode::SyncFromPeer(const std::string& peerId) {
   // sufficient for the current member to ask from the cache of the peer the
   // messages after the last sequence number it previously received".
   if (crashed_ || !started_) return;
-  for (std::uint32_t g = 0; g < cfg_.topicGroups; ++g) {
-    CacheSyncReqFrame req;
-    req.group = g;
-    req.have = cache_.GroupContiguousPositions(g);
-    env_.SendToPeer(peerId, req);
-  }
+  RequestSync({peerId}, /*reconstruct=*/false);
 }
 
 }  // namespace md::cluster

@@ -22,6 +22,13 @@
 //   - Coordinator failure deletes its ephemeral mapping; watchers race to
 //     take over, the winner bumping the group's epoch (a linearized MiniZK
 //     version) so streams across coordinators stay totally ordered.
+//
+// State: one GroupState per topic group (gossip entry, running election,
+// outstanding cache sync, publications parked behind the election), one
+// record per client (its application id) and one per topic (delivery cursor,
+// gap-stall timer). Whether this node coordinates a group is the Sequencer's
+// answer alone. Every publication, local or forwarded, is routed, gated and
+// refused through one path (RoutePublication, Refuse).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +37,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -52,21 +58,15 @@ namespace md::cluster {
 
 using core::ClientHandle;
 
+/// Subscriber partitions for the rendezvous session assignment.
+inline constexpr std::uint32_t kSubscriberPartitions = 16;
+/// Peers answer cache-sync requests in chunks of this many messages.
+inline constexpr std::size_t kCacheSyncChunk = 512;
+
 struct ClusterConfig {
   std::string serverId;
   std::uint32_t topicGroups = 100;
   core::CacheConfig cache;  // cache.topicGroups is overwritten by topicGroups
-  /// Contact server gives up on a forwarded publication after this long and
-  /// answers the publisher "failed" (it republishes).
-  Duration forwardTimeout = 2 * kSecond;
-  /// Period of the partition self-fencing check (paper §5.2.2).
-  Duration fenceCheckInterval = 200 * kMillisecond;
-  /// Peers answer cache-sync requests in chunks of this many messages.
-  std::size_t cacheSyncChunk = 512;
-  /// A topic whose broadcast stream shows a sequence gap stalls local fan-out
-  /// while the backfill sync runs; after this long it resumes with whatever
-  /// the cache holds (the syncing peer may have crashed mid-answer).
-  Duration gapSyncTimeout = kSecond;
   /// Copies that must exist before a publication is acknowledged (paper
   /// §5.2: default 2 = contact + coordinator, tolerating one fault; raising
   /// it tolerates more concurrent faults at higher ack latency — the
@@ -77,27 +77,15 @@ struct ClusterConfig {
   obs::MetricsRegistry* metrics = nullptr;
 
   // --- elastic membership (DESIGN.md §12) -----------------------------------
-  /// Opt-in: register an ephemeral members/ znode, watch the membership, and
+  /// Opt-in: register an ephemeral members/ znode, watch the membership,
   /// rebalance subscriber partitions across live members on join/leave with a
-  /// coordinated hand-off per moved partition. Off = fixed membership,
-  /// byte-identical behavior to the pre-elastic cluster.
+  /// coordinated hand-off per moved partition, and gate sequencing on a
+  /// majority of the messaging membership being reachable (a minority answers
+  /// local publishers with a retryable kNoQuorum and bounces forwarded
+  /// publications to their contact server, so it cannot split-brain a
+  /// stream). Off = fixed membership, byte-identical behavior to the
+  /// pre-elastic cluster.
   bool elastic = false;
-  /// Opt-in (requires elastic): refuse to sequence publications while a
-  /// majority of the messaging membership is unreachable from this node's
-  /// vantage. Local publishers get a retryable kNoQuorum ack; forwarded
-  /// publications bounce back to their contact server. Prevents a partitioned
-  /// minority from split-braining a stream.
-  bool quorumGate = false;
-  /// Subscriber partitions for the rendezvous session assignment.
-  std::uint32_t subscriberPartitions = 16;
-  /// Membership events are debounced this long before recomputing the
-  /// assignment, so a rolling join/leave wave coalesces into one hand-off set.
-  Duration rebalanceDebounce = 100 * kMillisecond;
-  /// Old owner aborts a hand-off (unfreezes the slice and catches it up from
-  /// the cache) if the new owner's ack does not arrive within this window.
-  Duration handoffAckTimeout = kSecond;
-  /// Explicit quorum-vote threshold; 0 derives majority from the vote total.
-  std::uint32_t minQuorumVotes = 0;
 
   // --- durable topic cache (DESIGN.md §13) ----------------------------------
   /// Segmented WAL underneath the cache. wal.dir empty = no WAL (volatile
@@ -108,23 +96,6 @@ struct ClusterConfig {
   /// cluster passes a MemEnv with crash/disk-fault injection. Must outlive
   /// the node.
   wal::Env* walEnv = nullptr;
-};
-
-/// Legacy plain-struct view of the node's counters, built from the metrics
-/// registry on demand (kept so existing callers read `.stats().field`).
-struct ClusterNodeStats {
-  std::uint64_t published = 0;        // publications sequenced by this node
-  std::uint64_t forwarded = 0;        // publications forwarded to coordinators
-  std::uint64_t delivered = 0;        // notifications sent to local subscribers
-  std::uint64_t rejects = 0;          // coordinator races lost
-  std::uint64_t takeovers = 0;        // successful coordinator acquisitions
-  std::uint64_t fences = 0;           // partition self-fencing events
-  std::uint64_t recoveredMessages = 0;  // messages pulled during cache sync
-  std::uint64_t handoffs = 0;         // partition hand-offs initiated
-  std::uint64_t handoffAborts = 0;    // hand-offs aborted (timeout / nack)
-  std::uint64_t quorumRejects = 0;    // publications refused for lost quorum
-  std::uint64_t fenceRefusals = 0;    // stale-epoch peer writes refused
-  std::uint64_t rebalances = 0;       // assignment recomputations applied
 };
 
 /// Host environment: client/peer I/O, timers, randomness.
@@ -183,27 +154,26 @@ class ClusterNode {
 
   // --- introspection ----------------------------------------------------------
   [[nodiscard]] const std::string& serverId() const noexcept { return cfg_.serverId; }
-  [[nodiscard]] ClusterNodeStats stats() const;
   [[nodiscard]] const obs::ClusterMetrics& metrics() const noexcept { return cm_; }
   [[nodiscard]] const core::Cache& cache() const noexcept { return cache_; }
   [[nodiscard]] std::size_t LocalClientCount() const noexcept { return clients_.size(); }
   [[nodiscard]] bool CoordinatesGroup(std::uint32_t group) const {
-    return myGroups_.contains(group);
+    return sequencer_.IsSequencing(group);
   }
   [[nodiscard]] std::optional<std::pair<std::string, std::uint32_t>> GossipEntry(
       std::uint32_t group) const {
-    const auto it = gossip_.find(group);
-    if (it == gossip_.end()) return std::nullopt;
-    return std::make_pair(it->second.serverId, it->second.epoch);
+    if (group >= groups_.size() || !groups_[group].gossip) return std::nullopt;
+    const Gossip& gossip = *groups_[group].gossip;
+    return std::make_pair(gossip.serverId, gossip.epoch);
   }
   /// This incarnation's membership fence epoch (0 until joined).
   [[nodiscard]] std::uint32_t FenceEpoch() const noexcept { return fenceEpoch_; }
   /// Current subscriber-partition assignment (empty until first rebalance).
   [[nodiscard]] const Assignment& assignment() const noexcept { return assignment_; }
   /// The data-plane quorum verdict this node gates publishes on. Always true
-  /// when the quorum gate is off.
+  /// when elastic membership is off.
   [[nodiscard]] bool HasWriteQuorum() const {
-    if (!cfg_.quorumGate) return true;
+    if (!cfg_.elastic) return true;
     return quorum_.Quorumed() && coord_.HasQuorumContact();
   }
   [[nodiscard]] const Quorum& quorum() const noexcept { return quorum_; }
@@ -221,7 +191,9 @@ class ClusterNode {
   }
 
  private:
-  struct GossipEntryState {
+  /// Who sequences a group, as last learned from a broadcast or an
+  /// announcement (the paper's gossip map, §5.2.1).
+  struct Gossip {
     std::string serverId;
     std::uint32_t epoch = 0;
   };
@@ -229,7 +201,6 @@ class ClusterNode {
   /// Publication waiting at the contact server for its second copy.
   struct PendingContact {
     ClientHandle publisher = 0;
-    std::string topic;
     std::uint64_t timeoutTimer = 0;
   };
 
@@ -254,7 +225,8 @@ class ClusterNode {
     std::uint64_t timeoutTimer = 0;
   };
 
-  /// Publication parked while a coordinator election for its group runs.
+  /// A publication on its way to being sequenced: a local client's, or one a
+  /// contact server forwarded here (originServerId set).
   struct ParkedPublication {
     std::string topic;
     Bytes payload;
@@ -264,13 +236,41 @@ class ClusterNode {
     ClientHandle publisher = 0;
   };
 
+  /// Everything this node holds for one topic group. Whether it coordinates
+  /// the group is the Sequencer's answer (IsSequencing), not a field here.
+  struct GroupState {
+    std::optional<Gossip> gossip;
+    bool electing = false;  // takeover in flight
+    bool syncing = false;   // cache sync outstanding
+    std::deque<ParkedPublication> parked;  // waiting for the election
+  };
+
+  /// Local fan-out state of one topic.
+  struct TopicState {
+    /// Last position handed to local subscribers. Live broadcasts advance it
+    /// through the cache so a backfilled gap is delivered before anything
+    /// sequenced after it.
+    std::optional<StreamPos> cursor;
+    /// Set while a sequence gap stalls fan-out: the timer that resumes it
+    /// if the backfill never completes.
+    std::optional<std::uint64_t> stallTimer;
+  };
+
   // Client protocol.
   void HandlePublish(ClientHandle client, const PublishFrame& pub);
   void HandleSubscribe(ClientHandle client, const SubscribeFrame& sub);
 
-  // Publication routing.
-  void RoutePublication(ParkedPublication pub);
-  void SequenceAndBroadcast(const ParkedPublication& pub);
+  // Publication routing. A publication forwarded here (`elect`) that this
+  // node does not sequence runs it for coordinator — the MiniZK create
+  // arbitrates — instead of taking the contact-server path.
+  void RoutePublication(ParkedPublication pub, bool elect = false);
+  void SequenceAndBroadcast(const ParkedPublication& pub, StreamPos pos);
+  void Forward(const ParkedPublication& pub, const std::string& to,
+               bool electIfUnassigned);
+  /// Answers a publication that will not be sequenced: forwarded ones bounce
+  /// to their contact server, local ones fail their publisher with `code`
+  /// (or kFailed through the contact-side wait, when one is registered).
+  void Refuse(const ParkedPublication& pub, PubAckCode code);
   void AttemptTakeover(std::uint32_t group);
   void FinishTakeover(std::uint32_t group, std::uint32_t epoch);
   void DrainParked(std::uint32_t group);
@@ -293,6 +293,9 @@ class ClusterNode {
   void OnMemberEvent(const std::string& memberId, const coord::WatchEvent& event);
   void ScheduleRebalance();
   void Rebalance();
+  /// Starts a hand-off for every locally hosted subscriber partition that
+  /// assignment_ gives to another member and that has none in flight.
+  void HandOffMovedPartitions();
   void StartHandoff(std::uint32_t partition, const std::string& target);
   void OnHandoffBegin(const std::string& from, const HandoffBeginFrame& begin);
   void OnHandoffAck(const HandoffAckFrame& ack);
@@ -300,16 +303,21 @@ class ClusterNode {
   void MaybeFinishLeave();
   [[nodiscard]] bool RefuseStaleEpoch(const std::string& senderId,
                                       std::uint32_t epoch);
-  [[nodiscard]] std::uint32_t PartitionOfClient(const std::string& clientId) const {
-    return Rebalancer::PartitionOf(clientId, cfg_.subscriberPartitions);
-  }
 
   // Reliability machinery.
   void SetupWatches();
   void CheckFence();
   void Fence();
   void Unfence();
+  /// Drops what neither a crash nor a fence lets complete: coordinator roles,
+  /// elections and parked publications, replication waits, hand-offs, the
+  /// rebalance and join timers, and a pending leave.
+  void DropInFlightWork();
   void StartCacheReconstruction();
+  /// One CacheSyncReq per group to each of `peers`, carrying the contiguous
+  /// per-topic cursors; a reconstruction also sends each topic's earliest
+  /// position (head-hole backfill) and marks every group syncing.
+  void RequestSync(const std::vector<std::string>& peers, bool reconstruct);
   void RecoverFromWal();
   void WalFlushTick();
   void DeliverToLocalSubscribers(const Message& msg);
@@ -342,19 +350,13 @@ class ClusterNode {
   core::Cache cache_;
   core::Sequencer sequencer_;
 
-  std::set<ClientHandle> clients_;
-  std::map<std::uint32_t, GossipEntryState> gossip_;
-  std::set<std::uint32_t> myGroups_;
-  std::set<std::uint32_t> electing_;  // takeover in flight
-  std::map<std::uint32_t, std::deque<ParkedPublication>> parked_;
+  /// Connected clients and their application ids ("" when the client gave
+  /// none; such sessions never hand off).
+  std::map<ClientHandle, std::string> clients_;
+  std::vector<GroupState> groups_;  // indexed by group, sized topicGroups
+  std::map<std::string, TopicState> topics_;
   std::map<PublicationId, PendingContact> pendingContact_;
   std::map<CoordAckKey, PendingCoord> pendingCoord_;
-  std::set<std::uint32_t> syncing_;  // groups with cache sync outstanding
-  /// In-order local fan-out: per topic, the last position handed to local
-  /// subscribers. Live broadcasts advance it through the cache so a backfilled
-  /// gap is delivered before anything sequenced after it.
-  std::map<std::string, StreamPos> deliveryCursor_;
-  std::map<std::string, std::uint64_t> gapStalled_;  // topic -> timeout timer
   std::function<void(const Message&)> deliveryHook_;
 
   // --- elastic membership state (all volatile; rebuilt on rejoin) -----------
@@ -363,7 +365,6 @@ class ClusterNode {
   std::uint32_t fenceEpoch_ = 0;             // my incarnation's epoch
   std::map<std::string, std::uint32_t> memberEpoch_;     // last announced epoch
   std::map<std::string, std::uint32_t> peerEpochFloor_;  // min accepted epoch
-  std::map<ClientHandle, std::string> clientIds_;        // connection -> app id
   Assignment assignment_;
   std::uint64_t rebalanceTimer_ = 0;
   std::uint64_t joinTimer_ = 0;

@@ -6,14 +6,29 @@
 
 namespace md::coord {
 
+namespace {
+
+constexpr Duration kElectionTimeoutMin = 150 * kMillisecond;
+constexpr Duration kElectionTimeoutMax = 300 * kMillisecond;
+constexpr Duration kHeartbeatInterval = 50 * kMillisecond;
+constexpr Duration kTickInterval = 10 * kMillisecond;
+/// Leader expires a member's session after this much silence.
+constexpr Duration kSessionTimeout = 2 * kSecond;
+/// A node reports loss of quorum contact after this much silence (drives the
+/// MigratoryData partition self-fencing, paper §5.2.2).
+constexpr Duration kQuorumLossThreshold = 1 * kSecond;
+/// Origin-side timeout for forwarded writes.
+constexpr Duration kRequestTimeout = 1 * kSecond;
+
+}  // namespace
+
 CoordNode::CoordNode(NodeId id, std::vector<NodeId> members, Env& env,
                      CoordConfig cfg)
     : id_(id),
       members_(std::move(members)),
       env_(env),
-      cfg_(cfg),
-      om_(cfg_.metrics != nullptr ? *cfg_.metrics
-                                  : obs::MetricsRegistry::Default(),
+      om_(cfg.metrics != nullptr ? *cfg.metrics
+                                 : obs::MetricsRegistry::Default(),
           obs::NodeLabel(std::to_string(id_))) {
   store_.SetFireCounter(&om_.watchFires);
 }
@@ -27,7 +42,7 @@ void CoordNode::Start() {
   crashed_ = false;
   lastQuorumEvidence_ = env_.Now();
   ResetElectionDeadline();
-  tickTimer_ = env_.Schedule(cfg_.tickInterval, [this] { Tick(); });
+  tickTimer_ = env_.Schedule(kTickInterval, [this] { Tick(); });
 }
 
 void CoordNode::Crash() {
@@ -56,11 +71,11 @@ void CoordNode::Restart() {
 
 void CoordNode::Tick() {
   if (crashed_) return;
-  tickTimer_ = env_.Schedule(cfg_.tickInterval, [this] { Tick(); });
+  tickTimer_ = env_.Schedule(kTickInterval, [this] { Tick(); });
   const TimePoint now = env_.Now();
 
   if (role_ == Role::kLeader) {
-    if (now - lastHeartbeat_ >= cfg_.heartbeatInterval) BroadcastHeartbeats();
+    if (now - lastHeartbeat_ >= kHeartbeatInterval) BroadcastHeartbeats();
     CheckSessions();
     CheckLeaderLease();
     return;
@@ -70,9 +85,9 @@ void CoordNode::Tick() {
 }
 
 void CoordNode::ResetElectionDeadline() {
-  const auto span = static_cast<std::uint64_t>(cfg_.electionTimeoutMax -
-                                               cfg_.electionTimeoutMin);
-  electionDeadline_ = env_.Now() + cfg_.electionTimeoutMin +
+  const auto span =
+      static_cast<std::uint64_t>(kElectionTimeoutMax - kElectionTimeoutMin);
+  electionDeadline_ = env_.Now() + kElectionTimeoutMin +
                       static_cast<Duration>(span ? env_.Random() % span : 0);
 }
 
@@ -237,8 +252,9 @@ void CoordNode::OnAppendReply(NodeId from, const AppendReply& msg) {
   }
   if (role_ != Role::kLeader || msg.term != currentTerm_) return;
 
+  // One follower's reply is not quorum evidence: CheckLeaderLease counts a
+  // majority of fresh acks before renewing the lease.
   lastAck_[from] = env_.Now();
-  lastQuorumEvidence_ = env_.Now();
   // A re-acking node is alive again; allow its session to be revived.
   expiredSessions_.erase(from);
 
@@ -300,7 +316,7 @@ void CoordNode::CheckSessions() {
   for (const NodeId peer : members_) {
     if (peer == id_) continue;
     if (expiredSessions_.contains(peer)) continue;
-    if (now - lastAck_[peer] > cfg_.sessionTimeout) {
+    if (now - lastAck_[peer] > kSessionTimeout) {
       MD_INFO("coord %u: expiring session of node %u", id_, peer);
       om_.sessionExpirations.Inc();
       expiredSessions_.insert(peer);
@@ -317,11 +333,11 @@ void CoordNode::CheckLeaderLease() {
   std::size_t fresh = 1;
   for (const NodeId peer : members_) {
     if (peer == id_) continue;
-    if (now - lastAck_[peer] <= cfg_.quorumLossThreshold) ++fresh;
+    if (now - lastAck_[peer] <= kQuorumLossThreshold) ++fresh;
   }
   if (fresh >= Majority()) {
     lastQuorumEvidence_ = now;
-  } else if (now - lastQuorumEvidence_ > cfg_.quorumLossThreshold) {
+  } else if (now - lastQuorumEvidence_ > kQuorumLossThreshold) {
     MD_WARN("coord %u: lost quorum contact, stepping down", id_);
     FailPending(Err(ErrorCode::kUnavailable, "leader lost quorum"));
     BecomeFollower(currentTerm_);
@@ -331,7 +347,7 @@ void CoordNode::CheckLeaderLease() {
 bool CoordNode::HasQuorumContact() const {
   if (crashed_ || !started_) return false;
   if (members_.size() == 1) return true;
-  return env_.Now() - lastQuorumEvidence_ <= cfg_.quorumLossThreshold;
+  return env_.Now() - lastQuorumEvidence_ <= kQuorumLossThreshold;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +383,7 @@ void CoordNode::SubmitWrite(Command cmd, WriteCallback cb) {
     om_.writeNs.Record(env_.Now() - start);
     if (cb) cb(std::move(s), version);
   };
-  pending.timeoutTimer = env_.Schedule(cfg_.requestTimeout, [this, requestId] {
+  pending.timeoutTimer = env_.Schedule(kRequestTimeout, [this, requestId] {
     auto node = pendingLocal_.extract(requestId);
     if (node.empty()) return;
     if (node.mapped().cb) {

@@ -44,17 +44,6 @@ class Env {
 };
 
 struct CoordConfig {
-  Duration electionTimeoutMin = 150 * kMillisecond;
-  Duration electionTimeoutMax = 300 * kMillisecond;
-  Duration heartbeatInterval = 50 * kMillisecond;
-  Duration tickInterval = 10 * kMillisecond;
-  /// Leader expires a member's session after this much silence.
-  Duration sessionTimeout = 2 * kSecond;
-  /// A node reports loss of quorum contact after this much silence
-  /// (drives the MigratoryData partition self-fencing, paper §5.2.2).
-  Duration quorumLossThreshold = 1 * kSecond;
-  /// Origin-side timeout for forwarded writes.
-  Duration requestTimeout = 1 * kSecond;
   /// Metrics destination; nullptr uses the process-wide default registry.
   /// The registry must outlive the node.
   obs::MetricsRegistry* metrics = nullptr;
@@ -146,7 +135,6 @@ class CoordNode {
   const NodeId id_;
   const std::vector<NodeId> members_;  // includes self
   Env& env_;
-  const CoordConfig cfg_;
 
   // Durable state (survives Crash/Restart).
   Term currentTerm_ = 0;

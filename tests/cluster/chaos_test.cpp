@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
+
 namespace md::cluster {
 namespace {
 
@@ -391,6 +393,40 @@ TEST_P(ChaosSeeds, InvariantsHoldAndTraceIsReproducible) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSeeds,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// Pins the protocol's observable behaviour across commits: the seeded runs
+// above only compare two runs of one binary, so a refactor that changes what
+// the cluster does would still pass them. Each constant is the FNV-1a hash of
+// the run's trace lines, each followed by a newline, recorded before
+// ClusterNode's per-group state was folded into one record. A constant may
+// change only together with a CHANGES.md entry that names the trace lines
+// that moved and explains why.
+TEST(ChaosDriverTest, TracesMatchPinnedHashes) {
+  struct Pinned {
+    const char* name;
+    ChaosOptions opts;
+    std::uint64_t hash;
+  };
+  std::vector<Pinned> runs(4);
+  runs[0] = {"seed 3", {}, 0x17e418287c4eb02cULL};
+  runs[0].opts.seed = 3;
+  runs[1] = {"seed 5 elastic", {}, 0xc8a1f909601127c4ULL};
+  runs[1].opts.seed = 5;
+  runs[1].opts.elastic = true;
+  runs[2] = {"seed 4 durability", {}, 0x28e6c490c9bdc5c0ULL};
+  runs[2].opts.seed = 4;
+  runs[2].opts.durability = true;
+  runs[3] = {"seed 7, 5 servers", {}, 0x3e51f843e55e5049ULL};
+  runs[3].opts.seed = 7;
+  runs[3].opts.servers = 5;
+  for (const Pinned& run : runs) {
+    const ChaosReport report = ChaosDriver(run.opts).Run();
+    std::string joined;
+    for (const std::string& line : report.trace) joined += line + "\n";
+    EXPECT_EQ(Fnv1a64(joined), run.hash)
+        << run.name << ": trace hash 0x" << std::hex << Fnv1a64(joined);
+  }
+}
 
 // An explicit plan (as parsed from a --events repro line) replaces the
 // generated schedule, so a reported violation replays outside the sweep.

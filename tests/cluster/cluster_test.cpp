@@ -234,7 +234,7 @@ TEST_F(ClusterTest, PartitionedServerFencesItsClients) {
   // The partitioned node fenced itself ("preventively closes the connections
   // to its local clients") and the client reconnected elsewhere.
   EXPECT_TRUE(cluster->node(victim).IsFenced());
-  EXPECT_GT(cluster->node(victim).stats().fences, 0u);
+  EXPECT_GT(cluster->node(victim).metrics().fences.Value(), 0u);
   EXPECT_TRUE(sub->IsConnected());
   EXPECT_NE(sub->CurrentServerIndex().value(), victim);
   EXPECT_EQ(cluster->node(victim).LocalClientCount(), 0u);
@@ -283,7 +283,7 @@ TEST_F(ClusterTest, CrashedServerRestartsAndRebuildsCache) {
   // The restarted server rebuilt its cache by asking all members (§5.2.2).
   EXPECT_EQ(cluster->node(2).cache().GetAfter("before-crash", {0, 0}).size(), 1u);
   EXPECT_EQ(cluster->node(2).cache().GetAfter("while-down", {0, 0}).size(), 1u);
-  EXPECT_GT(cluster->node(2).stats().recoveredMessages, 0u);
+  EXPECT_GT(cluster->node(2).metrics().backfilled.Value(), 0u);
 }
 
 TEST_F(ClusterTest, ManyTopicsSpreadCoordinatorsAcrossServers) {

@@ -33,8 +33,6 @@ class FencingTest : public ::testing::Test {
     cfg.serverId = "me";
     cfg.topicGroups = 4;
     cfg.elastic = true;
-    cfg.quorumGate = true;
-    cfg.subscriberPartitions = 16;
     cfg.metrics = reg;  // per-fixture counters: tests must not share stats
     return cfg;
   }
@@ -87,7 +85,7 @@ TEST_F(FencingTest, EvictedIncarnationsBufferedWritesAreRefused) {
   node.OnPeerFrame("peer-a", Frame(Bcast("t", 2, "peer-a", 5)));
   EXPECT_EQ(node.cache().GetAfter("t", {0, 0}).size(), 1u);  // not cached
   EXPECT_TRUE(env.PeersOf<BroadcastAckFrame>().empty());     // no ack either
-  EXPECT_EQ(node.stats().fenceRefusals, 1u);
+  EXPECT_EQ(node.metrics().fenceRefusals.Value(), 1u);
 
   // The next incarnation rejoins at a higher epoch and is accepted again.
   PeerJoins("peer-a", 7);
@@ -95,7 +93,7 @@ TEST_F(FencingTest, EvictedIncarnationsBufferedWritesAreRefused) {
   node.OnPeerFrame("peer-a", Frame(Bcast("t", 2, "peer-a", 7)));
   EXPECT_EQ(node.cache().GetAfter("t", {0, 0}).size(), 2u);
   EXPECT_EQ(env.PeersOf<BroadcastAckFrame>().size(), 1u);
-  EXPECT_EQ(node.stats().fenceRefusals, 1u);
+  EXPECT_EQ(node.metrics().fenceRefusals.Value(), 1u);
 }
 
 TEST_F(FencingTest, LegacyEpochZeroSendersAreAlwaysAccepted) {
@@ -106,7 +104,7 @@ TEST_F(FencingTest, LegacyEpochZeroSendersAreAlwaysAccepted) {
   // does not apply (mixed-version cluster compatibility).
   node.OnPeerFrame("peer-a", Frame(Bcast("t", 1, "peer-a", 0)));
   EXPECT_EQ(node.cache().GetAfter("t", {0, 0}).size(), 1u);
-  EXPECT_EQ(node.stats().fenceRefusals, 0u);
+  EXPECT_EQ(node.metrics().fenceRefusals.Value(), 0u);
 }
 
 TEST_F(FencingTest, StaleHandoffBeginIsNacked) {
@@ -131,7 +129,7 @@ TEST_F(FencingTest, StaleHandoffBeginIsNacked) {
   EXPECT_EQ(acks[0].first, "peer-a");
   EXPECT_EQ(acks[0].second.handoffId, 77u);
   EXPECT_FALSE(acks[0].second.ok);
-  EXPECT_EQ(node.stats().fenceRefusals, 1u);
+  EXPECT_EQ(node.metrics().fenceRefusals.Value(), 1u);
   // The refused slice was not adopted: no ownership record was written.
   sched.RunFor(100 * kMillisecond);
   EXPECT_FALSE(coordNode.Read(coord::AssignKey(3)).has_value());
@@ -209,12 +207,11 @@ class HandoffSenderTest : public FencingTest {
   /// gives to peer-a, so the next rebalance must start a hand-off.
   std::string ConnectMigratingClient(ClientHandle handle) {
     const Assignment next =
-        Rebalancer::Compute(MakeConfig().subscriberPartitions,
-                            {"me", "peer-a"});
+        Rebalancer::Compute(kSubscriberPartitions, {"me", "peer-a"});
     for (int i = 0; i < 1000; ++i) {
       const std::string id = "client-" + std::to_string(i);
       const std::uint32_t p =
-          Rebalancer::PartitionOf(id, MakeConfig().subscriberPartitions);
+          Rebalancer::PartitionOf(id, kSubscriberPartitions);
       if (next.OwnerOf(p) != "peer-a") continue;
       node.OnClientConnect(handle, id);
       node.OnClientFrame(handle, Frame(SubscribeFrame{"t", false, {}}));
@@ -239,7 +236,7 @@ TEST_F(HandoffSenderTest, JoinTriggersHandoffAndAckReleasesTheSession) {
   EXPECT_EQ(begins[0].second.fenceEpoch, node.FenceEpoch());
   ASSERT_EQ(begins[0].second.sessions.size(), 1u);
   EXPECT_EQ(begins[0].second.sessions[0].clientId, clientId);
-  EXPECT_EQ(node.stats().handoffs, 1u);
+  EXPECT_EQ(node.metrics().handoffs.Value(), 1u);
 
   // The new owner's ack releases the slice: redirect (with the freeze-point
   // cursors) then close, in that order on the same connection.
@@ -263,7 +260,7 @@ TEST_F(HandoffSenderTest, JoinTriggersHandoffAndAckReleasesTheSession) {
   node.OnPeerFrame("peer-a", Frame(ack));
   EXPECT_EQ(env.ClientsOf<HandoffFrame>().size(), 1u);
   EXPECT_EQ(env.closed.size(), 1u);
-  EXPECT_EQ(node.stats().handoffAborts, 0u);
+  EXPECT_EQ(node.metrics().handoffAborts.Value(), 0u);
 }
 
 TEST_F(HandoffSenderTest, NackAbortsAndKeepsTheSessionLocal) {
@@ -285,7 +282,7 @@ TEST_F(HandoffSenderTest, NackAbortsAndKeepsTheSessionLocal) {
   EXPECT_TRUE(env.ClientsOf<HandoffFrame>().empty());
   EXPECT_TRUE(env.closed.empty());
   EXPECT_EQ(node.LocalClientCount(), 1u);
-  EXPECT_EQ(node.stats().handoffAborts, 1u);
+  EXPECT_EQ(node.metrics().handoffAborts.Value(), 1u);
 }
 
 TEST_F(HandoffSenderTest, MissingAckTimesOutAndAborts) {
@@ -295,10 +292,10 @@ TEST_F(HandoffSenderTest, MissingAckTimesOutAndAborts) {
   PeerJoins("peer-a", 1);
   ASSERT_EQ(env.PeersOf<HandoffBeginFrame>().size(), 1u);
 
-  // No ack ever arrives: the sender aborts after handoffAckTimeout and thaws
-  // the slice back into local fan-out.
+  // No ack ever arrives: the sender aborts after the 1 s hand-off ack
+  // timeout and thaws the slice back into local fan-out.
   sched.RunFor(2 * kSecond);
-  EXPECT_EQ(node.stats().handoffAborts, 1u);
+  EXPECT_EQ(node.metrics().handoffAborts.Value(), 1u);
   EXPECT_TRUE(env.ClientsOf<HandoffFrame>().empty());
   EXPECT_EQ(node.LocalClientCount(), 1u);
 }

@@ -4,6 +4,8 @@
 // cluster harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/mock_cluster_env.hpp"
 
 namespace md::cluster {
@@ -30,7 +32,6 @@ class ClusterNodeUnitTest : public ::testing::Test {
     ClusterConfig cfg;
     cfg.serverId = "me";
     cfg.topicGroups = 4;  // small, predictable mapping
-    cfg.cacheSyncChunk = 2;
     return cfg;
   }
 
@@ -95,7 +96,7 @@ TEST_F(ClusterNodeUnitTest, KnownCoordinatorForwardsInsteadOfElecting) {
   EXPECT_EQ(forwards[0].first, "peer-a");
   EXPECT_EQ(forwards[0].second.originServerId, "me");
   EXPECT_FALSE(forwards[0].second.electIfUnassigned);
-  EXPECT_EQ(node.stats().forwarded, 1u);
+  EXPECT_EQ(node.metrics().forwarded.Value(), 1u);
 }
 
 TEST_F(ClusterNodeUnitTest, BroadcastArrivalAcksForwardedPublication) {
@@ -149,46 +150,69 @@ TEST_F(ClusterNodeUnitTest, ForwardRejectFailsThePublicationImmediately) {
   const auto acks = env.ClientsOf<PubAckFrame>();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_FALSE(acks[0].second.ok());
-  EXPECT_EQ(node.stats().rejects, 1u);
+  EXPECT_EQ(node.metrics().rejects.Value(), 1u);
 }
 
 TEST_F(ClusterNodeUnitTest, CacheSyncServesChunkedResponses) {
-  // Put 5 messages of one group into the cache via broadcasts.
+  // Fill one group past two chunks via broadcasts: 5 messages on sync-topic
+  // plus filler topics of the same group (a topic caches at most 1000).
   const std::uint32_t group = TopicGroupOf("sync-topic", 4);
-  for (std::uint64_t s = 1; s <= 5; ++s) {
+  auto broadcast = [&](const std::string& topic, std::uint64_t seq) {
     Message m;
-    m.topic = "sync-topic";
-    m.payload = {static_cast<std::uint8_t>(s)};
+    m.topic = topic;
+    m.payload = {static_cast<std::uint8_t>(seq)};
     m.epoch = 1;
-    m.seq = s;
-    m.pubId = {9, s};
+    m.seq = seq;
+    m.pubId = {9, seq};
     node.OnPeerFrame("peer-a", Frame(BroadcastFrame{m, group, "peer-a"}));
+  };
+  for (std::uint64_t s = 1; s <= 5; ++s) broadcast("sync-topic", s);
+  const std::size_t held = 2 * kCacheSyncChunk + 1;
+  std::size_t filled = 5;
+  for (int f = 0; filled < held; ++f) {
+    const std::string topic = "filler-" + std::to_string(f);
+    if (TopicGroupOf(topic, 4) != group) continue;
+    for (std::uint64_t s = 1; s <= 300 && filled < held; ++s, ++filled) {
+      broadcast(topic, s);
+    }
   }
   env.Clear();
 
   // Peer-b reconstructs: has nothing yet.
-  node.OnPeerFrame("peer-b", Frame(CacheSyncReqFrame{group, {}}));
+  node.OnPeerFrame("peer-b", Frame(CacheSyncReqFrame{group, {}, {}}));
   const auto responses = env.PeersOf<CacheSyncRespFrame>();
-  // cacheSyncChunk = 2: 5 messages => 2+2+1, with only the last marked done.
+  // 2 chunks + 1 message => chunk, chunk, 1, with only the last marked done.
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_FALSE(responses[0].second.done);
   EXPECT_FALSE(responses[1].second.done);
   EXPECT_TRUE(responses[2].second.done);
+  EXPECT_EQ(responses[0].second.messages.size(), kCacheSyncChunk);
+  EXPECT_EQ(responses[2].second.messages.size(), 1u);
   std::size_t total = 0;
   for (const auto& [to, resp] : responses) {
     EXPECT_EQ(to, "peer-b");
     total += resp.messages.size();
   }
-  EXPECT_EQ(total, 5u);
+  EXPECT_EQ(total, held);
+
+  // The sync-topic sequence numbers a request brings back (filler topics
+  // carry no cursor in these requests, so they come back whole).
+  auto syncTopicSeqs = [&] {
+    std::vector<std::uint64_t> seqs;
+    for (const auto& [to, resp] : env.PeersOf<CacheSyncRespFrame>()) {
+      for (const auto& m : resp.messages) {
+        if (m.topic == "sync-topic") seqs.push_back(m.seq);
+      }
+    }
+    std::sort(seqs.begin(), seqs.end());
+    return seqs;
+  };
 
   env.Clear();
   // With a have-position of (1,3) only 4 and 5 are sent.
   node.OnPeerFrame("peer-b",
-                   Frame(CacheSyncReqFrame{group, {{"sync-topic", {1, 3}}}}));
-  const auto delta = env.PeersOf<CacheSyncRespFrame>();
-  std::size_t deltaTotal = 0;
-  for (const auto& [to, resp] : delta) deltaTotal += resp.messages.size();
-  EXPECT_EQ(deltaTotal, 2u);
+                   Frame(CacheSyncReqFrame{group, {{"sync-topic", {1, 3}}}, {}}));
+  EXPECT_EQ(syncTopicSeqs(), (std::vector<std::uint64_t>{4, 5}));
 
   env.Clear();
   // A head of (1,2) says the requester's surviving history STARTS at seq 2:
@@ -196,13 +220,7 @@ TEST_F(ClusterNodeUnitTest, CacheSyncServesChunkedResponses) {
   node.OnPeerFrame("peer-b",
                    Frame(CacheSyncReqFrame{
                        group, {{"sync-topic", {1, 3}}}, {{"sync-topic", {1, 2}}}}));
-  const auto healed = env.PeersOf<CacheSyncRespFrame>();
-  std::vector<std::uint64_t> seqs;
-  for (const auto& [to, resp] : healed) {
-    for (const auto& m : resp.messages) seqs.push_back(m.seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 4, 5}));
+  EXPECT_EQ(syncTopicSeqs(), (std::vector<std::uint64_t>{1, 4, 5}));
 }
 
 TEST_F(ClusterNodeUnitTest, CacheSyncRespBackfillsViaInsert) {
@@ -232,7 +250,32 @@ TEST_F(ClusterNodeUnitTest, CacheSyncRespBackfillsViaInsert) {
   ASSERT_EQ(cached.size(), 3u);
   EXPECT_EQ(cached[0].seq, 7u);
   EXPECT_EQ(cached[2].seq, 9u);
-  EXPECT_EQ(node.stats().recoveredMessages, 2u);
+  EXPECT_EQ(node.metrics().backfilled.Value(), 2u);
+}
+
+TEST_F(ClusterNodeUnitTest, FrameNamingAnOutOfRangeGroupIsDropped) {
+  // topicGroups = 4: a peer frame naming group 4 or above is malformed and
+  // must change nothing (the per-group record is indexed by it).
+  Message m;
+  m.topic = "t";
+  m.epoch = 1;
+  m.seq = 1;
+  m.pubId = {9, 1};
+  env.Clear();
+  node.OnPeerFrame("peer-a", Frame(BroadcastFrame{m, 4, "peer-a"}));
+  node.OnPeerFrame("peer-a", Frame(GossipAnnounceFrame{7, 1, "peer-a"}));
+  node.OnPeerFrame("peer-a", Frame(CacheSyncReqFrame{0xFFFFFFFFu, {}, {}}));
+  CacheSyncRespFrame resp;
+  resp.group = 100;
+  resp.messages.push_back(m);
+  node.OnPeerFrame("peer-a", Frame(resp));
+  EXPECT_TRUE(env.toPeers.empty());
+  EXPECT_TRUE(node.cache().GetAfter("t", {0, 0}).empty());
+  EXPECT_FALSE(node.GossipEntry(7).has_value());
+
+  // The same broadcast naming the topic's own group lands.
+  node.OnPeerFrame("peer-a", Frame(BroadcastFrame{m, TopicGroupOf("t", 4), "peer-a"}));
+  EXPECT_EQ(node.cache().GetAfter("t", {0, 0}).size(), 1u);
 }
 
 TEST_F(ClusterNodeUnitTest, GossipWithHigherEpochWinsLowerIgnored) {

@@ -1,8 +1,9 @@
 // Quorum gating for the elastic cluster (DESIGN.md §12): unit coverage for
-// the vote-counting Quorum itself (majority edges, even splits, explicit
-// thresholds, weighted votes), then node-level tests that a minority node
-// bounces publishes with the retryable kNoQuorum status — locally and for
-// forwarded publications — and resumes sequencing after the membership heals.
+// the majority Quorum itself (majority edges, even splits), then node-level
+// tests that a minority node bounces publishes with the retryable kNoQuorum
+// status — locally and for forwarded publications, also on a node that
+// already coordinates the group — and resumes sequencing after the
+// membership heals.
 #include "cluster/quorum.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@ TEST(QuorumTest, MajorityDerivedFromVoteTotal) {
   q.AddNode("a");
   q.AddNode("b");
   q.AddNode("c");
-  EXPECT_EQ(q.NodeCount(), 3u);
   EXPECT_EQ(q.TotalVotes(), 3u);
   EXPECT_EQ(q.MinQuorum(), 2u);
 
@@ -64,45 +64,6 @@ TEST(QuorumTest, EmptyUniverseIsNotQuorate) {
   EXPECT_FALSE(q.Quorumed());
 }
 
-TEST(QuorumTest, ExplicitThresholdOverridesMajority) {
-  // Two-node cluster with a tie-breaker: one reachable vote suffices.
-  Quorum q(1);
-  q.AddNode("a");
-  q.AddNode("b");
-  EXPECT_EQ(q.MinQuorum(), 1u);
-  q.SetOnline("a", true);
-  EXPECT_TRUE(q.Quorumed());
-}
-
-TEST(QuorumTest, WeightedVotesShiftTheMajority) {
-  Quorum q;
-  q.AddNode("big", 3);
-  q.AddNode("a");
-  q.AddNode("b");
-  EXPECT_EQ(q.TotalVotes(), 5u);
-  EXPECT_EQ(q.MinQuorum(), 3u);
-  q.SetOnline("big", true);
-  EXPECT_TRUE(q.Quorumed());  // the weighted member alone carries quorum
-  q.SetOnline("big", false);
-  q.SetOnline("a", true);
-  q.SetOnline("b", true);
-  EXPECT_FALSE(q.Quorumed());  // both light members together do not
-}
-
-TEST(QuorumTest, RemoveNodeShrinksTheUniverse) {
-  Quorum q;
-  for (const char* n : {"a", "b", "c"}) q.AddNode(n);
-  q.SetOnline("a", true);
-  EXPECT_FALSE(q.Quorumed());  // 1 of 3
-  q.RemoveNode("c");           // administrative removal, not a failure
-  EXPECT_EQ(q.TotalVotes(), 2u);
-  EXPECT_EQ(q.MinQuorum(), 2u);
-  EXPECT_FALSE(q.Quorumed());
-  q.SetOnline("b", true);
-  EXPECT_TRUE(q.Quorumed());
-  EXPECT_FALSE(q.Contains("c"));
-}
-
 // --- Node-level quorum gating -----------------------------------------------
 
 class QuorumGateTest : public ::testing::Test {
@@ -127,7 +88,6 @@ class QuorumGateTest : public ::testing::Test {
     cfg.serverId = "me";
     cfg.topicGroups = 4;
     cfg.elastic = true;
-    cfg.quorumGate = true;
     cfg.metrics = &reg;  // per-fixture counters: tests must not share stats
     return cfg;
   }
@@ -180,8 +140,8 @@ TEST_F(QuorumGateTest, MinorityNodeRejectsLocalPublishWithRetryableStatus) {
   EXPECT_FALSE(acks[0].second.ok());
   EXPECT_TRUE(env.PeersOf<BroadcastFrame>().empty());
   EXPECT_TRUE(env.PeersOf<ForwardPubFrame>().empty());
-  EXPECT_EQ(node.stats().quorumRejects, 1u);
-  EXPECT_EQ(node.stats().published, 0u);
+  EXPECT_EQ(node.metrics().quorumRejects.Value(), 1u);
+  EXPECT_EQ(node.metrics().published.Value(), 0u);
 }
 
 TEST_F(QuorumGateTest, ForwardedPublicationBouncesToContactServer) {
@@ -197,7 +157,7 @@ TEST_F(QuorumGateTest, ForwardedPublicationBouncesToContactServer) {
   ASSERT_EQ(rejects.size(), 1u);
   EXPECT_EQ(rejects[0].first, "peer-a");
   EXPECT_EQ(rejects[0].second.pubId, (PublicationId{7, 5}));
-  EXPECT_EQ(node.stats().quorumRejects, 1u);
+  EXPECT_EQ(node.metrics().quorumRejects.Value(), 1u);
 }
 
 TEST_F(QuorumGateTest, PeerJoinRestoresQuorumAndPublishingFlows) {
@@ -226,7 +186,7 @@ TEST_F(QuorumGateTest, PeerJoinRestoresQuorumAndPublishingFlows) {
   const auto acks = env.ClientsOf<PubAckFrame>();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_TRUE(acks[0].second.ok());
-  EXPECT_EQ(node.stats().quorumRejects, 0u);
+  EXPECT_EQ(node.metrics().quorumRejects.Value(), 0u);
 }
 
 TEST_F(QuorumGateTest, QuorumLossAndReadmissionRoundTrip) {
@@ -256,6 +216,37 @@ TEST_F(QuorumGateTest, QuorumLossAndReadmissionRoundTrip) {
   for (const auto& [client, ack] : retryAcks) {
     EXPECT_NE(ack.code, PubAckCode::kNoQuorum);
   }
+}
+
+TEST_F(QuorumGateTest, CoordinatorWithoutQuorumBouncesForwardedPublication) {
+  // Become the coordinator of t's group while the membership is quorate.
+  PeerJoins("peer-a", 1);
+  env.randomValue = 2;  // random pick == peers.size() => run for coordinator
+  node.OnClientConnect(10, "pub");
+  node.OnClientFrame(10, Frame(Pub("t", 1)));
+  sched.RunFor(kSecond);
+  ASSERT_TRUE(node.CoordinatesGroup(TopicGroupOf("t", 4)));
+  const auto rejectsBefore = node.metrics().quorumRejects.Value();
+
+  // The peer leaves: a 1-of-3 minority that still holds the coordinator
+  // role. A publication forwarded here must meet the same gate as a local
+  // one: bounced to its contact server, never sequenced or broadcast.
+  PeerLeaves("peer-a");
+  ASSERT_FALSE(node.HasWriteQuorum());
+  env.Clear();
+  ForwardPubFrame fwd;
+  fwd.topic = "t";
+  fwd.payload = {1};
+  fwd.pubId = {8, 1};
+  fwd.originServerId = "peer-b";
+  node.OnPeerFrame("peer-b", Frame(fwd));
+
+  const auto rejects = env.PeersOf<ForwardRejectFrame>();
+  ASSERT_EQ(rejects.size(), 1u);
+  EXPECT_EQ(rejects[0].first, "peer-b");
+  EXPECT_EQ(rejects[0].second.pubId, (PublicationId{8, 1}));
+  EXPECT_TRUE(env.PeersOf<BroadcastFrame>().empty());
+  EXPECT_EQ(node.metrics().quorumRejects.Value(), rejectsBefore + 1);
 }
 
 TEST_F(QuorumGateTest, CoordContactAndMembershipQuorumAreAnded) {

@@ -189,7 +189,7 @@ class TcpClusterTest : public ::testing::Test {
       WaitFor([&] {
         std::uint64_t delivered = 0;
         hosts[member]->WithNode(
-            [&](ClusterNode& node) { delivered = node.stats().delivered; });
+            [&](ClusterNode& node) { delivered = node.metrics().delivered.Value(); });
         return delivered == published;
       });
       if (HasFailure() || transport.sendQueueBytes.Value() >= kQueued) return;
@@ -393,7 +393,7 @@ TEST_F(TcpClusterTest, HandoffFlushesQueuedDeliveriesAndRedirectBeforeEof) {
   // member 1 leaves.
   std::vector<std::string> ids;
   for (const auto& host : hosts) ids.push_back(host->serverId());
-  const std::uint32_t partitions = ClusterConfig{}.subscriberPartitions;
+  const std::uint32_t partitions = kSubscriberPartitions;
   const Assignment settled = Rebalancer::Compute(partitions, ids);
   WaitFor([&] {
     for (const auto& host : hosts) {
@@ -471,7 +471,7 @@ TEST_F(TcpClusterTest, StalledClientEvictedAfterGraceWithBacklogThenDisconnect) 
     WaitFor([&] {
       std::uint64_t delivered = 0;
       hosts[0]->WithNode(
-          [&](ClusterNode& node) { delivered = node.stats().delivered; });
+          [&](ClusterNode& node) { delivered = node.metrics().delivered.Value(); });
       return delivered == published;
     });
   }

@@ -153,7 +153,7 @@ TEST_F(CoordClusterTest, EphemeralsExpireWhenOwnerCrashes) {
   ASSERT_TRUE(WriteOn(0, "group/1", "server-0").ok());
   // If node 0 was the leader, the new leader must still expire its session.
   cluster->CrashNode(0);
-  sched.RunFor(5 * kSecond);  // > sessionTimeout
+  sched.RunFor(5 * kSecond);  // > the 2 s session timeout
   for (std::size_t i = 1; i < 3; ++i) {
     EXPECT_FALSE(cluster->node(i).Read("group/1").has_value()) << "node " << i;
   }
@@ -199,6 +199,53 @@ TEST_F(CoordClusterTest, PartitionedLeaderStepsDown) {
   const auto newLeader = cluster->LeaderIndex();
   ASSERT_TRUE(newLeader.has_value());
   EXPECT_NE(*newLeader, leader);
+}
+
+// The leader lease counts a majority of fresh acks, never one follower's
+// reply: a leader cut off with one follower in a 5-node ensemble (a minority
+// of two that still hear each other) must step down, and both must then
+// report lost quorum contact so their servers fence (paper §5.2.2).
+TEST_F(CoordClusterTest, MinorityOfTwoWithTheLeaderLosesQuorumContact) {
+  // MiniZK's quorum-loss threshold and tick (coord/node.cpp).
+  constexpr Duration kThreshold = kSecond;
+  constexpr Duration kTick = 10 * kMillisecond;
+  MakeCluster(5);
+  const std::size_t leader = AwaitLeader();
+  const std::size_t follower = (leader + 1) % 5;
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (i == leader || i == follower) continue;
+    net->Partition(cluster->HostOf(leader), cluster->HostOf(i));
+    net->Partition(cluster->HostOf(follower), cluster->HostOf(i));
+  }
+  const TimePoint cut = sched.Now();
+  TimePoint leaderLost = -1;
+  TimePoint followerLost = -1;
+  while (sched.Now() - cut < 10 * kSecond && (leaderLost < 0 || followerLost < 0)) {
+    sched.RunFor(kTick);
+    if (leaderLost < 0 && !cluster->node(leader).HasQuorumContact()) {
+      leaderLost = sched.Now();
+    }
+    if (followerLost < 0 && !cluster->node(follower).HasQuorumContact()) {
+      followerLost = sched.Now();
+    }
+  }
+  // The majority's acks go stale after one threshold and the lease they
+  // renewed lasts one more; the leader then steps down.
+  ASSERT_GE(leaderLost, 0) << "the minority leader never lost quorum contact";
+  EXPECT_LE(leaderLost - cut, 2 * kThreshold + kTick);
+  EXPECT_FALSE(cluster->node(leader).IsLeader());
+  // The follower hears no leader after the step-down.
+  ASSERT_GE(followerLost, 0) << "the minority follower never lost quorum contact";
+  EXPECT_LE(followerLost - leaderLost, kThreshold + kTick);
+
+  // Neither regains contact while cut off; the majority side keeps it.
+  sched.RunFor(3 * kSecond);
+  EXPECT_FALSE(cluster->node(leader).HasQuorumContact());
+  EXPECT_FALSE(cluster->node(follower).HasQuorumContact());
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (i == leader || i == follower) continue;
+    EXPECT_TRUE(cluster->node(i).HasQuorumContact()) << "node " << i;
+  }
 }
 
 TEST_F(CoordClusterTest, WritesFailOnPartitionedNode) {

@@ -140,20 +140,21 @@ int RunClusterMember(const md::tools::Flags& flags) {
 
   while (!g_stop.load()) {
     std::this_thread::sleep_for(std::chrono::seconds(5));
-    md::cluster::ClusterNodeStats stats;
+    unsigned long long published = 0, forwarded = 0, delivered = 0, takeovers = 0;
     std::size_t clients = 0;
     bool fenced = false;
     host.WithNode([&](md::cluster::ClusterNode& node) {
-      stats = node.stats();
+      const auto& m = node.metrics();
+      published = m.published.Value();
+      forwarded = m.forwarded.Value();
+      delivered = m.delivered.Value();
+      takeovers = m.takeovers.Value();
       clients = node.LocalClientCount();
       fenced = node.IsFenced();
     });
     std::printf("clients=%zu published=%llu forwarded=%llu delivered=%llu "
                 "takeovers=%llu%s\n",
-                clients, static_cast<unsigned long long>(stats.published),
-                static_cast<unsigned long long>(stats.forwarded),
-                static_cast<unsigned long long>(stats.delivered),
-                static_cast<unsigned long long>(stats.takeovers),
+                clients, published, forwarded, delivered, takeovers,
                 fenced ? " FENCED" : "");
     std::fflush(stdout);
   }
