@@ -75,11 +75,17 @@ MD_BENCH_CLIENTS=300 ./build/bench/bench_c10k_real || exit 1
 # (cross-thread Post against the loop's flush pass). client_test runs under
 # ASan too: the client's buffers come from the shared pool and can outlive a
 # connection that closes mid-flush. bench_fanout above already smoke-checks
-# loss-free delivery.
+# loss-free delivery. alloc_test pins the allocation budget of the same path
+# (0 heap allocations to encode a frame into a warm pooled buffer, to
+# acquire and release one, and to encode a DELIVER from a message); it runs
+# plain and under ASan, where the in-place framing's byte shifts inside a
+# buffer's spare capacity are checked for overruns.
 ./build/tests/transport_test || exit 1
-cmake --build build-asan --target transport_test client_test || exit 1
+./build/tests/alloc_test || exit 1
+cmake --build build-asan --target transport_test client_test alloc_test || exit 1
 ./build-asan/tests/transport_test || exit 1
 ./build-asan/tests/client_test || exit 1
+./build-asan/tests/alloc_test || exit 1
 cmake --build build-tsan --target transport_test || exit 1
 ./build-tsan/tests/transport_test || exit 1
 

@@ -270,23 +270,18 @@ void Client::SendFrame(const Frame& frame) {
   // Encoded once into a pooled buffer and queued by reference, as the
   // hosts do; the loop's flush pass writes it.
   auto wire = AcquireWireBuffer();
+  EncodeFrame(frame, *wire);
   switch (cfg_.transport) {
-    case Transport::kWebSocket: {
-      Bytes body;
-      EncodeFrame(frame, body);
+    case Transport::kWebSocket:
       // Client-to-server frames must be masked (RFC 6455 §5.3).
-      ws::EncodeWsFrame(ws::Opcode::kBinary, BytesView(body), *wire,
-                        static_cast<std::uint32_t>(rng_.Next()));
+      ws::FrameInPlace(ws::Opcode::kBinary, *wire, 0,
+                       static_cast<std::uint32_t>(rng_.Next()));
       break;
-    }
-    case Transport::kHttpStream: {
-      Bytes body;
-      EncodeFrame(frame, body);
-      http::EncodeChunk(BytesView(body), *wire);
+    case Transport::kHttpStream:
+      http::ChunkInPlace(*wire, 0);
       break;
-    }
     case Transport::kRawFraming:
-      EncodeFramed(frame, *wire);
+      PrefixVarintLength(*wire, 0);
       break;
   }
   (void)conn_->Send(std::move(wire));

@@ -225,7 +225,7 @@ void ClusterNode::OnClientDisconnect(ClientHandle client) {
   registry_.DropClient(client);
 }
 
-void ClusterNode::OnClientFrame(ClientHandle client, const Frame& frame) {
+void ClusterNode::OnClientFrame(ClientHandle client, Frame&& frame) {
   if (crashed_) return;
   if (const auto* connect = std::get_if<ConnectFrame>(&frame)) {
     // Routed even when not (yet / any longer) serving: OnClientConnect
@@ -245,8 +245,8 @@ void ClusterNode::OnClientFrame(ClientHandle client, const Frame& frame) {
     registry_.Unsubscribe(unsub->topic, client);
     return;
   }
-  if (const auto* pub = std::get_if<PublishFrame>(&frame)) {
-    HandlePublish(client, *pub);
+  if (auto* pub = std::get_if<PublishFrame>(&frame)) {
+    HandlePublish(client, std::move(*pub));
     return;
   }
   if (const auto* ping = std::get_if<PingFrame>(&frame)) {
@@ -320,10 +320,10 @@ void ClusterNode::HandleSubscribe(ClientHandle client, const SubscribeFrame& sub
   }
 }
 
-void ClusterNode::HandlePublish(ClientHandle client, const PublishFrame& pub) {
+void ClusterNode::HandlePublish(ClientHandle client, PublishFrame&& pub) {
   ParkedPublication p;
-  p.topic = pub.topic;
-  p.payload = pub.payload;
+  p.topic = std::move(pub.topic);
+  p.payload = std::move(pub.payload);
   p.pubId = pub.pubId;
   p.publishTs = pub.publishTs;
   p.publisher = pub.wantAck ? client : 0;
@@ -350,7 +350,7 @@ void ClusterNode::RoutePublication(ParkedPublication pub, bool elect) {
   }
   const std::uint32_t group = GroupOf(pub.topic);
   if (const auto pos = sequencer_.Assign(group, pub.topic)) {
-    SequenceAndBroadcast(pub, *pos);
+    SequenceAndBroadcast(std::move(pub), *pos);
     return;
   }
 
@@ -362,7 +362,14 @@ void ClusterNode::RoutePublication(ParkedPublication pub, bool elect) {
   if (elect) {
     // Not the coordinator. Whether designated for election or holding stale
     // gossip at the sender, the right move is to run for coordinator: the
-    // MiniZK create arbitrates.
+    // MiniZK create arbitrates. A leaving member runs for nothing
+    // (AttemptTakeover refuses), so it bounces the publication at once and
+    // the contact server's publisher retries elsewhere.
+    if (leaving_) {
+      cm_.rejects.Inc();
+      Refuse(pub, PubAckCode::kFailed);
+      return;
+    }
     state.parked.push_back(std::move(pub));
     AttemptTakeover(group);
     return;
@@ -379,27 +386,30 @@ void ClusterNode::RoutePublication(ParkedPublication pub, bool elect) {
   }
 
   if (state.gossip && state.gossip->serverId != cfg_.serverId) {
-    Forward(pub, state.gossip->serverId, /*electIfUnassigned=*/false);
+    Forward(std::move(pub), state.gossip->serverId, /*electIfUnassigned=*/false);
     return;
   }
 
   // Unassigned group: delegate coordinator acquisition to a random server
   // (avoids a publisher's contact point accumulating every coordinator
-  // role — paper footnote 2). The random pick may be ourselves.
-  const std::size_t pick = env_.Random() % (peers_.size() + 1);
+  // role — paper footnote 2). The random pick may be ourselves, unless we
+  // are leaving: then the same draw picks a peer, which runs for us.
+  const std::uint64_t draw = env_.Random();
+  std::size_t pick = draw % (peers_.size() + 1);
+  if (pick == peers_.size() && leaving_ && !peers_.empty()) pick = draw % peers_.size();
   if (pick == peers_.size()) {
     state.parked.push_back(std::move(pub));
     AttemptTakeover(group);
   } else {
-    Forward(pub, peers_[pick], /*electIfUnassigned=*/true);
+    Forward(std::move(pub), peers_[pick], /*electIfUnassigned=*/true);
   }
 }
 
-void ClusterNode::Forward(const ParkedPublication& pub, const std::string& to,
+void ClusterNode::Forward(ParkedPublication&& pub, const std::string& to,
                           bool electIfUnassigned) {
   cm_.forwarded.Inc();
-  env_.SendToPeer(to, ForwardPubFrame{pub.topic, pub.payload, pub.pubId,
-                                      cfg_.serverId, pub.publishTs,
+  env_.SendToPeer(to, ForwardPubFrame{std::move(pub.topic), std::move(pub.payload),
+                                      pub.pubId, cfg_.serverId, pub.publishTs,
                                       electIfUnassigned});
 }
 
@@ -415,18 +425,19 @@ void ClusterNode::Refuse(const ParkedPublication& pub, PubAckCode code) {
   }
 }
 
-void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub, StreamPos pos) {
-  Message msg;
-  msg.topic = pub.topic;
-  msg.payload = pub.payload;
-  msg.epoch = pos.epoch;
-  msg.seq = pos.seq;
-  msg.pubId = pub.pubId;
-  msg.publishTs = pub.publishTs;
+void ClusterNode::SequenceAndBroadcast(ParkedPublication&& pub, StreamPos pos) {
+  // The publication moves into the broadcast frame. The cache stores the one
+  // copy this member makes; local delivery reads the frame's message.
+  const std::uint32_t group = GroupOf(pub.topic);
+  const Frame frame{BroadcastFrame{
+      Message{std::move(pub.topic), std::move(pub.payload), pos.epoch, pos.seq,
+              pub.pubId, pub.publishTs},
+      group, cfg_.serverId, fenceEpoch_}};
+  const Message& msg = std::get<BroadcastFrame>(frame).msg;
 
   std::optional<StreamPos>& cursor = topics_[msg.topic].cursor;
   if (!cursor) cursor = cache_.LastPos(msg.topic).value_or(StreamPos{});
-  cache_.Append(msg, env_.Now());
+  const bool cached = cache_.Append(msg, env_.Now());
   cm_.published.Inc();
 
   // Track the pending ack. A local publisher is acknowledged after
@@ -449,15 +460,8 @@ void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub, StreamPos p
     cm_.replicationPending.Add(1);
   }
 
-  const std::uint32_t group = GroupOf(pub.topic);
-  BroadcastFrame bcast;
-  bcast.msg = msg;
-  bcast.group = group;
-  bcast.coordinatorId = cfg_.serverId;
-  bcast.fenceEpoch = fenceEpoch_;
-  for (const std::string& peer : peers_) env_.SendToPeer(peer, bcast);
-
-  DeliverInOrder(msg.topic);
+  env_.SendToPeers(peers_, frame);
+  DeliverInOrder(msg.topic, cached ? &msg : nullptr);
 }
 
 void ClusterNode::AttemptTakeover(std::uint32_t group) {
@@ -532,7 +536,7 @@ void ClusterNode::RejectParked(std::uint32_t group) {
 // Peer events
 // ---------------------------------------------------------------------------
 
-void ClusterNode::OnPeerFrame(const std::string& from, const Frame& frame) {
+void ClusterNode::OnPeerFrame(const std::string& from, Frame&& frame) {
   if (crashed_ || !started_) return;
   // Frames that name a topic group index the per-group record: one naming a
   // group this cluster does not have is malformed and dropped whole.
@@ -554,8 +558,8 @@ void ClusterNode::OnPeerFrame(const std::string& from, const Frame& frame) {
     OnBroadcastAck(from, *ack);
     return;
   }
-  if (const auto* fwd = std::get_if<ForwardPubFrame>(&frame)) {
-    OnForwardPub(from, *fwd);
+  if (auto* fwd = std::get_if<ForwardPubFrame>(&frame)) {
+    OnForwardPub(from, std::move(*fwd));
     return;
   }
   if (const auto* reject = std::get_if<ForwardRejectFrame>(&frame)) {
@@ -624,7 +628,7 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
   std::optional<StreamPos>& cursor = topics_[bcast.msg.topic].cursor;
   if (!cursor) cursor = last.value_or(StreamPos{});
 
-  cache_.Append(bcast.msg, env_.Now());
+  const bool cached = cache_.Append(bcast.msg, env_.Now());
   env_.SendToPeer(from, BroadcastAckFrame{bcast.group, bcast.msg.epoch,
                                           bcast.msg.seq, bcast.msg.topic});
 
@@ -634,7 +638,7 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
   // ReplicatedNotice instead.
   if (cfg_.ackCopies <= 2) AckContactPending(bcast.msg.pubId, true);
 
-  DeliverInOrder(bcast.msg.topic);
+  DeliverInOrder(bcast.msg.topic, cached ? &bcast.msg : nullptr);
 }
 
 void ClusterNode::OnBroadcastAck(const std::string&, const BroadcastAckFrame& ack) {
@@ -666,10 +670,10 @@ void ClusterNode::OnReplicatedNotice(const ReplicatedNoticeFrame& notice) {
   AckContactPending(notice.pubId, true);
 }
 
-void ClusterNode::OnForwardPub(const std::string& from, const ForwardPubFrame& fwd) {
+void ClusterNode::OnForwardPub(const std::string& from, ForwardPubFrame&& fwd) {
   ParkedPublication pub;
-  pub.topic = fwd.topic;
-  pub.payload = fwd.payload;
+  pub.topic = std::move(fwd.topic);
+  pub.payload = std::move(fwd.payload);
   pub.pubId = fwd.pubId;
   pub.publishTs = fwd.publishTs;
   pub.originServerId = fwd.originServerId.empty() ? from : fwd.originServerId;
@@ -763,13 +767,20 @@ void ClusterNode::DeliverToLocalSubscribers(const Message& msg) {
   const core::SubscriberSnapshot subs = registry_.Snapshot(msg.topic);
   if (!subs || subs->empty()) return;
   cm_.delivered.Inc(subs->size());
-  env_.SendToClients(*subs, DeliverFrame{msg});
+  env_.Deliver(*subs, msg);
 }
 
-void ClusterNode::DeliverInOrder(const std::string& topic) {
+void ClusterNode::DeliverInOrder(const std::string& topic, const Message* appended) {
   TopicState& state = topics_[topic];
   if (state.stallTimer) return;
   StreamPos& cursor = state.cursor ? *state.cursor : state.cursor.emplace();
+  // The cache's newest entry right behind the cursor is all GetAfter would
+  // return: no position lies between (e, s) and (e, s + 1).
+  if (appended != nullptr && PosOf(*appended) == StreamPos{cursor.epoch, cursor.seq + 1}) {
+    cursor = PosOf(*appended);
+    DeliverToLocalSubscribers(*appended);
+    return;
+  }
   for (const Message& msg : cache_.GetAfter(topic, cursor)) {
     cursor = PosOf(msg);
     DeliverToLocalSubscribers(msg);

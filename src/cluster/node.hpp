@@ -103,15 +103,21 @@ class ClusterEnv {
  public:
   virtual ~ClusterEnv() = default;
   virtual void SendToPeer(const std::string& serverId, const Frame& frame) = 0;
+  /// One frame to several peers, in order (a coordinator's broadcast). The
+  /// TCP host encodes it once and queues the same bytes on every link; the
+  /// default is one SendToPeer per peer.
+  virtual void SendToPeers(const std::vector<std::string>& serverIds,
+                           const Frame& frame) {
+    for (const std::string& serverId : serverIds) SendToPeer(serverId, frame);
+  }
   virtual void SendToClient(ClientHandle client, const Frame& frame) = 0;
-  /// Batched fan-out: one frame to many clients (the local-delivery cursor
-  /// path hands whole subscriber snapshots here). Both hosts forward it to
-  /// the client front door, which encodes once per transport flavour and
-  /// shares the bytes across every socket write; the default preserves
-  /// per-client semantics exactly.
-  virtual void SendToClients(const std::vector<ClientHandle>& clients,
-                             const Frame& frame) {
-    for (const ClientHandle client : clients) SendToClient(client, frame);
+  /// Batched fan-out of a DELIVER of `msg` (the local-delivery cursor path
+  /// hands whole subscriber snapshots here). Both hosts forward it to the
+  /// client front door, which encodes straight from the message once per
+  /// transport flavour and shares the bytes across every socket write; the
+  /// default preserves per-client semantics exactly.
+  virtual void Deliver(const std::vector<ClientHandle>& clients, const Message& msg) {
+    for (const ClientHandle client : clients) SendToClient(client, DeliverFrame{msg});
   }
   /// Forcibly close a client connection (self-fencing).
   virtual void CloseClient(ClientHandle client) = 0;
@@ -142,11 +148,13 @@ class ClusterNode {
 
   // --- client-side events (invoked by the host) ------------------------------
   void OnClientConnect(ClientHandle client, const std::string& clientId);
-  void OnClientFrame(ClientHandle client, const Frame& frame);
+  /// Takes the frame by rvalue: a publication's topic and payload move on
+  /// into the forward or the broadcast; the cache keeps the one copy.
+  void OnClientFrame(ClientHandle client, Frame&& frame);
   void OnClientDisconnect(ClientHandle client);
 
   // --- peer events ------------------------------------------------------------
-  void OnPeerFrame(const std::string& fromServerId, const Frame& frame);
+  void OnPeerFrame(const std::string& fromServerId, Frame&& frame);
 
   /// Incremental cache sync against one peer — invoked by the host when an
   /// inter-server connection is (re)established (paper §5.2.2).
@@ -257,15 +265,15 @@ class ClusterNode {
   };
 
   // Client protocol.
-  void HandlePublish(ClientHandle client, const PublishFrame& pub);
+  void HandlePublish(ClientHandle client, PublishFrame&& pub);
   void HandleSubscribe(ClientHandle client, const SubscribeFrame& sub);
 
   // Publication routing. A publication forwarded here (`elect`) that this
   // node does not sequence runs it for coordinator — the MiniZK create
   // arbitrates — instead of taking the contact-server path.
   void RoutePublication(ParkedPublication pub, bool elect = false);
-  void SequenceAndBroadcast(const ParkedPublication& pub, StreamPos pos);
-  void Forward(const ParkedPublication& pub, const std::string& to,
+  void SequenceAndBroadcast(ParkedPublication&& pub, StreamPos pos);
+  void Forward(ParkedPublication&& pub, const std::string& to,
                bool electIfUnassigned);
   /// Answers a publication that will not be sequenced: forwarded ones bounce
   /// to their contact server, local ones fail their publisher with `code`
@@ -279,7 +287,7 @@ class ClusterNode {
   // Peer protocol.
   void OnBroadcast(const std::string& from, const BroadcastFrame& bcast);
   void OnBroadcastAck(const std::string& from, const BroadcastAckFrame& ack);
-  void OnForwardPub(const std::string& from, const ForwardPubFrame& fwd);
+  void OnForwardPub(const std::string& from, ForwardPubFrame&& fwd);
   void OnForwardReject(const ForwardRejectFrame& reject);
   void OnReplicatedNotice(const ReplicatedNoticeFrame& notice);
   void OnGossipAnnounce(const GossipAnnounceFrame& announce);
@@ -321,7 +329,11 @@ class ClusterNode {
   void RecoverFromWal();
   void WalFlushTick();
   void DeliverToLocalSubscribers(const Message& msg);
-  void DeliverInOrder(const std::string& topic);
+  /// Hands local subscribers everything the cache holds past the topic's
+  /// cursor. `appended` is a message the cache just accepted as its newest
+  /// entry: when it is the cursor's immediate successor it is the only such
+  /// message and is delivered as is, without reading the cache back.
+  void DeliverInOrder(const std::string& topic, const Message* appended = nullptr);
   void StallDelivery(const std::string& topic);
   void AckContactPending(const PublicationId& pubId, bool ok);
 

@@ -124,7 +124,7 @@ class SimCluster {
                                          .injectEndpoint = false},
           core::ClientFrontDoor::Sink{
               .onFrame = [&node](const core::SessionPtr& s, Frame&& f) {
-                node.OnClientFrame(s->handle, f);
+                node.OnClientFrame(s->handle, std::move(f));
                 return OkStatus();
               },
               .onClosed = [&node](const core::SessionPtr& s) {
@@ -304,16 +304,17 @@ class SimCluster {
           EstimateFrameSize(frame),
           [&cluster = cluster_, from = cluster_.servers_[index_]->id,
            to = *target, frame] {
-            cluster.servers_[to]->node->OnPeerFrame(from, frame);
+            // A copy per delivery: a duplicating link runs this twice.
+            cluster.servers_[to]->node->OnPeerFrame(from, Frame(frame));
           });
     }
 
     void SendToClient(ClientHandle client, const Frame& frame) override {
       door().Send(client, frame);
     }
-    void SendToClients(const std::vector<ClientHandle>& clients,
-                       const Frame& frame) override {
-      door().Send(clients, frame);
+    void Deliver(const std::vector<ClientHandle>& clients,
+                 const Message& msg) override {
+      door().Deliver(clients, msg);
     }
     void CloseClient(ClientHandle client) override { door().CloseAfterFlush(client); }
 

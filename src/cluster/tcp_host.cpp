@@ -32,15 +32,20 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
   NodeEnv(TcpClusterHost& host, std::uint64_t seed) : host_(host), rng_(seed) {}
 
   void SendToPeer(const std::string& serverId, const Frame& frame) override {
-    host_.SendPeerFrame(serverId, frame);
+    host_.SendPeerFrame(serverId, EncodeWire(frame));
+  }
+  void SendToPeers(const std::vector<std::string>& serverIds,
+                   const Frame& frame) override {
+    // One encode for every peer: each link queues a reference to the bytes.
+    const WireBuffer wire = EncodeWire(frame);
+    for (const std::string& serverId : serverIds) host_.SendPeerFrame(serverId, wire);
   }
 
   void SendToClient(ClientHandle client, const Frame& frame) override {
     host_.door_.Send(client, frame);
   }
-  void SendToClients(const std::vector<ClientHandle>& clients,
-                     const Frame& frame) override {
-    host_.door_.Send(clients, frame);
+  void Deliver(const std::vector<ClientHandle>& clients, const Message& msg) override {
+    host_.door_.Deliver(clients, msg);
   }
   void CloseClient(ClientHandle client) override {
     host_.door_.CloseAfterFlush(client);
@@ -104,7 +109,7 @@ TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
                    monitor_->Forget(s->handle, unsub->topic);
                  }
                }
-               node_->OnClientFrame(s->handle, f);
+               node_->OnClientFrame(s->handle, std::move(f));
                return OkStatus();
              },
              .onClosed = [this](const core::SessionPtr& s) {
@@ -239,7 +244,7 @@ void TcpClusterHost::ReadPeerFrames(const ConnectionPtr& conn, std::string from)
       }
       if (!r.frame) return;
       if (!peer->empty()) {
-        node_->OnPeerFrame(*peer, *r.frame);
+        node_->OnPeerFrame(*peer, std::move(*r.frame));
         continue;
       }
       const auto* hello = std::get_if<HelloFrame>(&*r.frame);
@@ -286,8 +291,8 @@ void TcpClusterHost::EnsurePeerLink(const std::string& serverId) {
   });
 }
 
-void TcpClusterHost::SendPeerFrame(const std::string& serverId, const Frame& frame) {
-  if (!SendOnLink(peerLinks_[serverId], EncodeWire(frame))) EnsurePeerLink(serverId);
+void TcpClusterHost::SendPeerFrame(const std::string& serverId, WireBuffer wire) {
+  if (!SendOnLink(peerLinks_[serverId], std::move(wire))) EnsurePeerLink(serverId);
 }
 
 bool TcpClusterHost::SendOnLink(Link& link, WireBuffer wire) {

@@ -109,7 +109,9 @@ class TcpClusterHost {
   void AdoptPeerConnection(const std::string& serverId, ConnectionPtr conn);
   void EnsurePeerLink(const std::string& serverId);
   void EnsureCoordLink(coord::NodeId nodeId);
-  void SendPeerFrame(const std::string& serverId, const Frame& frame);
+  /// Queues an encoded peer frame on the member's link (its backlog while
+  /// the link is down).
+  void SendPeerFrame(const std::string& serverId, WireBuffer wire);
   void SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg);
   /// Queues `wire` on the link's connection, or parks it in the backlog
   /// while the link is down. Returns false when parked.

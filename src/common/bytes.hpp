@@ -5,6 +5,7 @@
 // Status instead of throwing (decode runs on untrusted network input).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -74,6 +75,22 @@ class ByteWriter {
  private:
   Bytes& out_;
 };
+
+/// Stream-frames the body already written at out[bodyStart..] in place: its
+/// varint length goes in front of it, inside the vector's spare capacity
+/// when there is room. Encoders write a body straight into its destination
+/// and then frame it this way, so no frame passes through a scratch buffer.
+inline void PrefixVarintLength(Bytes& out, std::size_t bodyStart) {
+  std::uint8_t prefix[10];
+  std::size_t n = 0;
+  std::uint64_t len = out.size() - bodyStart;
+  while (len >= 0x80) {
+    prefix[n++] = static_cast<std::uint8_t>(len) | 0x80;
+    len >>= 7;
+  }
+  prefix[n++] = static_cast<std::uint8_t>(len);
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(bodyStart), prefix, prefix + n);
+}
 
 /// Cursor over immutable bytes; every read checks bounds.
 class ByteReader {

@@ -236,11 +236,9 @@ Result<CoordMsg> DecodeCoordMsg(BytesView data) {
 }
 
 void EncodeCoordFramed(const CoordMsg& msg, Bytes& out) {
-  Bytes body;
-  EncodeCoordMsg(msg, body);
-  ByteWriter w(out);
-  w.WriteVarint(body.size());
-  w.WriteBytes(body);
+  const std::size_t start = out.size();
+  EncodeCoordMsg(msg, out);
+  PrefixVarintLength(out, start);
 }
 
 CoordExtractResult ExtractCoordMsg(ByteQueue& in, std::size_t maxSize) {

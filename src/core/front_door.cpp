@@ -53,18 +53,32 @@ WireBuffer EvictionNotice(const Session& client) {
   return notice;
 }
 
-void EncodeForMode(const Frame& frame, Session::Mode mode, Bytes& out) {
+namespace {
+
+/// Wraps the frame body already encoded at out[bodyStart..] in the flavour
+/// of a session in `mode`, in place.
+void FrameForMode(Session::Mode mode, Bytes& out, std::size_t bodyStart) {
   if (mode == Session::Mode::kWs) {
-    Bytes body;
-    EncodeFrame(frame, body);
-    ws::EncodeWsFrame(ws::Opcode::kBinary, BytesView(body), out);
+    ws::FrameInPlace(ws::Opcode::kBinary, out, bodyStart);
   } else if (mode == Session::Mode::kHttp) {
-    Bytes body;
-    EncodeFrame(frame, body);
-    http::EncodeChunk(BytesView(body), out);
+    http::ChunkInPlace(out, bodyStart);
   } else {
-    EncodeFramed(frame, out);
+    PrefixVarintLength(out, bodyStart);
   }
+}
+
+}  // namespace
+
+void EncodeForMode(const Frame& frame, Session::Mode mode, Bytes& out) {
+  const std::size_t start = out.size();
+  EncodeFrame(frame, out);
+  FrameForMode(mode, out, start);
+}
+
+void EncodeDeliverForMode(const Message& msg, Session::Mode mode, Bytes& out) {
+  const std::size_t start = out.size();
+  EncodeDeliver(msg, out);
+  FrameForMode(mode, out, start);
 }
 
 ClientFrontDoor::ClientFrontDoor(obs::MetricsRegistry& metrics, Options options,
@@ -372,8 +386,8 @@ void ClientFrontDoor::Send(ClientHandle client, const Frame& frame) {
   WriteOut(session, std::move(wire));
 }
 
-void ClientFrontDoor::Send(const std::vector<ClientHandle>& clients,
-                           const Frame& frame) {
+void ClientFrontDoor::Deliver(const std::vector<ClientHandle>& clients,
+                              const Message& msg) {
   // One encode per flavour shared across every target's send queue: N
   // subscribers cost zero per-subscriber copies. Each write still goes
   // through the slow-consumer policy, so one stalled subscriber cannot
@@ -382,12 +396,14 @@ void ClientFrontDoor::Send(const std::vector<ClientHandle>& clients,
   for (const ClientHandle client : clients) {
     const SessionPtr session = sessions_.Find(client);
     if (!session || session->closing) continue;
-    Observe(client, frame);
+    if (opts_.monitor != nullptr) {
+      opts_.monitor->OnDelivery(client, msg.topic, PosOf(msg), msg.pubId);
+    }
     const Session::Mode mode = session->CurrentMode();
     WireBuffer& wire = wires[static_cast<std::size_t>(mode)];
     if (!wire) {
       auto bytes = AcquireWireBuffer();
-      EncodeForMode(frame, mode, *bytes);
+      EncodeDeliverForMode(msg, mode, *bytes);
       wire = std::move(bytes);
     }
     WriteOut(session, wire);

@@ -40,7 +40,11 @@ inline constexpr std::size_t kMaxClientFrame = 1 * 1024 * 1024;
 
 /// Appends `frame` encoded in the flavour of a session in `mode`: a binary
 /// WebSocket message, an HTTP chunk, or a raw length-prefixed frame.
+/// Every encoder writes the frame body straight into `out` and then frames
+/// it in place (DESIGN.md §14): no scratch buffer, no copy of the body.
 void EncodeForMode(const Frame& frame, Session::Mode mode, Bytes& out);
+/// EncodeForMode of DeliverFrame{msg}, encoded from the message in hand.
+void EncodeDeliverForMode(const Message& msg, Session::Mode mode, Bytes& out);
 /// The slow-consumer close notice in the session's flavour: a WebSocket
 /// Close 1013, or a DisconnectFrame carrying kSlowConsumerReason.
 [[nodiscard]] WireBuffer EvictionNotice(const Session& client);
@@ -66,7 +70,8 @@ class ClientFrontDoor {
     /// Set: every session coalesces its writes in a Batcher.
     std::optional<BatchConfig> batch;
     /// Receives over-soft queue depths, /metrics snapshots and every DELIVER
-    /// sent through Send(handle(s), frame). Nullable; must outlive the door.
+    /// sent through Send(handle, frame) or Deliver. Nullable; must outlive
+    /// the door.
     verify::Monitor* monitor = nullptr;
     /// Answer `GET /inject?kind=...` (needs a monitor; debug only).
     bool injectEndpoint = false;
@@ -105,8 +110,9 @@ class ClientFrontDoor {
 
   /// Encodes `frame` in the client's flavour and writes it.
   void Send(ClientHandle client, const Frame& frame);
-  /// Fan-out: encodes once per flavour present and shares the bytes.
-  void Send(const std::vector<ClientHandle>& clients, const Frame& frame);
+  /// Fan-out of a DELIVER of `msg`: encodes once per flavour present and
+  /// shares the bytes.
+  void Deliver(const std::vector<ClientHandle>& clients, const Message& msg);
   void CloseAfterFlush(ClientHandle client);
 
   // --- host lifecycle ------------------------------------------------------

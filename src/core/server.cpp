@@ -317,9 +317,6 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
     return;
   }
 
-  const Frame deliver{DeliverFrame{std::move(msg)}};
-  const Message& delivered = std::get<DeliverFrame>(deliver).msg;
-
   // Encode once per transport flavour present among the targets; every
   // subscriber on every IoThread queues a reference to the same bytes. The
   // first live socket write records the stages (first-subscriber latency).
@@ -330,12 +327,11 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
     Egress& frame = frames[static_cast<std::size_t>(mode)];
     if (!frame.wire) {
       auto bytes = AcquireWireBuffer();
-      EncodeForMode(deliver, mode, *bytes);
+      EncodeDeliverForMode(msg, mode, *bytes);
       frame = Egress{.wire = std::move(bytes)};
     }
     if (monitor_) {
-      monitor_->OnDelivery(target->handle, delivered.topic, PosOf(delivered),
-                           delivered.pubId);
+      monitor_->OnDelivery(target->handle, msg.topic, PosOf(msg), msg.pubId);
     }
     Enqueue(w, target, frame, std::exchange(trace, nullptr));
   }
@@ -422,7 +418,7 @@ void Server::OfferConflatedOnLoop(const SessionPtr& session, const Message& msg)
           auto s = weak.lock();
           if (!s || !s->open.load(std::memory_order_relaxed)) return;
           auto wire = AcquireWireBuffer();
-          EncodeForMode(Frame(DeliverFrame{m}), s->CurrentMode(), *wire);
+          EncodeDeliverForMode(m, s->CurrentMode(), *wire);
           m_.delivered.Inc();
           door_.WriteOut(s, std::move(wire));
         });

@@ -1,5 +1,6 @@
 #include "proto/codec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace md {
@@ -89,6 +90,59 @@ Status ReadCursors(ByteReader& r,
     out.emplace_back(std::move(topic), pos);
   }
   return OkStatus();
+}
+
+// --- output sizing ----------------------------------------------------------
+
+/// Room for the header a framing inserts in front of a body under 64 KiB,
+/// and the HTTP chunk's trailing CRLF.
+constexpr std::size_t kFramingRoom = 8;
+/// Room reserved for a frame without a payload (acks, notices, pings).
+constexpr std::size_t kSmallFrame = 24;
+
+std::size_t VarintSize(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+std::size_t StringSize(std::size_t len) noexcept { return VarintSize(len) + len; }
+
+/// Bytes WriteMessage writes for `m`.
+std::size_t MessageSize(const Message& m) noexcept {
+  return StringSize(m.topic.size()) + StringSize(m.payload.size()) +
+         VarintSize(m.epoch) + VarintSize(m.seq) + 8 + VarintSize(m.pubId.counter) + 8;
+}
+
+/// Bytes a frame takes once framed: exact, plus kFramingRoom, for the frames
+/// a publication travels in; a small guess for the rest.
+std::size_t SizeHint(const Frame& frame) noexcept {
+  if (const auto* d = std::get_if<DeliverFrame>(&frame)) {
+    return 1 + MessageSize(d->msg) + kFramingRoom;
+  }
+  if (const auto* b = std::get_if<BroadcastFrame>(&frame)) {
+    return 1 + MessageSize(b->msg) + VarintSize(b->group) +
+           StringSize(b->coordinatorId.size()) + VarintSize(b->fenceEpoch) + kFramingRoom;
+  }
+  if (const auto* p = std::get_if<PublishFrame>(&frame)) {
+    return 1 + StringSize(p->topic.size()) + StringSize(p->payload.size()) + 8 +
+           VarintSize(p->pubId.counter) + 1 + 8 + kFramingRoom;
+  }
+  if (const auto* f = std::get_if<ForwardPubFrame>(&frame)) {
+    return 1 + StringSize(f->topic.size()) + StringSize(f->payload.size()) + 8 +
+           VarintSize(f->pubId.counter) + StringSize(f->originServerId.size()) + 8 + 1 +
+           kFramingRoom;
+  }
+  return kSmallFrame;
+}
+
+/// Makes room for `bytes` more in `out` before an encode appends them: a
+/// fresh buffer gets one allocation of the frame's size instead of a chain
+/// of regrowths, frames appended back to back still grow the buffer
+/// geometrically, and a warm buffer is left alone.
+void ReserveFor(Bytes& out, std::size_t bytes) {
+  const std::size_t need = out.size() + bytes;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
 }
 
 // --- per-frame encoders -----------------------------------------------------
@@ -464,6 +518,7 @@ const char* FrameTypeName(FrameType type) noexcept {
 }
 
 void EncodeFrame(const Frame& frame, Bytes& out) {
+  ReserveFor(out, SizeHint(frame));
   ByteWriter w(out);
   w.WriteU8(static_cast<std::uint8_t>(TypeOf(frame)));
   std::visit(Encoder{w}, frame);
@@ -501,12 +556,17 @@ Result<Frame> DecodeFrame(BytesView data) {
   return Err(ErrorCode::kProtocol, "unknown frame type");
 }
 
-void EncodeFramed(const Frame& frame, Bytes& out) {
-  Bytes body;
-  EncodeFrame(frame, body);
+void EncodeDeliver(const Message& msg, Bytes& out) {
+  ReserveFor(out, 1 + MessageSize(msg) + kFramingRoom);
   ByteWriter w(out);
-  w.WriteVarint(body.size());
-  w.WriteBytes(body);
+  w.WriteU8(static_cast<std::uint8_t>(FrameType::kDeliver));
+  WriteMessage(w, msg);
+}
+
+void EncodeFramed(const Frame& frame, Bytes& out) {
+  const std::size_t start = out.size();
+  EncodeFrame(frame, out);
+  PrefixVarintLength(out, start);
 }
 
 FrameExtractResult ExtractFrame(ByteQueue& in, std::size_t maxFrameSize) {

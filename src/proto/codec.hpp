@@ -21,6 +21,10 @@ void EncodeFrame(const Frame& frame, Bytes& out);
 /// Parses one frame from exactly `data` (no length prefix expected).
 Result<Frame> DecodeFrame(BytesView data);
 
+/// Serializes a DELIVER of `msg` (tag + body) into `out`: the bytes
+/// EncodeFrame writes for DeliverFrame{msg}, without building the frame.
+void EncodeDeliver(const Message& msg, Bytes& out);
+
 /// Appends a stream-framed (varint length + body) frame to `out`.
 void EncodeFramed(const Frame& frame, Bytes& out);
 

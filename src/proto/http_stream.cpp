@@ -1,5 +1,7 @@
 #include "proto/http_stream.hpp"
 
+#include <algorithm>
+
 #include "common/strutil.hpp"
 
 namespace md::http {
@@ -98,9 +100,25 @@ StreamResponseResult ParseStreamResponse(ByteQueue& in) {
 }
 
 void EncodeChunk(BytesView payload, Bytes& out) {
-  const std::string size = Format("%zx\r\n", payload.size());
-  out.insert(out.end(), size.begin(), size.end());
+  const std::size_t start = out.size();
   out.insert(out.end(), payload.begin(), payload.end());
+  ChunkInPlace(out, start);
+}
+
+void ChunkInPlace(Bytes& out, std::size_t payloadStart) {
+  // Hex size + CRLF: at most 16 digits for a 64-bit length.
+  std::uint8_t line[18];
+  std::size_t digits = 0;
+  std::size_t len = out.size() - payloadStart;
+  do {
+    line[digits++] = static_cast<std::uint8_t>("0123456789abcdef"[len & 0xF]);
+    len >>= 4;
+  } while (len != 0);
+  std::reverse(line, line + digits);
+  line[digits] = '\r';
+  line[digits + 1] = '\n';
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(payloadStart), line,
+             line + digits + 2);
   out.push_back('\r');
   out.push_back('\n');
 }

@@ -45,6 +45,10 @@ StreamResponseResult ParseStreamResponse(ByteQueue& in);
 /// Appends one chunk (hex length, CRLF, payload, CRLF).
 void EncodeChunk(BytesView payload, Bytes& out);
 
+/// Turns the payload already written at out[payloadStart..] into one chunk:
+/// inserts the hex length line in front of it and appends the CRLF.
+void ChunkInPlace(Bytes& out, std::size_t payloadStart);
+
 /// Appends the terminal zero-length chunk.
 void EncodeFinalChunk(Bytes& out);
 

@@ -19,38 +19,52 @@ void ApplyMask(std::uint8_t* data, std::size_t len, std::uint32_t key) noexcept 
   for (std::size_t i = 0; i < len; ++i) data[i] ^= keyBytes[i % 4];
 }
 
+/// Writes the header of a final frame carrying `len` payload bytes (mask
+/// bit set when `masked`, key not included) into `head` (room for 10
+/// bytes); returns its length.
+std::size_t WriteHeader(Opcode opcode, std::size_t len, bool masked,
+                        std::uint8_t* head) noexcept {
+  const std::uint8_t maskBit = masked ? 0x80 : 0x00;
+  head[0] = static_cast<std::uint8_t>(0x80 | static_cast<std::uint8_t>(opcode));
+  if (len < 126) {
+    head[1] = static_cast<std::uint8_t>(maskBit | len);
+    return 2;
+  }
+  if (len <= 0xFFFF) {
+    head[1] = maskBit | 126;
+    head[2] = static_cast<std::uint8_t>(len >> 8);
+    head[3] = static_cast<std::uint8_t>(len);
+    return 4;
+  }
+  head[1] = maskBit | 127;
+  for (int i = 0; i < 8; ++i) {
+    head[2 + i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(len) >> (8 * (7 - i)));
+  }
+  return 10;
+}
+
 }  // namespace
 
 void EncodeWsFrame(Opcode opcode, BytesView payload, Bytes& out,
                    std::optional<std::uint32_t> maskKey) {
-  const std::size_t len = payload.size();
-  out.push_back(static_cast<std::uint8_t>(0x80 | static_cast<std::uint8_t>(opcode)));
+  const std::size_t start = out.size();
+  out.insert(out.end(), payload.begin(), payload.end());
+  FrameInPlace(opcode, out, start, maskKey);
+}
 
-  std::uint8_t maskBit = maskKey ? 0x80 : 0x00;
-  if (len < 126) {
-    out.push_back(static_cast<std::uint8_t>(maskBit | len));
-  } else if (len <= 0xFFFF) {
-    out.push_back(maskBit | 126);
-    out.push_back(static_cast<std::uint8_t>(len >> 8));
-    out.push_back(static_cast<std::uint8_t>(len));
-  } else {
-    out.push_back(maskBit | 127);
-    for (int i = 7; i >= 0; --i) {
-      out.push_back(static_cast<std::uint8_t>(static_cast<std::uint64_t>(len) >> (8 * i)));
+void FrameInPlace(Opcode opcode, Bytes& out, std::size_t payloadStart,
+                  std::optional<std::uint32_t> maskKey) {
+  const std::size_t len = out.size() - payloadStart;
+  std::uint8_t head[14];
+  std::size_t headLen = WriteHeader(opcode, len, maskKey.has_value(), head);
+  if (maskKey) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      head[headLen++] = static_cast<std::uint8_t>(*maskKey >> shift);
     }
   }
-
-  if (maskKey) {
-    out.push_back(static_cast<std::uint8_t>(*maskKey >> 24));
-    out.push_back(static_cast<std::uint8_t>(*maskKey >> 16));
-    out.push_back(static_cast<std::uint8_t>(*maskKey >> 8));
-    out.push_back(static_cast<std::uint8_t>(*maskKey));
-    const std::size_t start = out.size();
-    out.insert(out.end(), payload.begin(), payload.end());
-    ApplyMask(out.data() + start, len, *maskKey);
-  } else {
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(payloadStart), head,
+             head + headLen);
+  if (maskKey) ApplyMask(out.data() + payloadStart + headLen, len, *maskKey);
 }
 
 WsExtractResult ExtractWsFrame(ByteQueue& in, bool expectMasked,

@@ -42,6 +42,12 @@ struct WsFrame {
 void EncodeWsFrame(Opcode opcode, BytesView payload, Bytes& out,
                    std::optional<std::uint32_t> maskKey = std::nullopt);
 
+/// Turns the payload already written at out[payloadStart..] into one frame
+/// in place: inserts the header (and mask key) in front of it, masking the
+/// payload when `maskKey` is set.
+void FrameInPlace(Opcode opcode, Bytes& out, std::size_t payloadStart,
+                  std::optional<std::uint32_t> maskKey = std::nullopt);
+
 /// Incremental decoder over a ByteQueue. Returns a frame when complete,
 /// std::nullopt when more bytes are needed, or an error on protocol
 /// violations (bad RSV bits, oversized control frame, wrong masking).

@@ -440,14 +440,14 @@ void EpollLoop::FlushPending() {
   // hits EAGAIN, and EAGAIN hands the drain to EPOLLOUT instead of this
   // list.
   while (!flushPending_.empty()) {
-    auto pending = std::move(flushPending_);
-    flushPending_.clear();
-    for (auto& conn : pending) {
+    flushing_.swap(flushPending_);
+    for (auto& conn : flushing_) {
       conn->flushQueued_ = false;  // before Flush: re-sends must re-queue
       if (conn->fd_ >= 0 && !conn->out_.empty() && !conn->wantWrite_) {
         conn->Flush();
       }
     }
+    flushing_.clear();  // keeps its capacity for the next swap
   }
 }
 
@@ -476,7 +476,12 @@ void EpollLoop::FireDueTimers() {
   }
 }
 
-int EpollLoop::NextTimeoutMillis() const {
+int EpollLoop::NextTimeoutMillis() {
+  // A cancelled timer leaves its heap entry behind. Drop those on top, so
+  // the loop does not wake at a deadline nobody waits for any more.
+  while (!timerHeap_.empty() && !timerTasks_.contains(timerHeap_.top().id)) {
+    timerHeap_.pop();
+  }
   if (timerHeap_.empty()) return 100;
   const Duration until = timerHeap_.top().when - Now();
   if (until <= 0) return 0;

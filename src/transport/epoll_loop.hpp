@@ -181,7 +181,8 @@ class EpollLoop final : public EventLoop {
   void DrainPostedTasks();
   void FireDueTimers();
   void FlushPending();
-  [[nodiscard]] int NextTimeoutMillis() const;
+  /// epoll_wait's timeout: until the earliest live timer, at most 100 ms.
+  [[nodiscard]] int NextTimeoutMillis();
   void HandleConnectReady(int fd);
 
   int epollFd_ = -1;
@@ -192,6 +193,7 @@ class EpollLoop final : public EventLoop {
   std::atomic<obs::TransportMetrics*> metrics_{nullptr};
   std::vector<std::uint8_t> readBuf_ = std::vector<std::uint8_t>(64 * 1024);
   std::vector<std::shared_ptr<detail::TcpConnection>> flushPending_;
+  std::vector<std::shared_ptr<detail::TcpConnection>> flushing_;  // reused
 
   std::mutex postMutex_;
   std::vector<TaskFn> posted_;

@@ -2,6 +2,7 @@
 
 #include <sys/uio.h>
 
+#include <cstddef>
 #include <mutex>
 #include <vector>
 
@@ -18,24 +19,41 @@ namespace {
 constexpr std::size_t kMaxPooled = 128;
 constexpr std::size_t kMaxRetainedCapacity = 256 * 1024;
 
+/// One pooled buffer plus the storage for the shared_ptr control block that
+/// hands it out: an acquire from a warm pool allocates nothing.
+struct Slot {
+  Bytes bytes;
+  alignas(std::max_align_t) unsigned char control[32];
+};
+
 struct BufferPool {
   std::mutex mutex;
-  std::vector<std::unique_ptr<Bytes>> free;
+  std::vector<Slot*> free;
 
-  std::unique_ptr<Bytes> Take() {
-    std::lock_guard lock(mutex);
-    if (free.empty()) return nullptr;
-    auto buf = std::move(free.back());
-    free.pop_back();
-    return buf;
+  BufferPool() { free.reserve(kMaxPooled); }
+
+  Slot* Take() {
+    {
+      std::lock_guard lock(mutex);
+      if (!free.empty()) {
+        Slot* slot = free.back();
+        free.pop_back();
+        return slot;
+      }
+    }
+    return new Slot();
   }
 
-  void Put(std::unique_ptr<Bytes> buf) {
-    buf->clear();
-    if (buf->capacity() > kMaxRetainedCapacity) return;  // let it free
-    std::lock_guard lock(mutex);
-    if (free.size() >= kMaxPooled) return;
-    free.push_back(std::move(buf));
+  void Put(Slot* slot) {
+    slot->bytes.clear();
+    if (slot->bytes.capacity() <= kMaxRetainedCapacity) {
+      std::lock_guard lock(mutex);
+      if (free.size() < kMaxPooled) {
+        free.push_back(slot);
+        return;
+      }
+    }
+    delete slot;
   }
 
   std::size_t Size() {
@@ -49,15 +67,39 @@ BufferPool& Pool() {
   return *pool;
 }
 
+/// Places the shared_ptr control block in its slot. Deallocation is the last
+/// thing a control block does (after the no-op deleter and its own
+/// destructor), so that is where the slot goes back to the pool: no other
+/// thread can take the slot while this one still touches it.
+template <typename T>
+struct SlotAllocator {
+  using value_type = T;
+
+  explicit SlotAllocator(Slot* s) noexcept : slot(s) {}
+  template <typename U>
+  SlotAllocator(const SlotAllocator<U>& other) noexcept : slot(other.slot) {}
+
+  T* allocate(std::size_t n) {
+    static_assert(sizeof(T) <= sizeof(Slot::control));
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    (void)n;  // always 1: shared_ptr allocates one control block
+    return reinterpret_cast<T*>(slot->control);
+  }
+  void deallocate(T*, std::size_t) noexcept { Pool().Put(slot); }
+
+  template <typename U>
+  bool operator==(const SlotAllocator<U>& other) const noexcept {
+    return slot == other.slot;
+  }
+
+  Slot* slot;
+};
+
 }  // namespace
 
 std::shared_ptr<Bytes> AcquireWireBuffer() {
-  auto buf = Pool().Take();
-  if (!buf) buf = std::make_unique<Bytes>();
-  // The deleter recycles the allocation; shared_ptr's control block keeps
-  // the raw pointer alive until the last queue node releases it.
-  return {buf.release(),
-          [](Bytes* b) { Pool().Put(std::unique_ptr<Bytes>(b)); }};
+  Slot* slot = Pool().Take();
+  return {&slot->bytes, [](Bytes*) {}, SlotAllocator<Slot>(slot)};
 }
 
 WireBuffer ToWire(std::string_view text) {

@@ -30,9 +30,11 @@ using WireBuffer = std::shared_ptr<const Bytes>;
 
 /// Acquires a reusable Bytes from a process-wide pool (empty, capacity
 /// retained from its previous life). When the last reference drops the
-/// buffer returns to the pool instead of being freed, so steady-state
-/// fan-out encodes into warm allocations. Callers fill it, then share it as
-/// a WireBuffer (shared_ptr<Bytes> converts implicitly).
+/// buffer returns to the pool instead of being freed. The shared_ptr's
+/// control block lives in the pooled slot too, so once the pool is warm an
+/// acquire, an encode into it and the release allocate nothing. Callers fill
+/// it, then share it as a WireBuffer (shared_ptr<Bytes> converts
+/// implicitly).
 [[nodiscard]] std::shared_ptr<Bytes> AcquireWireBuffer();
 
 /// A pooled wire buffer holding `text`: handshakes and other messages that

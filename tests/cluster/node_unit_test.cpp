@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "cluster/mock_cluster_env.hpp"
+#include "coord/assign.hpp"
 
 namespace md::cluster {
 namespace {
@@ -294,6 +295,88 @@ TEST_F(ClusterNodeUnitTest, CrashedNodeIgnoresEverything) {
   EXPECT_TRUE(env.toPeers.empty());
   EXPECT_TRUE(env.toClients.empty());
   EXPECT_FALSE(node.GossipEntry(0).has_value());
+}
+
+// --- A leaving member (elastic) ----------------------------------------------
+
+class ClusterNodeLeaveTest : public ::testing::Test {
+ protected:
+  ClusterNodeLeaveTest()
+      : env(sched),
+        coordEnv(sched),
+        coordNode(1, {1}, coordEnv),
+        node(MakeConfig(registry), env, coordNode, {"peer-a", "peer-b"}) {
+    coordNode.Start();
+    sched.RunFor(2 * kSecond);  // single-node election
+    node.Start();
+    sched.RunFor(kSecond);  // membership join settles
+    for (const char* peer : {"peer-a", "peer-b"}) {
+      coordNode.CreateEphemeral(coord::MemberKey(peer), "1", [](Status, std::uint64_t) {});
+    }
+    sched.RunFor(500 * kMillisecond);  // watches fire, rebalance debounce
+    // A client with an application id: leaving hands its partition to a
+    // peer, and the node stays leaving until that hand-off is acked.
+    node.OnClientConnect(10, "pub");
+    node.Leave();
+    env.Clear();
+  }
+
+  static ClusterConfig MakeConfig(obs::MetricsRegistry& reg) {
+    ClusterConfig cfg;
+    cfg.serverId = "me";
+    cfg.topicGroups = 4;
+    cfg.elastic = true;
+    cfg.metrics = &reg;
+    return cfg;
+  }
+
+  sim::Scheduler sched;
+  obs::MetricsRegistry registry;
+  MockClusterEnv env;
+  CoordEnvOnSched coordEnv;
+  coord::CoordNode coordNode;
+  ClusterNode node;
+};
+
+TEST_F(ClusterNodeLeaveTest, LocalPublishPickingItselfIsForwardedToAPeer) {
+  ASSERT_TRUE(node.IsLeaving());
+  ASSERT_TRUE(node.HasWriteQuorum());
+  // The draw that picks this node among {peer-a, peer-b, me} for the
+  // unassigned group. A leaving member runs for no coordinator role, so the
+  // same draw picks a peer and the publication goes there at once.
+  env.randomValue = 2;
+  PublishFrame pub;
+  pub.topic = "t";
+  pub.payload = {1};
+  pub.pubId = {7, 1};
+  pub.wantAck = true;
+  node.OnClientFrame(10, Frame(pub));
+  sched.RunFor(100 * kMillisecond);
+
+  const auto forwards = env.PeersOf<ForwardPubFrame>();
+  ASSERT_EQ(forwards.size(), 1u);
+  EXPECT_EQ(forwards[0].first, "peer-a");
+  EXPECT_TRUE(forwards[0].second.electIfUnassigned);
+  EXPECT_EQ(forwards[0].second.originServerId, "me");
+  EXPECT_TRUE(env.PeersOf<BroadcastFrame>().empty());
+  EXPECT_TRUE(env.ClientsOf<PubAckFrame>().empty());  // waits for the broadcast
+}
+
+TEST_F(ClusterNodeLeaveTest, ForwardedElectionIsRefusedAtOnce) {
+  ASSERT_TRUE(node.IsLeaving());
+  ForwardPubFrame fwd;
+  fwd.topic = "t";
+  fwd.payload = {1};
+  fwd.pubId = {8, 1};
+  fwd.originServerId = "peer-b";
+  fwd.electIfUnassigned = true;
+  node.OnPeerFrame("peer-b", Frame(fwd));
+
+  const auto rejects = env.PeersOf<ForwardRejectFrame>();
+  ASSERT_EQ(rejects.size(), 1u);
+  EXPECT_EQ(rejects[0].first, "peer-b");
+  EXPECT_EQ(rejects[0].second.pubId, (PublicationId{8, 1}));
+  EXPECT_FALSE(node.CoordinatesGroup(TopicGroupOf("t", 4)));
 }
 
 }  // namespace

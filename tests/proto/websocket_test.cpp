@@ -43,6 +43,31 @@ TEST(WsFrameTest, MaskingActuallyScramblesWire) {
   EXPECT_EQ(maskedStr.find("hello"), std::string::npos);
 }
 
+TEST(WsFrameTest, FrameInPlaceAppendsBehindEarlierFrames) {
+  // Two frames built in place in one buffer, the second behind the first:
+  // each header goes in front of its own payload, masked or not.
+  const Bytes first{1, 2, 3};
+  const Bytes second(300, 0x42);
+  for (const bool masked : {false, true}) {
+    Bytes wire(first.begin(), first.end());
+    const auto key = masked ? std::optional<std::uint32_t>(0x01020304) : std::nullopt;
+    FrameInPlace(Opcode::kBinary, wire, 0, key);
+    const std::size_t start = wire.size();
+    wire.insert(wire.end(), second.begin(), second.end());
+    FrameInPlace(Opcode::kText, wire, start, key);
+
+    ByteQueue q;
+    q.Append(BytesView(wire));
+    for (const Bytes* payload : {&first, &second}) {
+      auto r = ExtractWsFrame(q, /*expectMasked=*/masked);
+      ASSERT_TRUE(r.status.ok());
+      ASSERT_TRUE(r.frame.has_value());
+      EXPECT_EQ(r.frame->payload, *payload);
+    }
+    EXPECT_EQ(q.size(), 0u);
+  }
+}
+
 class WsPayloadSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(WsPayloadSizes, RoundTripsAtLengthBoundaries) {

@@ -8,6 +8,8 @@
 #include <chrono>
 #include <thread>
 
+#include "obs/families.hpp"
+
 namespace md {
 namespace {
 
@@ -79,6 +81,29 @@ TEST(EpollLoopTest, CancelledTimerDoesNotFire) {
   });
   LoopThread::WaitFor([&] { return sentinel.load(); });
   EXPECT_FALSE(fired.load());
+}
+
+TEST(EpollLoopTest, CancelledTimersDoNotWakeTheLoop) {
+  obs::MetricsRegistry registry;
+  obs::TransportMetrics tm(registry);
+  LoopThread lt;
+  lt.RunOnLoop([&] { lt.loop().SetMetrics(&tm); });
+  // Twenty timers spread over 10-200 ms, every one cancelled at once: an idle
+  // loop must keep sleeping to its 100 ms cap, not wake at each dead
+  // deadline.
+  std::uint64_t before = 0;
+  const auto start = std::chrono::steady_clock::now();
+  lt.RunOnLoop([&] {
+    for (int i = 1; i <= 20; ++i) {
+      lt.loop().CancelTimer(lt.loop().ScheduleTimer(i * 10 * kMillisecond, [] {}));
+    }
+    before = tm.loopIterations.Value();
+  });
+  std::this_thread::sleep_for(300ms);
+  const std::uint64_t woke = tm.loopIterations.Value() - before;
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const auto idleCap = static_cast<std::uint64_t>(elapsed / 100ms) + 1;
+  EXPECT_LE(woke, idleCap);
 }
 
 TEST(EpollLoopTest, ListenConnectSendReceive) {
