@@ -47,7 +47,8 @@ cmake -B build-tsan -G Ninja -DMD_SANITIZE=thread \
 # its Worker to the IoThread that writes it) and the client front-door tests
 # under TSan (writers hammer Subscribe/Unsubscribe/DropClient against
 # concurrent snapshot readers; outboxes cross from Worker to IoThread; the
-# front door's session table is shared by IoThreads and Workers), the
+# front door's session table is shared by IoThreads and Workers; a WAL'd
+# Server's sync thread fsyncs the journal Workers append to), the
 # hand-off, slow-consumer and front-door tests under ASan (sessions and
 # shared wire buffers live in an outbox until its batch is written,
 # including across eviction and close-after-flush), then a small
@@ -55,7 +56,7 @@ cmake -B build-tsan -G Ninja -DMD_SANITIZE=thread \
 # checks — each binary counts a subscriber once its SUBACK arrives and
 # exits nonzero on any lost notification.
 ./build-tsan/tests/core_test \
-  --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*:*FrontDoor*' \
+  --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*:*FrontDoor*:*ServerWal*' \
   || exit 1
 cmake --build build-asan --target core_test || exit 1
 ./build-asan/tests/core_test \

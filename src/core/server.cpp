@@ -1,6 +1,5 @@
 #include "core/server.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -78,17 +77,6 @@ Status Server::Start() {
     }
   }
 
-  if (wal_ && cfg_.wal.fsync == wal::FsyncPolicy::kGroupCommit) {
-    walFlusherStop_.store(false);
-    walFlusher_ = std::thread([this] {
-      while (!walFlusherStop_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(cfg_.wal.flushInterval));
-        wal_->Flush(RealClock::Instance().Now());
-      }
-    });
-  }
-
   for (int i = 0; i < cfg_.ioThreads; ++i) {
     auto io = std::make_unique<IoThread>();
     io->loop = std::make_unique<EpollLoop>();
@@ -106,6 +94,12 @@ Status Server::Start() {
           door_.Accept(*loop, index, std::move(conn));
         });
     ioThreads_.push_back(std::move(io));
+  }
+  // Every listener is bound: no error return remains, so the group-commit
+  // sync thread starts here and Stop() always joins it.
+  if (wal_ && cfg_.wal.fsync == wal::FsyncPolicy::kGroupCommit) {
+    walSyncer_ =
+        std::jthread([this](std::stop_token stop) { wal_->SyncLoop(stop); });
   }
   // Workers exist before any IoThread runs: the front door's sink hands
   // frames to them from the first accepted connection on.
@@ -128,9 +122,9 @@ Status Server::Start() {
 
 void Server::Stop() {
   if (!running_.exchange(false)) return;
-  if (walFlusher_.joinable()) {
-    walFlusherStop_.store(true);
-    walFlusher_.join();
+  if (walSyncer_.joinable()) {
+    walSyncer_.request_stop();
+    walSyncer_.join();
   }
   for (auto& worker : workers_) worker->queue.Close();
   for (auto& worker : workers_) {

@@ -199,8 +199,7 @@ class Server {
   std::unique_ptr<verify::Monitor> monitor_;
   std::unique_ptr<wal::Log> wal_;
   wal::RecoveryStats walRecovery_;
-  std::thread walFlusher_;             // group-commit policy only
-  std::atomic<bool> walFlusherStop_{false};
+  std::jthread walSyncer_;  // runs wal_->SyncLoop; group-commit policy only
   std::atomic<bool> running_{false};
   std::uint16_t boundPort_ = 0;
 

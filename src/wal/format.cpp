@@ -26,6 +26,8 @@ const std::array<std::uint32_t, 256>& CrcTable() {
   return table;
 }
 
+constexpr std::size_t kIndexDigits = 20;  // UINT64_MAX has 20 digits
+
 }  // namespace
 
 std::uint32_t Crc32(BytesView data) noexcept {
@@ -37,45 +39,40 @@ std::uint32_t Crc32(BytesView data) noexcept {
   return crc ^ 0xFFFFFFFFU;
 }
 
-std::string SegmentFileName(std::uint32_t group, std::uint64_t index) {
-  return "g" + std::to_string(group) + "-" + std::to_string(index) + ".wal";
+std::string SegmentFileName(std::uint64_t index) {
+  std::string digits = std::to_string(index);
+  return std::string(kIndexDigits - digits.size(), '0') + digits + ".wal";
 }
 
-std::optional<SegmentName> ParseSegmentFileName(const std::string& name) {
-  if (name.size() < 7 || name.front() != 'g') return std::nullopt;  // g0-0.wal
-  if (!name.ends_with(".wal")) return std::nullopt;
-  const std::size_t dash = name.find('-', 1);
-  if (dash == std::string::npos || dash == 1) return std::nullopt;
-  const char* groupBegin = name.data() + 1;
-  const char* groupEnd = name.data() + dash;
-  const char* indexBegin = name.data() + dash + 1;
-  const char* indexEnd = name.data() + name.size() - 4;
-  if (indexBegin >= indexEnd) return std::nullopt;
-  SegmentName parsed;
-  auto [gp, gerr] = std::from_chars(groupBegin, groupEnd, parsed.group);
-  if (gerr != std::errc{} || gp != groupEnd) return std::nullopt;
-  auto [ip, ierr] = std::from_chars(indexBegin, indexEnd, parsed.index);
-  if (ierr != std::errc{} || ip != indexEnd) return std::nullopt;
-  return parsed;
+std::optional<std::uint64_t> ParseSegmentFileName(const std::string& name) {
+  if (name.size() != kIndexDigits + 4 || !name.ends_with(".wal")) {
+    return std::nullopt;
+  }
+  const char* begin = name.data();
+  const char* end = begin + kIndexDigits;
+  std::uint64_t index = 0;
+  auto [p, err] = std::from_chars(begin, end, index);
+  if (err != std::errc{} || p != end) return std::nullopt;
+  return index;
 }
 
-void EncodeSegmentHeader(std::uint32_t group, Bytes& out) {
+void EncodeSegmentHeader(Bytes& out) {
   ByteWriter writer(out);
   writer.WriteU32(kSegmentMagic);
   writer.WriteU32(kFormatVersion);
-  writer.WriteU32(group);
+  writer.WriteU32(0);  // the version-1 group word, zero from version 2 on
   writer.WriteU32(0);  // reserved
 }
 
-Status DecodeSegmentHeader(BytesView data, std::uint32_t expectGroup) {
+Status DecodeSegmentHeader(BytesView data) {
   ByteReader reader(data);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  std::uint32_t group = 0;
+  std::uint32_t zero = 0;
   std::uint32_t reserved = 0;
   if (Status s = reader.ReadU32(magic); !s.ok()) return s;
   if (Status s = reader.ReadU32(version); !s.ok()) return s;
-  if (Status s = reader.ReadU32(group); !s.ok()) return s;
+  if (Status s = reader.ReadU32(zero); !s.ok()) return s;
   if (Status s = reader.ReadU32(reserved); !s.ok()) return s;
   if (magic != kSegmentMagic) {
     return Err(ErrorCode::kProtocol, "bad segment magic");
@@ -83,8 +80,8 @@ Status DecodeSegmentHeader(BytesView data, std::uint32_t expectGroup) {
   if (version != kFormatVersion) {
     return Err(ErrorCode::kProtocol, "unsupported segment version");
   }
-  if (group != expectGroup) {
-    return Err(ErrorCode::kProtocol, "segment group mismatch");
+  if (zero != 0) {
+    return Err(ErrorCode::kProtocol, "segment header word 3 not zero");
   }
   return OkStatus();
 }
@@ -125,9 +122,8 @@ Status DecodeRecordPayload(BytesView payload, Message* msg) {
   return OkStatus();
 }
 
-SegmentScanner::SegmentScanner(BytesView data, std::uint32_t group)
-    : data_(data) {
-  if (!DecodeSegmentHeader(data_, group).ok()) {
+SegmentScanner::SegmentScanner(BytesView data) : data_(data) {
+  if (!DecodeSegmentHeader(data_).ok()) {
     badHeader_ = true;
     done_ = true;
     return;

@@ -1,11 +1,19 @@
 // On-disk format of the durable topic-cache write-ahead log.
 //
-// Each topic group owns an independent sequence of segment files named
-// g<group>-<index>.wal. A segment starts with a fixed 16-byte header and is
+// A server keeps one journal: a single chain of segment files named by
+// index alone, <index>.wal with the index zero-padded to 20 digits, shared
+// by every topic group (a record carries its topic, which is all recovery
+// needs to route it). A segment starts with a fixed 16-byte header and is
 // followed by length-prefixed, CRC32-framed records:
 //
-//   segment header   [magic u32 "MDWL"][version u32][group u32][reserved u32]
+//   segment header   [magic u32 "MDWL"][version u32][zero u32][reserved u32]
 //   record           [len u32][crc32(payload) u32][payload: len bytes]
+//
+// Version 2 is the one-journal layout. The third header word held the
+// topic group in version 1 (one chain per group, files g<group>-<index>.wal);
+// it must now be zero, so a flipped bit there is caught like one in the
+// magic or version. Version-1 segments are not read: recovery counts a
+// leftover g<group>-<index>.wal as a bad segment and leaves it on disk.
 //
 // All integers are little-endian (matching common/bytes.hpp). A record's
 // payload encodes one cached Message. The framing is designed so a
@@ -35,7 +43,7 @@
 namespace md::wal {
 
 inline constexpr std::uint32_t kSegmentMagic = 0x4D44574CU;  // "LWDM" LE
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kSegmentHeaderLen = 16;
 inline constexpr std::size_t kRecordFrameLen = 8;  // [len u32][crc u32]
 /// Upper bound on a single record payload; anything larger in a length field
@@ -45,25 +53,21 @@ inline constexpr std::uint32_t kMaxRecordLen = 16U * 1024U * 1024U;
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `data`.
 [[nodiscard]] std::uint32_t Crc32(BytesView data) noexcept;
 
-/// Segment file name for (group, index): "g<group>-<index>.wal".
-[[nodiscard]] std::string SegmentFileName(std::uint32_t group,
-                                          std::uint64_t index);
+/// Segment file name for `index`: 20 zero-padded digits + ".wal", so the
+/// names sort in index order.
+[[nodiscard]] std::string SegmentFileName(std::uint64_t index);
 
-/// Parses a segment file name; nullopt if `name` is not one.
-struct SegmentName {
-  std::uint32_t group = 0;
-  std::uint64_t index = 0;
-};
-[[nodiscard]] std::optional<SegmentName> ParseSegmentFileName(
+/// Parses a segment file name back to its index; nullopt if `name` is not
+/// one (a version-1 g<group>-<index>.wal name included).
+[[nodiscard]] std::optional<std::uint64_t> ParseSegmentFileName(
     const std::string& name);
 
-/// Appends the 16-byte segment header for `group` to `out`.
-void EncodeSegmentHeader(std::uint32_t group, Bytes& out);
+/// Appends the 16-byte segment header to `out`.
+void EncodeSegmentHeader(Bytes& out);
 
-/// Validates a segment header prefix. kProtocol on short/bad magic/version;
-/// the embedded group must match `expectGroup`.
-[[nodiscard]] Status DecodeSegmentHeader(BytesView data,
-                                         std::uint32_t expectGroup);
+/// Validates a segment header prefix. kProtocol when it is short, its magic
+/// or version is wrong, or its zero word is not zero.
+[[nodiscard]] Status DecodeSegmentHeader(BytesView data);
 
 /// Appends one framed record ([len][crc][payload]) carrying `msg` to `out`.
 void EncodeRecord(const Message& msg, Bytes& out);
@@ -74,13 +78,13 @@ void EncodeRecord(const Message& msg, Bytes& out);
 
 /// Forward scan over a segment's bytes with the damage rules above.
 ///
-///   SegmentScanner scan(bytes, group);
+///   SegmentScanner scan(bytes);
 ///   while (scan.Next(&msg)) { ... }
 ///   // scan.torn() / scan.corruptSkipped() describe what the scan hit.
 class SegmentScanner {
  public:
   /// `data` is the whole segment file including header.
-  SegmentScanner(BytesView data, std::uint32_t group);
+  explicit SegmentScanner(BytesView data);
 
   /// Advances to the next intact record; false at end-of-segment (clean,
   /// torn or unusable header — never throws, never reads OOB).

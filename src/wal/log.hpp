@@ -1,32 +1,40 @@
-// Segmented write-ahead log underneath core::Cache (paper §4 durability gap).
+// Write-ahead journal underneath core::Cache (paper §4 durability gap).
 //
-// One Log instance serves all topic groups of a server; each group owns an
-// independent segment sequence so recovery and retention are per-group.
-// Appends are framed per format.hpp and made durable per FsyncPolicy:
+// One Log is one server's journal: every topic group appends to the same
+// chain of segments (format.hpp), in arrival order. Records carry their
+// topic, so recovery routes each one without knowing its group. Appends are
+// made durable per FsyncPolicy:
 //
-//   kAlways       fsync after every append (ack implies durable)
-//   kGroupCommit  fsync at most every flushInterval — either inline when an
-//                 append notices the interval expired, or from the owner's
-//                 flush timer (ClusterNode / Server schedule one)
+//   kAlways       fsync after every append, on the appending thread (ack
+//                 implies durable)
+//   kGroupCommit  Append only writes; the owner syncs. core::Server runs
+//                 SyncLoop on a thread of its own, which sleeps while the
+//                 journal is clean and fsyncs once the oldest unsynced append
+//                 is flushInterval old; ClusterNode calls Flush from a timer
+//                 every flushInterval, which keeps the simulator on one
+//                 thread. Either way an append is durable within
+//                 flushInterval plus one fsync, and all groups together cost
+//                 at most about one fsync per interval.
 //   kOs           never fsync on the append path; the OS page cache decides
 //                 (segments are still synced once when sealed)
 //
-// Recovery replays every intact record oldest-to-newest per group, counts
-// torn tails / corrupt records / unusable segments, and then starts a FRESH
+// Recovery replays every intact record oldest segment first, counts torn
+// tails / corrupt records / unusable segments, and then starts a FRESH
 // segment (maxIndex+1) — it never appends to a possibly-damaged tail.
 //
 // A segment is sealed once it reaches segmentBytes. Retention keeps the
-// newest `retainSegments` sealed segments per group (plus the active one);
-// callers must size segmentBytes * retainSegments above the cache history
-// they want to survive a crash, or messages still cached in memory may not
-// be recoverable after one.
+// newest `retainSegments` sealed segments of the server (plus the active
+// one); callers must size segmentBytes * retainSegments above the cache
+// history of ALL topics they want to survive a crash, or messages still
+// cached in memory may not be recoverable after one.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -57,12 +65,13 @@ struct WalConfig {
   /// Root directory for segment files. Empty disables the WAL entirely.
   std::string dir;
   FsyncPolicy fsync = FsyncPolicy::kAlways;
-  /// Group-commit bound: an append syncs inline once this much time has
-  /// passed since the group's last sync (owners also run a periodic Flush).
+  /// Group-commit bound: the owner's sync (SyncLoop, or its Flush timer)
+  /// makes every append durable within this long plus one fsync.
   Duration flushInterval = 5 * kMillisecond;
   /// Seal the active segment once it reaches this many bytes.
   std::uint64_t segmentBytes = 4ULL * 1024 * 1024;
-  /// Sealed segments kept per group; older ones are deleted.
+  /// Sealed segments kept per server (all groups share them); older ones
+  /// are deleted.
   std::uint32_t retainSegments = 8;
 };
 
@@ -70,14 +79,13 @@ struct RecoveryStats {
   std::uint64_t records = 0;         // intact records replayed
   std::uint64_t corruptSkipped = 0;  // CRC-mismatch records dropped
   std::uint64_t tornTails = 0;       // segments truncated at a torn tail
-  std::uint64_t badSegments = 0;     // unusable segment headers
+  std::uint64_t badSegments = 0;     // unusable headers, version-1 files
   std::uint64_t segments = 0;        // segment files scanned
   Duration wallTime = 0;
 };
 
 /// Thread-safe segmented WAL. All methods may be called from any thread;
-/// per-group state is guarded by one mutex (appends to the same group are
-/// already serialized by the cache shard lock above this layer).
+/// the journal's state is guarded by one mutex.
 class Log {
  public:
   Log(Env& env, WalConfig cfg, obs::WalMetrics* metrics = nullptr);
@@ -90,49 +98,59 @@ class Log {
   [[nodiscard]] const WalConfig& config() const { return cfg_; }
 
   /// Scans every segment under dir and replays intact records in order
-  /// (oldest segment first within each group) through `apply`. Damage is
-  /// counted, never fatal. Subsequent appends go to fresh segments.
+  /// (oldest segment first) through `apply`. Damage is counted, never
+  /// fatal; a version-1 g<group>-<index>.wal file is counted as a bad
+  /// segment, logged and left alone. Subsequent appends go to a fresh
+  /// segment.
   RecoveryStats Recover(const std::function<void(Message&&)>& apply);
 
-  /// Appends one record to `group`'s active segment (opening it lazily) and
-  /// applies the fsync policy. kCapacity when the disk is full — the caller
-  /// keeps serving from memory and counts the error.
+  /// Appends one record to the active segment (opening it lazily); under
+  /// kAlways also fsyncs it. kCapacity when the disk is full — the caller
+  /// keeps serving from memory and counts the error. `group` and `now` are
+  /// unused (all groups share the journal, and the sync clock is
+  /// SyncLoop's); they stay because perfbench/ledger.cpp calls this
+  /// signature.
   Status Append(std::uint32_t group, const Message& msg, TimePoint now);
 
-  /// Syncs every group with unsynced appends (group-commit timer, shutdown).
+  /// Syncs the journal if it has unsynced appends (ClusterNode's
+  /// group-commit timer). `now` is unused, as in Append.
   void Flush(TimePoint now);
 
-  /// Drops all open handles WITHOUT syncing — models kill -9. The Log stays
+  /// kGroupCommit's sync thread: runs until `stop` is requested. While the
+  /// journal is clean it waits without waking; once an append dirties it,
+  /// it fsyncs flushInterval later, covering every append made meanwhile.
+  /// Returns promptly on stop without syncing; Close() syncs the rest.
+  void SyncLoop(std::stop_token stop);
+
+  /// Drops the open handle WITHOUT syncing — models kill -9. The Log stays
   /// usable; the next append opens a fresh segment.
   void Abandon();
 
-  /// Flush + close all handles.
+  /// Flush + close the active segment.
   void Close();
 
  private:
-  struct GroupState {
-    std::unique_ptr<WritableFile> file;  // active segment (lazily opened)
-    std::uint64_t index = 0;             // active segment index
-    std::uint64_t nextIndex = 0;         // index for the next segment opened
-    std::uint64_t bytes = 0;             // bytes written to active segment
-    TimePoint lastSyncAt = 0;
-    bool dirty = false;                  // unsynced appends outstanding
-    std::vector<std::uint64_t> sealed;   // sealed segment indices, ascending
-  };
-
-  [[nodiscard]] std::string SegmentPath(std::uint32_t group,
-                                        std::uint64_t index) const;
-  Status OpenSegment(std::uint32_t group, GroupState& g, TimePoint now);
-  void SealSegment(std::uint32_t group, GroupState& g);
-  void PruneRetention(std::uint32_t group, GroupState& g);
-  Status SyncLocked(GroupState& g, TimePoint now);
+  [[nodiscard]] std::string SegmentPath(std::uint64_t index) const;
+  /// Writes one encoded record (opening a segment if none is active) and
+  /// applies kAlways and sealing.
+  Status AppendLocked(const Bytes& frame);
+  Status OpenSegment();
+  void SealSegment();
+  void PruneRetention();
+  Status SyncLocked();
 
   Env& env_;
   const WalConfig cfg_;
   obs::WalMetrics* metrics_;
 
   std::mutex mutex_;
-  std::map<std::uint32_t, GroupState> groups_;
+  std::condition_variable_any dirtied_;  // a clean journal got unsynced bytes
+  std::unique_ptr<WritableFile> file_;   // active segment (lazily opened)
+  std::uint64_t index_ = 0;              // active segment index
+  std::uint64_t nextIndex_ = 0;          // index for the next segment opened
+  std::uint64_t bytes_ = 0;              // bytes written to active segment
+  bool dirty_ = false;                   // unsynced appends outstanding
+  std::vector<std::uint64_t> sealed_;    // sealed segment indices, ascending
 };
 
 }  // namespace md::wal

@@ -4,9 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <stdlib.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -612,6 +620,165 @@ TEST_F(ServerFanoutTest, OnePublishRecordsOneStageSampleWhateverItsFanOut) {
               1u)
         << obs::StageName(stage);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A Server on a WAL directory (DESIGN.md §13).
+
+/// A fresh directory under the system temp dir, removed with its contents.
+class TempDir {
+ public:
+  TempDir() {
+    std::string path =
+        (std::filesystem::temp_directory_path() / "md_server_walXXXXXX").string();
+    if (::mkdtemp(path.data()) != nullptr) path_ = path;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+class ServerWalTest : public ::testing::TestWithParam<wal::FsyncPolicy> {
+ protected:
+  /// A started Server with 2 Workers on `dir`, reporting into `registry`.
+  std::unique_ptr<Server> StartServer(obs::MetricsRegistry& registry) {
+    ServerConfig cfg;
+    cfg.ioThreads = 2;
+    cfg.workers = 2;
+    cfg.metrics = &registry;
+    cfg.wal.dir = dir.path();
+    cfg.wal.fsync = GetParam();
+    auto server = std::make_unique<Server>(cfg);
+    EXPECT_TRUE(server->Start().ok());
+    return server;
+  }
+
+  TempDir dir;
+};
+
+// Every acked publication of a stopped server is back after a restart on the
+// same directory: the resume backfill replays each topic's stream in order,
+// and sequencing continues behind the recovered positions.
+TEST_P(ServerWalTest, RestartRecoversEveryAckedPublication) {
+  constexpr std::uint64_t kPublications = 300;
+  constexpr std::uint64_t kTopics = 200;
+  ASSERT_FALSE(dir.path().empty());
+  const auto topicOf = [](std::uint64_t counter) {
+    return "wal/" + std::to_string(counter % kTopics);
+  };
+
+  obs::MetricsRegistry firstRegistry;
+  auto first = StartServer(firstRegistry);
+  {
+    RawFramedClient pub(first->Port());
+    ASSERT_TRUE(pub.connected());
+    std::vector<Frame> write;
+    for (std::uint64_t c = 1; c <= kPublications; ++c) {
+      write.emplace_back(Publication(topicOf(c), c));
+    }
+    ASSERT_TRUE(pub.SendAll(write));
+    for (std::uint64_t i = 1; i <= kPublications; ++i) {
+      const auto ack = pub.Expect<PubAckFrame>();
+      ASSERT_TRUE(ack && ack->ok()) << "publication " << i;
+    }
+  }
+  first->Stop();
+  first.reset();
+
+  obs::MetricsRegistry secondRegistry;
+  auto second = StartServer(secondRegistry);
+  EXPECT_EQ(second->walRecovery().records, kPublications);
+
+  // Topics 1 and 57 carry two publications each (c and c + 200), 150 one.
+  const std::vector<std::pair<std::string, std::vector<std::uint64_t>>> topics{
+      {"wal/1", {1, 201}}, {"wal/57", {57, 257}}, {"wal/150", {150}}};
+  RawFramedClient sub(second->Port());
+  ASSERT_TRUE(sub.connected());
+  std::vector<Frame> resume;
+  for (const auto& [topic, counters] : topics) {
+    resume.emplace_back(SubscribeFrame{topic, true, StreamPos{1, 0}});
+  }
+  ASSERT_TRUE(sub.SendAll(resume));
+  for (const auto& [topic, counters] : topics) {
+    const auto subAck = sub.Expect<SubAckFrame>();
+    ASSERT_TRUE(subAck && subAck->topic == topic);
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      const auto deliver = sub.Expect<DeliverFrame>();
+      ASSERT_TRUE(deliver) << topic << " replay stopped at " << i;
+      EXPECT_EQ(deliver->msg.topic, topic);
+      EXPECT_EQ(deliver->msg.seq, i + 1) << topic;
+      EXPECT_EQ(deliver->msg.pubId.counter, counters[i]) << topic;
+      EXPECT_EQ(deliver->msg.payload,
+                Bytes{static_cast<std::uint8_t>(counters[i])});
+    }
+  }
+
+  // The next publish continues the stream: its ack, then its delivery at
+  // the seq after the recovered one, with no replay left in between.
+  ASSERT_TRUE(sub.SendAll({Frame(Publication("wal/1", kPublications + 1))}));
+  const auto ack = sub.Expect<PubAckFrame>();
+  ASSERT_TRUE(ack && ack->ok());
+  EXPECT_EQ(ack->pubId.counter, kPublications + 1);
+  const auto live = sub.Expect<DeliverFrame>();
+  ASSERT_TRUE(live);
+  EXPECT_EQ(live->msg.topic, "wal/1");
+  EXPECT_EQ(live->msg.seq, 3U);
+  second->Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FsyncPolicies, ServerWalTest,
+    ::testing::Values(wal::FsyncPolicy::kAlways, wal::FsyncPolicy::kGroupCommit,
+                      wal::FsyncPolicy::kOs),
+    [](const ::testing::TestParamInfo<wal::FsyncPolicy>& info) {
+      return std::string(wal::FsyncPolicyName(info.param));
+    });
+
+// Start() that fails to bind must leave nothing running: the Server is then
+// destroyed without Stop() doing any work, and a thread still running at
+// that point would end the process.
+TEST(ServerWalTest, FailedStartWithGroupCommitShutsDownCleanly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        int code = 0;
+        {
+          TempDir dir;
+          // A loopback listener without SO_REUSEPORT: the Server's own
+          // listeners cannot share its port.
+          const int blocker = ::socket(AF_INET, SOCK_STREAM, 0);
+          sockaddr_in addr{};
+          addr.sin_family = AF_INET;
+          addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+          socklen_t len = sizeof(addr);
+          if (dir.path().empty() || blocker < 0 ||
+              ::bind(blocker, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+              ::listen(blocker, 1) != 0 ||
+              ::getsockname(blocker, reinterpret_cast<sockaddr*>(&addr),
+                            &len) != 0) {
+            std::exit(2);
+          }
+          ServerConfig cfg;
+          cfg.port = ntohs(addr.sin_port);
+          cfg.wal.dir = dir.path();
+          cfg.wal.fsync = wal::FsyncPolicy::kGroupCommit;
+          {
+            Server server(cfg);
+            if (server.Start().ok()) code = 3;
+          }
+          ::close(blocker);
+        }  // the directory goes before exit(), which runs no destructors
+        std::exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ServerStatsTest, CountsConnectionsAndTraffic) {

@@ -10,13 +10,17 @@
 // crash-truncated tails per fsync policy, rotation + retention, kill -9
 // during rotation, double kill -9, ENOSPC and latent bit flips.
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
 #include "core/cache.hpp"
+#include "obs/families.hpp"
+#include "obs/metrics.hpp"
 #include "wal/format.hpp"
 #include "wal/log.hpp"
 #include "wal/mem_env.hpp"
@@ -40,17 +44,17 @@ Message MakeMsg(const std::string& topic, std::uint32_t epoch,
 
 BytesView View(const Bytes& b) { return BytesView(b.data(), b.size()); }
 
-/// One segment: header for `group` plus the given records.
-Bytes BuildSegment(std::uint32_t group, const std::vector<Message>& msgs) {
+/// One segment: header plus the given records.
+Bytes BuildSegment(const std::vector<Message>& msgs) {
   Bytes seg;
-  EncodeSegmentHeader(group, seg);
+  EncodeSegmentHeader(seg);
   for (const auto& m : msgs) EncodeRecord(m, seg);
   return seg;
 }
 
-std::vector<Message> ScanAll(BytesView data, std::uint32_t group,
+std::vector<Message> ScanAll(BytesView data,
                              SegmentScanner* outScan = nullptr) {
-  SegmentScanner scan(data, group);
+  SegmentScanner scan(data);
   std::vector<Message> got;
   Message m;
   while (scan.Next(&m)) got.push_back(m);
@@ -84,22 +88,34 @@ TEST(WalFormatTest, Crc32DetectsEverySingleBitFlip) {
 }
 
 TEST(WalFormatTest, SegmentFileNameRoundTrips) {
-  const std::pair<std::uint32_t, std::uint64_t> cases[] = {
-      {0, 0}, {1, 2}, {99, 105}, {4294967295U, 18446744073709551615ULL}};
-  for (const auto& [group, index] : cases) {
-    const std::string name = SegmentFileName(group, index);
+  const std::uint64_t cases[] = {0, 2, 105, 18446744073709551615ULL};
+  for (const std::uint64_t index : cases) {
+    const std::string name = SegmentFileName(index);
     const auto parsed = ParseSegmentFileName(name);
     ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(parsed->group, group);
-    EXPECT_EQ(parsed->index, index);
+    EXPECT_EQ(*parsed, index);
   }
-  EXPECT_EQ(SegmentFileName(7, 3), "g7-3.wal");
+  EXPECT_EQ(SegmentFileName(3), "00000000000000000003.wal");
+  // Zero padding keeps name order equal to index order.
+  EXPECT_LT(SegmentFileName(9), SegmentFileName(10));
 }
 
 TEST(WalFormatTest, ParseSegmentFileNameRejectsNonSegments) {
-  const char* bad[] = {"",          "g",        "g7.wal",   "7-3.wal",
-                       "h7-3.wal",  "g-3.wal",  "g7-.wal",  "g7-3.log",
-                       "g7-3.wall", "gx-3.wal", "g7-x.wal", "g7-3"};
+  // Version-1 per-group names (g<group>-<index>.wal) are not segments of the
+  // journal, and neither is an index that is unpadded or out of range.
+  const char* bad[] = {"",
+                       "g7-3.wal",
+                       "g0-00000000000000000003.wal",
+                       "3.wal",
+                       "0000000000000000003.wal",
+                       "000000000000000000003.wal",
+                       "00000000000000000003.log",
+                       "00000000000000000003.wall",
+                       "0000000000000000000x.wal",
+                       "-0000000000000000003.wal",
+                       "+0000000000000000003.wal",
+                       "99999999999999999999.wal",
+                       "00000000000000000003"};
   for (const char* name : bad) {
     EXPECT_FALSE(ParseSegmentFileName(name).has_value()) << name;
   }
@@ -107,21 +123,19 @@ TEST(WalFormatTest, ParseSegmentFileNameRejectsNonSegments) {
 
 TEST(WalFormatTest, SegmentHeaderRoundTripsAndRejectsDamage) {
   Bytes header;
-  EncodeSegmentHeader(42, header);
+  EncodeSegmentHeader(header);
   ASSERT_EQ(header.size(), kSegmentHeaderLen);
-  EXPECT_TRUE(DecodeSegmentHeader(View(header), 42).ok());
-  // Wrong group.
-  EXPECT_FALSE(DecodeSegmentHeader(View(header), 41).ok());
+  EXPECT_TRUE(DecodeSegmentHeader(View(header)).ok());
   // Every strict prefix is too short.
   for (std::size_t n = 0; n < header.size(); ++n) {
-    EXPECT_FALSE(DecodeSegmentHeader(BytesView(header.data(), n), 42).ok());
+    EXPECT_FALSE(DecodeSegmentHeader(BytesView(header.data(), n)).ok());
   }
-  // Any single-byte corruption of magic/version/group must be rejected
+  // Any single-byte corruption of magic/version/zero word must be rejected
   // (bytes 12..15 are reserved and ignored by design).
   for (std::size_t byte = 0; byte < 12; ++byte) {
     Bytes damaged = header;
     damaged[byte] ^= 0xFF;
-    EXPECT_FALSE(DecodeSegmentHeader(View(damaged), 42).ok()) << byte;
+    EXPECT_FALSE(DecodeSegmentHeader(View(damaged)).ok()) << byte;
   }
 }
 
@@ -164,9 +178,9 @@ std::vector<Message> ThreeRecords() {
 
 TEST(WalScannerTest, YieldsAllRecordsFromCleanSegment) {
   const auto msgs = ThreeRecords();
-  const Bytes seg = BuildSegment(5, msgs);
-  SegmentScanner state(BytesView{}, 0);
-  const auto got = ScanAll(View(seg), 5, &state);
+  const Bytes seg = BuildSegment(msgs);
+  SegmentScanner state(BytesView{});
+  const auto got = ScanAll(View(seg), &state);
   ASSERT_EQ(got.size(), msgs.size());
   for (std::size_t i = 0; i < msgs.size(); ++i) EXPECT_EQ(got[i], msgs[i]);
   EXPECT_FALSE(state.badHeader());
@@ -177,7 +191,7 @@ TEST(WalScannerTest, YieldsAllRecordsFromCleanSegment) {
 
 TEST(WalScannerTest, TruncationAtEveryOffsetYieldsAnIntactPrefix) {
   const auto msgs = ThreeRecords();
-  const Bytes seg = BuildSegment(5, msgs);
+  const Bytes seg = BuildSegment(msgs);
   // Offsets where a cut leaves only whole records behind — such a cut is
   // indistinguishable from a clean close and must NOT read as torn.
   std::vector<std::size_t> boundaries{kSegmentHeaderLen};
@@ -187,8 +201,8 @@ TEST(WalScannerTest, TruncationAtEveryOffsetYieldsAnIntactPrefix) {
     boundaries.push_back(boundaries.back() + rec.size());
   }
   for (std::size_t cut = 0; cut <= seg.size(); ++cut) {
-    SegmentScanner state(BytesView{}, 0);
-    const auto got = ScanAll(BytesView(seg.data(), cut), 5, &state);
+    SegmentScanner state(BytesView{});
+    const auto got = ScanAll(BytesView(seg.data(), cut), &state);
     ASSERT_LE(got.size(), msgs.size()) << "cut at " << cut;
     // Whatever survives must be an exact prefix of what was written.
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -217,7 +231,7 @@ TEST(WalScannerTest, EverySingleBitFlipIsContained) {
   // Flip each bit of the segment in turn. The scan must terminate without
   // OOB reads and must never fabricate a record that was not written.
   const auto msgs = ThreeRecords();
-  const Bytes seg = BuildSegment(5, msgs);
+  const Bytes seg = BuildSegment(msgs);
   for (std::size_t byte = 0; byte < seg.size(); ++byte) {
     // Bytes 12..15 are the header's reserved field: ignored by design, so a
     // flip there is genuinely harmless.
@@ -225,8 +239,8 @@ TEST(WalScannerTest, EverySingleBitFlipIsContained) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes damaged = seg;
       damaged[byte] ^= static_cast<std::uint8_t>(1U << bit);
-      SegmentScanner state(BytesView{}, 0);
-      const auto got = ScanAll(View(damaged), 5, &state);
+      SegmentScanner state(BytesView{});
+      const auto got = ScanAll(View(damaged), &state);
       ASSERT_LE(got.size(), msgs.size());
       for (const auto& m : got) {
         EXPECT_TRUE(std::find(msgs.begin(), msgs.end(), m) != msgs.end())
@@ -242,7 +256,7 @@ TEST(WalScannerTest, EverySingleBitFlipIsContained) {
 
 TEST(WalScannerTest, CrcMismatchSkipsExactlyThatRecord) {
   const auto msgs = ThreeRecords();
-  Bytes seg = BuildSegment(5, msgs);
+  Bytes seg = BuildSegment(msgs);
   // Locate record 2's payload: header + record1 + frame of record2.
   Bytes rec1;
   EncodeRecord(msgs[0], rec1);
@@ -250,8 +264,8 @@ TEST(WalScannerTest, CrcMismatchSkipsExactlyThatRecord) {
       kSegmentHeaderLen + rec1.size() + kRecordFrameLen;
   seg[middlePayload] ^= 0x01;
 
-  SegmentScanner state(BytesView{}, 0);
-  const auto got = ScanAll(View(seg), 5, &state);
+  SegmentScanner state(BytesView{});
+  const auto got = ScanAll(View(seg), &state);
   ASSERT_EQ(got.size(), 2U);
   EXPECT_EQ(got[0], msgs[0]);
   EXPECT_EQ(got[1], msgs[2]);  // the record AFTER the damage still decodes
@@ -261,10 +275,10 @@ TEST(WalScannerTest, CrcMismatchSkipsExactlyThatRecord) {
 
 TEST(WalScannerTest, ZeroFilledTailTruncates) {
   const auto msgs = ThreeRecords();
-  Bytes seg = BuildSegment(5, msgs);
+  Bytes seg = BuildSegment(msgs);
   seg.insert(seg.end(), 64, std::uint8_t{0});  // preallocated-but-unwritten
-  SegmentScanner state(BytesView{}, 0);
-  const auto got = ScanAll(View(seg), 5, &state);
+  SegmentScanner state(BytesView{});
+  const auto got = ScanAll(View(seg), &state);
   ASSERT_EQ(got.size(), msgs.size());
   EXPECT_TRUE(state.torn());
   EXPECT_EQ(state.corruptSkipped(), 0U);
@@ -272,21 +286,29 @@ TEST(WalScannerTest, ZeroFilledTailTruncates) {
 
 TEST(WalScannerTest, GarbageLengthTruncatesInsteadOfAllocating) {
   const auto msgs = ThreeRecords();
-  Bytes seg = BuildSegment(5, msgs);
+  Bytes seg = BuildSegment(msgs);
   ByteWriter w(seg);
   w.WriteU32(kMaxRecordLen + 1);  // length field beyond any sane record
   w.WriteU32(0xDEADBEEFU);
   seg.insert(seg.end(), 16, std::uint8_t{0xAB});
-  SegmentScanner state(BytesView{}, 0);
-  const auto got = ScanAll(View(seg), 5, &state);
+  SegmentScanner state(BytesView{});
+  const auto got = ScanAll(View(seg), &state);
   ASSERT_EQ(got.size(), msgs.size());
   EXPECT_TRUE(state.torn());
 }
 
 TEST(WalScannerTest, WrongGroupHeaderYieldsNothing) {
-  const Bytes seg = BuildSegment(5, ThreeRecords());
-  SegmentScanner state(BytesView{}, 0);
-  const auto got = ScanAll(View(seg), 6, &state);
+  // A version-1 segment header: version 1 and the group in word 3.
+  Bytes seg = BuildSegment(ThreeRecords());
+  seg[4] = 1;
+  seg[8] = 5;
+  SegmentScanner state(BytesView{});
+  auto got = ScanAll(View(seg), &state);
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(state.badHeader());
+  // A current version with a nonzero group word is refused the same way.
+  seg[4] = static_cast<std::uint8_t>(kFormatVersion);
+  got = ScanAll(View(seg), &state);
   EXPECT_TRUE(got.empty());
   EXPECT_TRUE(state.badHeader());
 }
@@ -508,7 +530,7 @@ TEST(WalLogTest, RecoveryOpensFreshSegmentsAboveTheOldOnes) {
   for (const auto& name : names) {
     const auto parsed = ParseSegmentFileName(name);
     ASSERT_TRUE(parsed.has_value()) << name;
-    indices.push_back(parsed->index);
+    indices.push_back(*parsed);
   }
   std::sort(indices.begin(), indices.end());
   ASSERT_EQ(indices.size(), 2U);
@@ -634,6 +656,96 @@ TEST(WalLogTest, TornTailTruncationIsCountedOnce) {
   ASSERT_LT(got.size(), 4U);
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].seq, i + 1);
   EXPECT_EQ(stats.tornTails + stats.badSegments, 1U);
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: the owner syncs, never the appending thread.
+
+WalConfig GroupConfig() {
+  WalConfig cfg = TestConfig();
+  cfg.fsync = FsyncPolicy::kGroupCommit;
+  return cfg;
+}
+
+TEST(WalLogTest, GroupCommitNeverSyncsOnTheAppendPath) {
+  MemEnv env;
+  obs::MetricsRegistry registry;
+  obs::WalMetrics metrics(registry);
+  std::vector<Message> written;
+  {
+    Log log(env, GroupConfig(), &metrics);
+    // 10 ms between appends, twice the flush interval: every append finds
+    // the interval long expired, and still none of them syncs.
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      Message m = MakeMsg("t/" + std::to_string(i % 50), 1, i / 50 + 1);
+      ASSERT_TRUE(log.Append(static_cast<std::uint32_t>(i % 50), m,
+                             static_cast<TimePoint>(i) * 10 * kMillisecond)
+                      .ok());
+      written.push_back(std::move(m));
+    }
+    EXPECT_EQ(metrics.fsyncs.Value(), 0U);
+    // One sync covers all 50 groups.
+    log.Flush(2000 * kMillisecond);
+    EXPECT_EQ(metrics.fsyncs.Value(), 1U);
+    log.Abandon();
+  }
+  env.Crash(5);
+  Log fresh(env, GroupConfig());
+  EXPECT_EQ(RecoverAll(fresh), written);
+}
+
+TEST(WalLogTest, SyncLoopBoundsDataAtRiskAndStopsPromptly) {
+  using namespace std::chrono_literals;
+  MemEnv env;
+  obs::MetricsRegistry registry;
+  obs::WalMetrics metrics(registry);
+  WalConfig cfg = GroupConfig();
+  cfg.flushInterval = 2 * kMillisecond;
+  Log log(env, cfg, &metrics);
+  std::jthread syncer([&log](std::stop_token stop) { log.SyncLoop(stop); });
+
+  // An append is synced by the loop, not by the appending thread.
+  ASSERT_TRUE(log.Append(0, MakeMsg("t", 1, 1), 0).ok());
+  const auto deadline = std::chrono::steady_clock::now() + 1s;
+  while (metrics.fsyncs.Value() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(metrics.fsyncs.Value(), 1U) << "append not synced within 1 s";
+
+  // A clean journal costs no fsync, however long it stays idle.
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(metrics.fsyncs.Value(), 1U);
+
+  // Once stopped, the loop syncs nothing more; Close syncs the rest.
+  syncer.request_stop();
+  syncer.join();
+  ASSERT_TRUE(log.Append(0, MakeMsg("t", 1, 2), 0).ok());
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(metrics.fsyncs.Value(), 1U);
+  log.Close();
+  EXPECT_EQ(metrics.fsyncs.Value(), 2U);
+  env.Crash(9);
+  Log fresh(env, cfg);
+  EXPECT_EQ(RecoverAll(fresh).size(), 2U);
+
+  // Stop-and-join returns at once while the journal is dirty and the loop
+  // waits out its interval (an hour here), without syncing.
+  MemEnv env2;
+  obs::MetricsRegistry registry2;
+  obs::WalMetrics metrics2(registry2);
+  cfg.flushInterval = 3600 * kSecond;
+  Log slow(env2, cfg, &metrics2);
+  std::jthread slowSyncer([&slow](std::stop_token stop) { slow.SyncLoop(stop); });
+  ASSERT_TRUE(slow.Append(0, MakeMsg("t", 1, 1), 0).ok());
+  std::this_thread::sleep_for(5ms);  // let the loop see the append
+  const auto stopAt = std::chrono::steady_clock::now();
+  slowSyncer.request_stop();
+  slowSyncer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - stopAt, 1s);
+  EXPECT_EQ(metrics2.fsyncs.Value(), 0U);
+  slow.Close();
+  EXPECT_EQ(metrics2.fsyncs.Value(), 1U);
 }
 
 // ---------------------------------------------------------------------------

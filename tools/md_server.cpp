@@ -5,6 +5,11 @@
 //             [--batch-delay-ms 10] [--conflation] [--conflate-ms 100]
 //             [--wal-dir /var/lib/md/wal] [--wal-fsync always|group|os]
 //             [--wal-flush-ms 5] [--wal-segment-mb 4] [--wal-retain 8]
+//   --wal-dir holds one journal for the whole server; --wal-retain counts
+//   its sealed segments (all topic groups share them), so size
+//   --wal-segment-mb x --wal-retain for the cache history of every topic.
+//   Under --wal-fsync group one sync thread fsyncs the journal at most once
+//   per --wal-flush-ms.
 //
 // Cluster mode (the §5 protocol; one process per member):
 //   md_server --id server-1 --node 1
