@@ -368,6 +368,8 @@ int main() {
       f,
       "{\n"
       "  \"bench\": \"c10m\",\n"
+      "  \"runs\": 1,\n"
+      "  \"note\": \"a single run: no spread is measured\",\n"
       "  \"config\": {\"sessions\": %ld, \"budget_bytes_per_session\": %ld},\n"
       "  \"footprint\": {\n"
       "    \"sessions\": %ld,\n"

@@ -298,6 +298,8 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"slow_consumer\",\n"
+               "  \"runs\": 1,\n"
+               "  \"note\": \"a single run: no spread is measured\",\n"
                "  \"config\": {\"healthy_clients\": %ld, \"messages\": %ld, "
                "\"payload_bytes\": %zu, \"hard_watermark\": %zu},\n",
                clients, msgs, kPayload, kHardMark);

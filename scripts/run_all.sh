@@ -43,28 +43,27 @@ cmake -B build-tsan -G Ninja -DMD_SANITIZE=thread \
 ./build-tsan/tests/obs_test || exit 1
 
 # Fan-out leg: the CoW subscriber-snapshot churn test, the Worker-batch
-# hand-off tests (ordering, and the one stage record a publish carries from
-# its Worker to the IoThread that writes it) and the client front-door tests
-# under TSan (writers hammer Subscribe/Unsubscribe/DropClient against
-# concurrent snapshot readers; outboxes cross from Worker to IoThread; the
-# front door's session table is shared by IoThreads and Workers; a WAL'd
-# Server's sync thread fsyncs the journal Workers append to), the
-# hand-off, slow-consumer and front-door tests under ASan (sessions and
-# shared wire buffers live in an outbox until its batch is written,
-# including across eviction and close-after-flush), then a small
-# bench_fanout sweep and a 300-client bench_c10k_real as delivery smoke
-# checks — each binary counts a subscriber once its SUBACK arrives and
-# exits nonzero on any lost notification.
+# hand-off tests (ordering — publishers of one topic on both Workers
+# included — and the one stage record a publish carries from its Worker to
+# the IoThread that writes it), the client front-door tests, the monitored
+# 64-subscriber fan-out and the 300-subscriber loopback fan-out under TSan
+# (writers hammer Subscribe/Unsubscribe/DropClient against concurrent
+# snapshot readers; outboxes cross from Worker to IoThread; a topic verb
+# crosses from the client's Worker to its group's owner, and a DISCONNECT
+# waits for every Worker; the front door's session table is shared by
+# IoThreads and Workers; a WAL'd Server's sync thread fsyncs the journal
+# Workers append to), then the same fan-out, slow-consumer and front-door
+# tests under ASan (sessions and shared wire buffers live in an outbox until
+# its batch is written, including across eviction and close-after-flush).
+# The two fan-out cases count a subscriber once its SUBACK arrives and fail
+# on any lost notification.
 ./build-tsan/tests/core_test \
-  --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*:*FrontDoor*:*ServerWal*' \
+  --gtest_filter='RegistryConcurrencyTest.*:*ServerFanoutTest*:*FrontDoor*:*ServerWal*:ServerMonitoredFanoutTest.*:ServerC10kTest.*' \
   || exit 1
 cmake --build build-asan --target core_test || exit 1
 ./build-asan/tests/core_test \
-  --gtest_filter='*ServerFanoutTest*:*SlowConsumer*:*FrontDoor*' || exit 1
-MD_BENCH_FANOUT_CLIENTS=64 MD_BENCH_FANOUT_TOPICS=4 MD_BENCH_FANOUT_BURSTS=10 \
-  MD_BENCH_FANOUT_OUT=/dev/null MD_BENCH_MONITOR_OUT=/dev/null \
-  ./build/bench/bench_fanout || exit 1
-MD_BENCH_CLIENTS=300 ./build/bench/bench_c10k_real || exit 1
+  --gtest_filter='*ServerFanoutTest*:*SlowConsumer*:*FrontDoor*:ServerMonitoredFanoutTest.*:ServerC10kTest.*' \
+  || exit 1
 
 # Egress leg: the one send path. Every connection write — the hosts'
 # frames and the client library's handshakes, frames and pongs alike — is a
@@ -75,7 +74,7 @@ MD_BENCH_CLIENTS=300 ./build/bench/bench_c10k_real || exit 1
 # Clear, and a drained CloseAfterFlush frees its connection) and TSan
 # (cross-thread Post against the loop's flush pass). client_test runs under
 # ASan too: the client's buffers come from the shared pool and can outlive a
-# connection that closes mid-flush. bench_fanout above already smoke-checks
+# connection that closes mid-flush. The fan-out cases above already check
 # loss-free delivery. alloc_test pins the allocation budget of the same path
 # (0 heap allocations to encode a frame into a warm pooled buffer, to
 # acquire and release one, and to encode a DELIVER from a message); it runs
@@ -146,8 +145,8 @@ cmake --build build-tsan --target quorum_test fencing_test rebalance_chaos_test 
 # disk-fault plans; the monitor's [durability] exactly-once rule must stay
 # silent), the canned crash / disk plans as targeted repros, a monitored
 # self-test that must catch exactly the violation it injects, and the
-# durability bench as a shape smoke check: it exits nonzero unless the
-# local-WAL delta backfill beats full peer reconstruction.
+# simulated restart of one of three servers: it fails unless the local-WAL
+# delta backfill beats full peer reconstruction and both restarts converge.
 cmake --build build-asan --target wal_test || exit 1
 ./build-asan/tests/wal_test || exit 1
 cmake --build build-tsan --target wal_test || exit 1
@@ -157,8 +156,7 @@ cmake --build build-tsan --target wal_test || exit 1
 ./build/tools/md_chaos --seed 9 --plan disk --quiet || exit 1
 ./build/tools/md_chaos --seed 3 --durability --monitor --inject durability \
   || exit 1
-MD_BENCH_DUR_APPENDS=1000 MD_BENCH_DUR_MSGS=200 MD_BENCH_DUR_OUT=/dev/null \
-  ./build/bench/bench_durability || exit 1
+./build/tests/cluster_test --gtest_filter='ClusterRecoveryTest.*' || exit 1
 
 # Footprint leg (DESIGN.md §15): the slab allocator, flat maps and the
 # topic-intern table under ASan (freed-slot poisoning is load-bearing: the

@@ -88,7 +88,6 @@ class EngineModel {
                       std::uint32_t latencySamplesPerFanout = 64);
 
   /// Replace the GC model before Run (used by the ablation bench).
-  void DisableGc() { cfg_.gcEnabled = false; }
   void UseConcurrentCollector(Duration jitterCeiling) {
     cfg_.gcEnabled = false;
     concurrentGc_ = std::make_unique<sim::ConcurrentCollector>(jitterCeiling);

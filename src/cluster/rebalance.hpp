@@ -9,7 +9,6 @@
 // not to the cluster size.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,16 +26,6 @@ struct Assignment {
   [[nodiscard]] const std::string& OwnerOf(std::uint32_t partition) const {
     static const std::string kNone;
     return partition < owners.size() ? owners[partition] : kNone;
-  }
-
-  /// Partitions owned by `serverId` under this assignment.
-  [[nodiscard]] std::vector<std::uint32_t> PartitionsOf(
-      const std::string& serverId) const {
-    std::vector<std::uint32_t> mine;
-    for (std::uint32_t p = 0; p < owners.size(); ++p) {
-      if (owners[p] == serverId) mine.push_back(p);
-    }
-    return mine;
   }
 };
 
@@ -86,18 +75,6 @@ class Rebalancer {
       a.owners[p] = OwnerOf(p, members);
     }
     return a;
-  }
-
-  /// Partitions whose owner differs between two assignments (the hand-off
-  /// set of a membership change).
-  [[nodiscard]] static std::vector<std::uint32_t> Moved(const Assignment& from,
-                                                        const Assignment& to) {
-    std::vector<std::uint32_t> moved;
-    const std::size_t n = std::max(from.owners.size(), to.owners.size());
-    for (std::uint32_t p = 0; p < n; ++p) {
-      if (from.OwnerOf(p) != to.OwnerOf(p)) moved.push_back(p);
-    }
-    return moved;
   }
 };
 

@@ -51,17 +51,4 @@ class RealClock final : public Clock {
   }
 };
 
-/// Manually-advanced clock for tests and simulation drivers.
-class ManualClock final : public Clock {
- public:
-  explicit ManualClock(TimePoint start = 0) noexcept : now_(start) {}
-
-  [[nodiscard]] TimePoint Now() const noexcept override { return now_; }
-  void Advance(Duration delta) noexcept { now_ += delta; }
-  void Set(TimePoint t) noexcept { now_ = t; }
-
- private:
-  TimePoint now_;
-};
-
 }  // namespace md

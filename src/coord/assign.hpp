@@ -36,16 +36,6 @@ inline constexpr std::string_view kAssignPrefix = "assign/";
   return std::string(kAssignPrefix) + std::to_string(partition);
 }
 
-/// The serverId inside a members/... key, or nullopt for foreign keys.
-[[nodiscard]] inline std::optional<std::string> MemberOfKey(
-    std::string_view key) {
-  if (key.size() <= kMemberPrefix.size() ||
-      key.substr(0, kMemberPrefix.size()) != kMemberPrefix) {
-    return std::nullopt;
-  }
-  return std::string(key.substr(kMemberPrefix.size()));
-}
-
 /// Value of an assign/<p> znode: which server owns the partition, sealed at
 /// which fence epoch.
 struct AssignmentRecord {

@@ -5,6 +5,17 @@
 #include "common/logging.hpp"
 
 namespace md::core {
+namespace {
+
+/// The topic of a PUBLISH, SUBSCRIBE or UNSUBSCRIBE; nullptr for other verbs.
+const std::string* TopicOf(const Frame& frame) {
+  if (const auto* pub = std::get_if<PublishFrame>(&frame)) return &pub->topic;
+  if (const auto* sub = std::get_if<SubscribeFrame>(&frame)) return &sub->topic;
+  if (const auto* unsub = std::get_if<UnsubscribeFrame>(&frame)) return &unsub->topic;
+  return nullptr;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Lifecycle
@@ -20,6 +31,7 @@ Server::Server(ServerConfig cfg)
       stages_(metrics_),
       monitor_(verify::MakeHostMonitor(cfg_.runtimeVerify, cfg_.verifyConfig,
                                        cfg_.serverId, metrics_)),
+      owners_(cfg_.cache.topicGroups),
       cache_(cfg_.cache),
       door_(metrics_,
             {.labels = obs::ServerLabel(cfg_.serverId),
@@ -105,6 +117,7 @@ Status Server::Start() {
   // frames to them from the first accepted connection on.
   for (int i = 0; i < cfg_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
+    worker->index = static_cast<std::uint32_t>(i);
     worker->outboxes.resize(ioThreads_.size());
     workers_.push_back(std::move(worker));
   }
@@ -158,7 +171,18 @@ ServerStats Server::Stats() const {
 // ---------------------------------------------------------------------------
 
 Status Server::OnFrame(const SessionPtr& session, Frame&& frame) {
-  if (!WorkerOf(*session).queue.TryPush(Job{session, std::move(frame)}).ok()) {
+  if (const auto* connect = std::get_if<ConnectFrame>(&frame)) {
+    // Answered here, before any later frame of the session reaches a Worker:
+    // the ConnAck precedes every reply, whichever Worker sends it.
+    session->clientId = connect->clientId;
+    auto wire = AcquireWireBuffer();
+    EncodeForMode(ConnAckFrame{cfg_.serverId}, session->CurrentMode(), *wire);
+    door_.WriteOut(session, std::move(wire));
+    return OkStatus();
+  }
+  if (!WorkerOf(*session).queue.TryPush(Job{.session = session,
+                                            .frame = std::move(frame)})
+           .ok()) {
     // Worker overloaded: shed this client rather than buffer unboundedly.
     return Err(ErrorCode::kCapacity, "worker queue full");
   }
@@ -168,8 +192,11 @@ Status Server::OnFrame(const SessionPtr& session, Frame&& frame) {
 void Server::OnClosed(const SessionPtr& session) {
   // Let the session's Worker clean up subscriptions in order with any frames
   // still queued ahead.
-  if (!WorkerOf(*session).queue.TryPush(Job{session, std::nullopt}).ok()) {
-    DropSession(session);  // queue closed/full during shutdown: clean inline
+  if (!WorkerOf(*session)
+           .queue.TryPush(Job{.kind = JobKind::kClosed, .session = session})
+           .ok()) {
+    // Queue closed/full during shutdown: clean inline.
+    registry_.DropClient(session->handle);
   }
 }
 
@@ -185,10 +212,16 @@ void Server::WorkerMain(std::size_t index) {
     batch.clear();
     if (worker.queue.PopBatchBlocking(batch, 256) == 0) return;  // closed+drained
     for (Job& job : batch) {
-      if (!job.frame) {
-        DropSession(job.session);
-      } else {
-        HandleFrame(worker, job.session, *job.frame);
+      switch (job.kind) {
+        case JobKind::kFrame:
+          HandleFrame(worker, job);
+          break;
+        case JobKind::kClosed:
+          CloseSession(worker, job.session);
+          break;
+        case JobKind::kDisconnect:
+          FinishDisconnect(worker, job.session, *job.unflushed);
+          break;
       }
     }
     // The batch is the flush boundary: one hand-off per IoThread, however
@@ -199,12 +232,30 @@ void Server::WorkerMain(std::size_t index) {
   }
 }
 
-void Server::HandleFrame(Worker& w, const SessionPtr& session,
-                         const Frame& frame) {
-  if (const auto* connect = std::get_if<ConnectFrame>(&frame)) {
-    session->clientId = connect->clientId;
-    Reply(w, session, ConnAckFrame{cfg_.serverId});
-    return;
+Server::Worker& Server::OwnerOf(Worker& w, std::uint32_t group, bool claim) {
+  std::atomic<std::uint32_t>& owner = owners_[group];
+  std::uint32_t current = owner.load();
+  if (current == 0 && claim && owner.compare_exchange_strong(current, w.index + 1)) {
+    current = w.index + 1;
+  }
+  return current == 0 ? w : *workers_[current - 1];
+}
+
+void Server::HandleFrame(Worker& w, Job& job) {
+  const SessionPtr& session = job.session;
+  const Frame& frame = *job.frame;
+  // A topic verb runs on its group's owner. The session's Worker passes it
+  // on in arrival order, so the owner sees one session's verbs in the order
+  // the client sent them.
+  std::uint32_t group = 0;
+  if (const std::string* topic = TopicOf(frame)) {
+    group = cache_.GroupOf(*topic);
+    Worker& owner =
+        OwnerOf(w, group, /*claim=*/std::holds_alternative<PublishFrame>(frame));
+    if (&owner != &w) {
+      PassOn(w, owner, std::move(job));
+      return;
+    }
   }
   if (const auto* sub = std::get_if<SubscribeFrame>(&frame)) {
     HandleSubscribe(w, session, *sub);
@@ -216,17 +267,68 @@ void Server::HandleFrame(Worker& w, const SessionPtr& session,
     return;
   }
   if (const auto* pub = std::get_if<PublishFrame>(&frame)) {
-    HandlePublish(w, session, *pub);
+    HandlePublish(w, session, group, *pub);
     return;
   }
   if (const auto* ping = std::get_if<PingFrame>(&frame)) {
     Reply(w, session, PongFrame{ping->nonce});
     return;
   }
-  // DISCONNECT, the one verb left (the front door rejects every other
-  // frame). The close goes through the outbox too: it runs on the session's
-  // IoThread after the frames this Worker queued for it earlier (its acks).
-  Enqueue(w, session, Egress{.kind = EgressKind::kCloseAfterFlush});
+  // DISCONNECT, the one verb left here (the IoThread answers CONNECT; the
+  // front door rejects every other frame).
+  Disconnect(w, session);
+}
+
+void Server::PassOn(Worker& w, Worker& owner, Job&& job) {
+  const SessionPtr session = job.session;
+  if (!owner.queue.TryPush(std::move(job)).ok()) {
+    // Owner overloaded: shed this client, as OnFrame does when the client's
+    // own Worker is full.
+    Enqueue(w, session, Egress{.kind = EgressKind::kCloseAfterFlush});
+  }
+}
+
+void Server::Disconnect(Worker& w, const SessionPtr& session) {
+  // Every Worker this session passed a verb to may still hold its replies.
+  // The close waits for all of them: each Worker takes its share behind the
+  // frames queued on it before, and the last one queues the close.
+  auto unflushed = std::make_shared<std::atomic<std::size_t>>(workers_.size());
+  for (const auto& other : workers_) {
+    if (other.get() == &w) continue;
+    if (!other->queue
+             .TryPush(Job{.kind = JobKind::kDisconnect,
+                          .session = session,
+                          .unflushed = unflushed})
+             .ok()) {
+      --*unflushed;  // shutting down
+    }
+  }
+  FinishDisconnect(w, session, *unflushed);
+}
+
+void Server::FinishDisconnect(Worker& w, const SessionPtr& session,
+                              std::atomic<std::size_t>& unflushed) {
+  // Hand over what this Worker queued for the session before counting
+  // down: the last Worker's close is posted after every other Worker's
+  // frames, and runs on the session's IoThread behind them.
+  FlushOutbox(w, session->ioIndex);
+  if (--unflushed == 0) {
+    Enqueue(w, session, Egress{.kind = EgressKind::kCloseAfterFlush});
+  }
+}
+
+void Server::CloseSession(Worker& w, const SessionPtr& session) {
+  // DropClient purges the registry's reverse index and any emptied topic
+  // entries, so churn leaves no interned-topic back-references behind.
+  registry_.DropClient(session->handle);
+  if (&w != &WorkerOf(*session)) return;
+  // A SUBSCRIBE this session passed on may still wait on its owner: every
+  // other Worker drops the session again, behind whatever it was passed.
+  for (const auto& other : workers_) {
+    if (other.get() == &w) continue;
+    (void)other->queue.TryPush(
+        Job{.kind = JobKind::kClosed, .session = session});
+  }
 }
 
 void Server::HandleSubscribe(Worker& w, const SessionPtr& session,
@@ -246,21 +348,22 @@ void Server::HandleSubscribe(Worker& w, const SessionPtr& session,
     }
     Reply(w, session, DeliverFrame{missed});
   }
-  // Live fan-out from other Workers may reach this session from the moment
-  // it entered the registry; hand the backfill over now rather than at the
-  // end of the batch, so it is not overtaken (the client drops replayed
-  // positions below one it has already seen).
+  // A group no PUBLISH has claimed yet runs its SUBSCRIBE here, and a
+  // PUBLISH may claim it for another Worker at any moment: live fan-out
+  // from there may reach this session from the moment it entered the
+  // registry. Hand the backfill over now rather than at the end of the
+  // batch, so it is not overtaken (the client drops replayed positions below
+  // one it has already seen).
   FlushOutbox(w, session->ioIndex);
 }
 
 void Server::HandlePublish(Worker& w, const SessionPtr& session,
-                           const PublishFrame& pub) {
+                           std::uint32_t group, const PublishFrame& pub) {
   // The stamps travel with the first delivery and are recorded at its first
   // live socket write; a publication that never gets there records nothing.
   obs::StageTimes times;
   times.Stamp(obs::Stage::kPublishReceived);
 
-  const std::uint32_t group = cache_.GroupOf(pub.topic);
   const auto pos = sequencer_.Assign(group, pub.topic);
   if (!pos) {
     if (pub.wantAck) {
@@ -331,12 +434,6 @@ void Server::HandlePublish(Worker& w, const SessionPtr& session,
   }
   m_.delivered.Inc(live.size());
   live.clear();
-}
-
-void Server::DropSession(const SessionPtr& session) {
-  // DropClient purges the registry's reverse index and any emptied topic
-  // entries, so churn leaves no interned-topic back-references behind.
-  registry_.DropClient(session->handle);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@
 //     that thread — no locks on the per-connection parse state). Client
 //     connections are spread across IoThreads via SO_REUSEPORT listeners.
 //   - Logic layer: a configurable number of Workers, each a thread draining
-//     an MPSC queue. A client is pinned to one Worker (hash of its handle).
-//     Workers run the pub/sub logic: subscription registry updates, sequence
-//     assignment, cache appends, matching and fan-out.
+//     an MPSC queue. Workers run the pub/sub logic: subscription registry
+//     updates, sequence assignment, cache appends, matching and fan-out.
 //
-// IoThread -> Worker: decoded frames are enqueued on the client's Worker
-// queue. Worker -> IoThread: every frame a Worker produces goes into its
-// outbox for the target's IoThread, and each non-empty outbox is handed over
-// in one posted task when the Worker's batch ends (DESIGN.md §9).
+// IoThread -> Worker: decoded frames are enqueued on the client's Worker (a
+// hash of its handle). A topic group's PUBLISH, SUBSCRIBE and UNSUBSCRIBE
+// run on the one Worker that owns the group, claimed by its first PUBLISH;
+// the client's Worker passes them on. One Worker per group keeps a topic's
+// sequence, cache appends and fan-out in one order (DESIGN.md §9). Worker ->
+// IoThread: every frame a Worker produces goes into its outbox for the
+// target's IoThread, and each non-empty outbox is handed over in one posted
+// task when the Worker's batch ends.
 //
 // Everything between a client socket and a Worker queue — transport
 // sniffing (raw framing, WebSocket, HTTP streaming, GET /metrics), sessions,
@@ -110,9 +113,19 @@ class Server {
   }
 
  private:
+  enum class JobKind : std::uint8_t {
+    kFrame,       // a client frame
+    kClosed,      // the connection closed: drop its subscriptions
+    kDisconnect,  // one Worker's share of a DISCONNECT (FinishDisconnect)
+  };
+
   struct Job {
-    SessionPtr session;
-    std::optional<Frame> frame;  // nullopt => client disconnected
+    JobKind kind = JobKind::kFrame;
+    SessionPtr session{};
+    std::optional<Frame> frame{};  // kFrame only
+    /// kDisconnect: the Workers that have not yet handed over what they
+    /// queued for the session.
+    std::shared_ptr<std::atomic<std::size_t>> unflushed{};
   };
 
   struct IoThread {
@@ -133,11 +146,11 @@ class Server {
   /// every subscriber there that shares its transport flavour.
   struct Egress {
     EgressKind kind = EgressKind::kWrite;
-    WireBuffer wire;
-    std::shared_ptr<const Message> msg;  // conflation only
-    std::uint32_t begin = 0;             // [begin, end) in Outbox::targets
+    WireBuffer wire{};
+    std::shared_ptr<const Message> msg{};  // conflation only
+    std::uint32_t begin = 0;               // [begin, end) in Outbox::targets
     std::uint32_t end = 0;
-    std::optional<obs::StageTimes> trace;  // recorded at the first live write
+    std::optional<obs::StageTimes> trace{};  // recorded at the first live write
   };
 
   /// A Worker's frames for one IoThread, in the order it produced them.
@@ -147,14 +160,15 @@ class Server {
   };
 
   struct Worker {
+    std::uint32_t index = 0;  // in workers_
     MpscQueue<Job> queue{262144};
     std::thread thread;
     std::vector<Outbox> outboxes;    // one per IoThread, flushed per batch
     std::vector<SessionPtr> fanout;  // HandlePublish's live targets, reused
   };
 
-  // The front door's sink (the session's IoThread): queue the frame, or the
-  // disconnect, on the session's Worker.
+  // The front door's sink (the session's IoThread): answer CONNECT, queue
+  // any other frame, or the close, on the session's Worker.
   Status OnFrame(const SessionPtr& session, Frame&& frame);
   void OnClosed(const SessionPtr& session);
   [[nodiscard]] Worker& WorkerOf(const Session& session) {
@@ -163,15 +177,24 @@ class Server {
     // address; the handle balances equally and is stable the same way).
     return *workers_[MixU64(session.handle) % workers_.size()];
   }
+  /// The Worker that runs `group`'s topic verbs. A PUBLISH (`claim`) on a
+  /// group no Worker owns yet makes `w` its owner for the server's life; a
+  /// SUBSCRIBE or UNSUBSCRIBE there runs on `w` and claims nothing.
+  [[nodiscard]] Worker& OwnerOf(Worker& w, std::uint32_t group, bool claim);
 
-  // Called on the session's Worker thread.
+  // Called on Worker threads.
   void WorkerMain(std::size_t index);
-  void HandleFrame(Worker& w, const SessionPtr& session, const Frame& frame);
-  void HandlePublish(Worker& w, const SessionPtr& session,
+  void HandleFrame(Worker& w, Job& job);
+  void HandlePublish(Worker& w, const SessionPtr& session, std::uint32_t group,
                      const PublishFrame& pub);
   void HandleSubscribe(Worker& w, const SessionPtr& session,
                        const SubscribeFrame& sub);
-  void DropSession(const SessionPtr& session);
+  /// Queues `job` on `owner`; sheds the client if that queue is full.
+  void PassOn(Worker& w, Worker& owner, Job&& job);
+  void Disconnect(Worker& w, const SessionPtr& session);
+  void FinishDisconnect(Worker& w, const SessionPtr& session,
+                        std::atomic<std::size_t>& unflushed);
+  void CloseSession(Worker& w, const SessionPtr& session);
 
   // Worker -> IoThread hand-off (Worker side).
   /// Encodes `frame` in the session's transport flavour into its outbox.
@@ -205,6 +228,9 @@ class Server {
 
   std::vector<std::unique_ptr<IoThread>> ioThreads_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Per topic group: 1 + the index of the Worker that owns it, 0 while no
+  /// PUBLISH has claimed it. Never changes once set.
+  std::vector<std::atomic<std::uint32_t>> owners_;
 
   SubscriptionRegistry registry_;
   Cache cache_;

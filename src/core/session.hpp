@@ -65,7 +65,7 @@ struct Session : std::enable_shared_from_this<Session> {
   std::size_t ioIndex = 0;
   ByteQueue in;
 
-  // Worker-thread state.
+  // Set from CONNECT on the session's IoThread.
   std::string clientId;
 
   // IoThread-side outgoing batcher/conflator (nullptr when unused).

@@ -114,11 +114,6 @@ class SimCpu {
     return static_cast<int>(coreFree_.size());
   }
 
-  /// Earliest time any core is free — a view of current backlog.
-  [[nodiscard]] TimePoint EarliestFree() const noexcept {
-    return *std::min_element(coreFree_.begin(), coreFree_.end());
-  }
-
   /// Drop all queued work (crash / restart).
   void Reset(TimePoint now) noexcept {
     for (auto& f : coreFree_) f = now;

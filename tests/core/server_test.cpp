@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,11 +16,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
 
 #include "client/client.hpp"
+#include "common/histogram.hpp"
 #include "obs/families.hpp"
 #include "support/raw_framed_client.hpp"
 #include "transport/epoll_loop.hpp"
@@ -576,6 +580,77 @@ TEST_F(ServerFanoutTest, ResumeBackfillPrecedesLiveDeliveriesOfSameWrite) {
   }
 }
 
+// Publishers of one topic on both Workers: the topic's group runs on one
+// Worker, so a subscriber sees every acked publication at strictly rising
+// positions, and a resume from (0,0) finds every one of them in the cache.
+// Eight publisher connections land on both Workers (all eight on one with
+// probability 2^-7); each round takes a fresh topic, so its group's owner is
+// claimed anew.
+TEST_F(ServerFanoutTest, PublishersOnBothWorkersKeepOneTopicInOrder) {
+  constexpr int kRounds = 10;
+  constexpr int kPublishers = 8;
+  constexpr std::uint64_t kEach = 100;
+  constexpr std::uint64_t kTotal = kPublishers * kEach;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string topic = "order/" + std::to_string(round);
+    RawFramedClient sub(server->Port());
+    ASSERT_TRUE(sub.connected());
+    ASSERT_TRUE(sub.SendAll({Frame(SubscribeFrame{topic, false, {}})}));
+    ASSERT_TRUE(sub.Expect<SubAckFrame>());
+
+    std::vector<std::unique_ptr<RawFramedClient>> pubs;
+    for (int p = 0; p < kPublishers; ++p) {
+      pubs.push_back(std::make_unique<RawFramedClient>(server->Port()));
+      ASSERT_TRUE(pubs.back()->connected());
+    }
+    std::vector<std::thread> writers;
+    for (int p = 0; p < kPublishers; ++p) {
+      writers.emplace_back([&, p] {
+        std::vector<Frame> frames;
+        for (std::uint64_t i = 1; i <= kEach; ++i) {
+          PublishFrame pub = Publication(topic, i);
+          pub.pubId = PublicationId{Fnv1a64("order-pub-" + std::to_string(p)), i};
+          frames.emplace_back(std::move(pub));
+        }
+        pubs[static_cast<std::size_t>(p)]->SendAll(frames);
+      });
+    }
+    for (std::thread& t : writers) t.join();
+
+    std::set<PublicationId> acked;
+    for (auto& pub : pubs) {
+      for (std::uint64_t i = 1; i <= kEach; ++i) {
+        const auto ack = pub->Expect<PubAckFrame>();
+        ASSERT_TRUE(ack && ack->ok()) << "round " << round;
+        acked.insert(ack->pubId);
+      }
+    }
+    ASSERT_EQ(acked.size(), kTotal);
+
+    StreamPos last{};
+    for (std::uint64_t i = 1; i <= kTotal; ++i) {
+      const auto deliver = sub.Expect<DeliverFrame>();
+      ASSERT_TRUE(deliver) << "round " << round << ": delivery " << i << " missing";
+      ASSERT_TRUE(last < PosOf(deliver->msg))
+          << "round " << round << ": delivery " << i << " out of order";
+      last = PosOf(deliver->msg);
+    }
+
+    RawFramedClient reader(server->Port());
+    ASSERT_TRUE(reader.connected());
+    ASSERT_TRUE(reader.SendAll({Frame(SubscribeFrame{topic, true, StreamPos{0, 0}})}));
+    ASSERT_TRUE(reader.Expect<SubAckFrame>());
+    std::set<PublicationId> cached;
+    for (std::uint64_t i = 1; i <= kTotal; ++i) {
+      const auto deliver = reader.Expect<DeliverFrame>();
+      ASSERT_TRUE(deliver) << "round " << round << ": the cache holds " << i - 1
+                           << " of " << kTotal << " acked publications";
+      cached.insert(deliver->msg.pubId);
+    }
+    EXPECT_EQ(cached, acked) << "round " << round;
+  }
+}
+
 // Stage tracing rides with the first delivery: one publish fanned out to
 // three subscribers (on both IoThreads with probability 3/4) adds exactly one
 // end-to-end sample and one sample per stage, and a publish to a topic
@@ -620,6 +695,160 @@ TEST_F(ServerFanoutTest, OnePublishRecordsOneStageSampleWhateverItsFanOut) {
               1u)
         << obs::StageName(stage);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out to many library clients on loopback, with the server's own
+// counters read from its registry.
+
+struct LoopbackFanout {
+  int subscribers = 0;
+  int topics = 0;
+  int bursts = 0;  // one publish per topic each
+  std::chrono::milliseconds pause{0};  // between bursts
+  bool runtimeVerify = false;
+};
+
+struct LoopbackFanoutResult {
+  int subscribed = 0;  // SUBACKs seen
+  std::uint64_t expected = 0;
+  std::uint64_t received = 0;
+  double serverDelivered = 0;  // md_core_delivered_total
+  double postsPerPublish = 0;  // md_transport_tasks_posted_total delta
+  double syscallsPerDelivery = 0;  // md_transport_syscalls_total delta
+  double monitorEvents = 0;
+  double monitorViolations = 0;
+  double p99Ms = 0;  // publish timestamp -> client receipt
+};
+
+/// Subscribers spread over two client loops, subscriber c on topic
+/// c % topics; then a publisher sends `bursts` bursts of one publish per
+/// topic. Counter deltas cover the publishes only.
+LoopbackFanoutResult RunLoopbackFanout(const LoopbackFanout& shape) {
+  // Both ends of every connection live in this process.
+  rlimit limit{};
+  ::getrlimit(RLIMIT_NOFILE, &limit);
+  const rlim_t needed = static_cast<rlim_t>(2 * shape.subscribers + 256);
+  if (limit.rlim_cur < needed && limit.rlim_max >= needed) {
+    limit.rlim_cur = needed;
+    ::setrlimit(RLIMIT_NOFILE, &limit);
+  }
+
+  obs::MetricsRegistry registry;
+  ServerConfig cfg;
+  cfg.ioThreads = 2;
+  cfg.workers = 2;
+  cfg.serverId = "fanout";
+  cfg.metrics = &registry;
+  cfg.runtimeVerify = shape.runtimeVerify;
+  Server server(cfg);
+  EXPECT_TRUE(server.Start().ok());
+
+  const auto topicOf = [&](int i) { return "fanout/topic-" + std::to_string(i % shape.topics); };
+  LoopbackFanoutResult r;
+  std::atomic<std::uint64_t> received{0};
+  std::atomic<int> subscribed{0};
+  Histogram latency;
+  std::mutex latencyMutex;
+  std::array<ClientLoopThread, 2> loops;
+  std::vector<std::unique_ptr<client::Client>> subs;
+  for (int c = 0; c < shape.subscribers; ++c) {
+    ClientLoopThread& lt = loops[static_cast<std::size_t>(c % 2)];
+    client::ClientConfig subCfg =
+        MakeClientConfig(server.Port(), "fanout-sub-" + std::to_string(c));
+    subCfg.autoReconnect = false;
+    subs.push_back(std::make_unique<client::Client>(lt.loop(), subCfg));
+    lt.loop().Post([&, sub = subs.back().get(), topic = topicOf(c)] {
+      sub->Subscribe(
+          topic,
+          [&](const Message& m) {
+            const Duration lat = RealClock::Instance().Now() - m.publishTs;
+            {
+              std::lock_guard lock(latencyMutex);
+              latency.Record(lat);
+            }
+            received.fetch_add(1);
+          },
+          [&] { subscribed.fetch_add(1); });
+      sub->Start();
+    });
+  }
+  ClientLoopThread::WaitFor([&] { return subscribed.load() == shape.subscribers; });
+  r.subscribed = subscribed.load();
+
+  ClientLoopThread pubLoop;
+  client::Client pub(pubLoop.loop(), MakeClientConfig(server.Port(), "fanout-pub"));
+  pubLoop.RunOnLoop([&] { pub.Start(); });
+  ClientLoopThread::WaitFor([&] { return pub.IsConnected(); });
+
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  const auto publishes = static_cast<double>(shape.bursts * shape.topics);
+  r.expected = static_cast<std::uint64_t>(r.subscribed) *
+               static_cast<std::uint64_t>(shape.bursts);
+  for (int b = 0; b < shape.bursts; ++b) {
+    pubLoop.loop().Post([&] {
+      for (int t = 0; t < shape.topics; ++t) pub.Publish(topicOf(t), Bytes(64, 0x42));
+    });
+    std::this_thread::sleep_for(shape.pause);
+  }
+  ClientLoopThread::WaitFor([&] { return received.load() >= r.expected; });
+  // Anything beyond the expected count would be a duplicate delivery.
+  std::this_thread::sleep_for(50ms);
+  r.received = received.load();
+
+  const obs::MetricsSnapshot after = registry.Snapshot();
+  r.serverDelivered = after.Value("md_core_delivered_total", "server=\"fanout\"");
+  r.postsPerPublish = (after.Total("md_transport_tasks_posted_total") -
+                       before.Total("md_transport_tasks_posted_total")) /
+                      publishes;
+  r.syscallsPerDelivery = (after.Total("md_transport_syscalls_total") -
+                           before.Total("md_transport_syscalls_total")) /
+                          static_cast<double>(std::max<std::uint64_t>(r.received, 1));
+  r.monitorEvents = after.Value("md_monitor_events_total", "server=\"fanout\"");
+  r.monitorViolations = after.Total("md_invariant_violations_total");
+  {
+    std::lock_guard lock(latencyMutex);
+    r.p99Ms = static_cast<double>(latency.Percentile(0.99)) / 1e6;
+  }
+
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    loops[i].RunOnLoop([&] {
+      for (std::size_t c = i; c < subs.size(); c += loops.size()) subs[c]->Stop();
+    });
+  }
+  pubLoop.RunOnLoop([&] { pub.Stop(); });
+  server.Stop();
+  return r;
+}
+
+// The fan-out path with the runtime monitor on: every notification arrives
+// once, egress writes batch several deliveries per syscall, the monitor
+// observes every delivery and flags nothing, and a Worker batch posts at most
+// one task per IoThread (so at most two per publish, however many acks and
+// deliveries it holds).
+TEST(ServerMonitoredFanoutTest, EveryDeliveryArrivesAndIsObservedSilently) {
+  const LoopbackFanoutResult r = RunLoopbackFanout(
+      {.subscribers = 64, .topics = 4, .bursts = 10, .runtimeVerify = true});
+  EXPECT_EQ(r.subscribed, 64);
+  EXPECT_EQ(r.received, r.expected);
+  EXPECT_GE(r.serverDelivered, static_cast<double>(r.received));
+  EXPECT_LT(r.syscallsPerDelivery, 1.0);
+  EXPECT_GE(r.monitorEvents, static_cast<double>(r.received));
+  EXPECT_EQ(r.monitorViolations, 0);
+  EXPECT_LE(r.postsPerPublish, 2.0);
+}
+
+// C10K's shape at a test's scale: 300 live loopback subscribers over ten
+// topics each get their SUBACK and every notification of five paced bursts,
+// the server's delivered counter covers every receipt, and p99 latency from
+// publish to receipt stays under 2 s.
+TEST(ServerC10kTest, ThreeHundredLoopbackSubscribersGetEveryDelivery) {
+  const LoopbackFanoutResult r = RunLoopbackFanout(
+      {.subscribers = 300, .topics = 10, .bursts = 5, .pause = 100ms});
+  EXPECT_EQ(r.subscribed, 300);
+  EXPECT_EQ(r.received, r.expected);
+  EXPECT_GE(r.serverDelivered, static_cast<double>(r.received));
+  EXPECT_LT(r.p99Ms, 2000.0);
 }
 
 // ---------------------------------------------------------------------------
