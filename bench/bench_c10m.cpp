@@ -81,7 +81,7 @@ std::string TopicName(long i) { return "c10m/topic-" + std::to_string(i); }
 /// Engine-accounted footprint: slab bytes (sessions + registry FlatMap
 /// arrays + SmallVector spill all draw from the arena, so one number covers
 /// them without double counting) plus the two estimated non-slab tables.
-/// Mirrors core::ClientFrontDoor::RefreshBytesPerSession.
+/// Mirrors core::ClientFrontDoor::RefreshFootprint.
 std::uint64_t EngineBytes(const core::SessionTable& table) {
   return SlabArena::Default().Stats().bytesInUse + table.MemoryBytes() +
          TopicTable::Default().MemoryBytes();
@@ -132,7 +132,6 @@ int main() {
     core::SessionPtr s = core::MakeSession();
     s->handle = handle;
     s->ioIndex = static_cast<std::size_t>(i) & 1u;
-    s->clientId = "c" + std::to_string(handle);  // SSO: no heap string
     table.Insert(s);  // the table's shared_ptr is the only long-lived ref
     registry.Subscribe(TopicName(i), handle);
     if ((i + 1) % 1'000'000 == 0) {
@@ -192,7 +191,6 @@ int main() {
     const core::ClientHandle handle = static_cast<core::ClientHandle>(sessions + (i + 1));
     core::SessionPtr s = core::MakeSession();
     s->handle = handle;
-    s->clientId = "c" + std::to_string(handle);
     table.Insert(s);
     registry.Subscribe(TopicName(i), handle);
   }

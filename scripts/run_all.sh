@@ -161,7 +161,9 @@ cmake --build build-tsan --target wal_test || exit 1
 # Footprint leg (DESIGN.md §15): the slab allocator, flat maps and the
 # topic-intern table under ASan (freed-slot poisoning is load-bearing: the
 # death test proves a dangling Session pointer faults instead of reading a
-# recycled slot) plus the registry churn-residue test; the lock-free
+# recycled slot) plus the registry churn-residue test and the topic cache's
+# suites (its packed records are read and written unaligned, chunk by chunk;
+# the differential test walks every record boundary); the lock-free
 # TopicTable::NameOf publication and slab freelists under TSan; then the C10M
 # footprint bench at a 100k-session smoke scale — it exits nonzero unless
 # measured engine bytes/session stays within the budget, churn returns slab
@@ -170,7 +172,8 @@ cmake --build build-asan --target common_test core_test || exit 1
 ./build-asan/tests/common_test \
   --gtest_filter='Slab*:FlatMap*:SmallVector*:TopicIntern*' || exit 1
 ./build-asan/tests/core_test \
-  --gtest_filter='RegistryTest.ChurnReturnsToBaseline' || exit 1
+  --gtest_filter='RegistryTest.ChurnReturnsToBaseline:CacheTest.*:CacheFootprintTest.*:Seeds/CacheDifferential.*:Seeds/CacheReplayProperty.*' \
+  || exit 1
 cmake --build build-tsan --target common_test || exit 1
 ./build-tsan/tests/common_test --gtest_filter='Slab*:TopicIntern*' || exit 1
 MD_BENCH_C10M_SESSIONS=100000 MD_BENCH_C10M_SMOKE=64 \

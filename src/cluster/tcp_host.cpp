@@ -97,7 +97,8 @@ TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
              .backpressure = cfg_.clientBackpressure,
              .batch = std::nullopt,
              .monitor = monitor_.get(),
-             .injectEndpoint = false},
+             .injectEndpoint = false,
+             .cacheBytes = [this] { return node_->cache().Bytes(); }},
             {.onFrame = [this](const core::SessionPtr& s, Frame&& f) {
                // A (re)subscribe or unsubscribe starts the client's stream
                // afresh, before the node sends any resume backfill: the

@@ -8,25 +8,27 @@
 // mostly uncontended because each cluster member coordinates a distinct
 // subset of groups.
 //
-// Footprint (DESIGN.md §15): inside a shard, histories are keyed by interned
-// TopicId in a FlatMap (no per-topic string copies, no map nodes) and entry
-// deques draw their blocks from the slab arena. Group assignment stays the
+// Footprint (DESIGN.md §15): a topic's history is a chain of heap chunks
+// packed with records — a fixed 40-byte header (epoch, seq, publication id,
+// publish timestamp, payload length) followed by the payload bytes — so a
+// cached message costs its payload plus 40 bytes and no allocation of its
+// own. The topic name is kept once, through its interned TopicId; a shard's
+// histories sit in one vector sorted by id. Group assignment stays the
 // FNV-1a hash of the topic NAME — ids are local and never affect which group
 // (and therefore which cluster coordinator / WAL stream) a topic belongs to.
+// None of it draws from the slab arena: Bytes() is the cache's exact share.
 //
 // Retention is bounded per topic, by message count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/hash.hpp"
-#include "common/slab.hpp"
 #include "common/time.hpp"
 #include "common/topic_intern.hpp"
 #include "proto/message.hpp"
@@ -41,6 +43,10 @@ struct CacheConfig {
 
 class Cache {
  public:
+  /// Largest chunk a topic's history allocates; a record that does not fit
+  /// in one gets a chunk sized to it.
+  static constexpr std::size_t kChunkCap = 4096;
+
   explicit Cache(CacheConfig cfg = {});
 
   Cache(const Cache&) = delete;
@@ -102,6 +108,10 @@ class Cache {
   /// Total cached messages (approximate under concurrency).
   [[nodiscard]] std::size_t TotalMessages() const;
 
+  /// Bytes the cache holds: every history's chunks and chunk list plus the
+  /// shards' per-topic records (the md_core_cache_bytes gauge).
+  [[nodiscard]] std::size_t Bytes() const;
+
   [[nodiscard]] std::uint32_t GroupOf(const std::string& topic) const noexcept {
     return TopicGroupOf(topic, cfg_.topicGroups);
   }
@@ -110,16 +120,76 @@ class Cache {
   void Clear();
 
  private:
-  struct TopicHistory {
-    // Ordered by (epoch, seq); blocks come from the slab arena so history
-    // churn does not fragment the general heap.
-    std::deque<Message, SlabAllocator<Message>> entries;
+  struct Chunk;
+
+  /// Where a record starts: chunk index and byte offset in that chunk.
+  /// `chunk == chunks_.size()` is the end of the history.
+  struct Cursor {
+    std::size_t chunk = 0;
+    std::uint32_t offset = 0;
+  };
+
+  /// One topic's messages, ordered by (epoch, seq), packed back to back
+  /// into a chain of chunks (cache.cpp describes the record layout). A
+  /// chunk is allocated only when the newest one is full and freed when
+  /// eviction empties it. Chunks grow with the history — each holds at
+  /// least half of the bytes already allocated, up to kChunkCap — so a
+  /// topic with a few records wastes little and a long one allocates once
+  /// per kChunkCap bytes; a record larger than that gets a chunk of its own.
+  class TopicHistory {
+   public:
+    explicit TopicHistory(TopicId id) noexcept : id_(id) {}
+    ~TopicHistory();
+    TopicHistory(TopicHistory&& other) noexcept;
+    TopicHistory& operator=(TopicHistory&& other) noexcept;
+
+    [[nodiscard]] TopicId id() const noexcept { return id_; }
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+    /// Oldest and newest positions; the history must not be empty.
+    [[nodiscard]] StreamPos Front() const noexcept;
+    [[nodiscard]] StreamPos Back() const noexcept;
+    /// Chunk bytes plus the chunk list's array.
+    [[nodiscard]] std::size_t Bytes() const noexcept;
+
+    /// Appends `msg`, which must order after Back().
+    void PushBack(const Message& msg);
+    /// Drops the oldest record.
+    void PopFront() noexcept;
+    /// Places `msg` in order by rebuilding the chain; false if its position
+    /// is already cached. O(n).
+    bool InsertSorted(const Message& msg);
+
+    /// The first record for which `before(position)` is false; `before`
+    /// must hold for a prefix of the history. Binary search over the
+    /// chunks' first positions, then a scan of one chunk.
+    template <typename Before>
+    [[nodiscard]] Cursor Seek(Before before) const;
+    /// Calls `fn(record)` from `at` on, oldest first, while it returns true.
+    template <typename Fn>
+    void ForEachFrom(Cursor at, Fn&& fn) const;
+    template <typename Fn>
+    void ForEach(Fn&& fn) const;
+
+   private:
+    /// Room for a record of `recordBytes` at the end of the chain, adding a
+    /// chunk when the newest one is full.
+    std::byte* Reserve(std::size_t recordBytes);
+
+    TopicId id_;
+    std::uint32_t count_ = 0;
+    std::size_t chunkBytes_ = 0;   // sum of the chunks' allocation sizes
+    std::vector<Chunk*> chunks_;   // oldest first
   };
 
   struct Shard {
     mutable std::mutex mutex;
-    md::FlatMap<TopicId, TopicHistory> topics;
+    std::vector<TopicHistory> topics;  // sorted by TopicId
   };
+
+  [[nodiscard]] static const TopicHistory* FindLocked(const Shard& shard,
+                                                      TopicId id);
+  static TopicHistory& FindOrAddLocked(Shard& shard, TopicId id);
 
   [[nodiscard]] Shard& ShardFor(const std::string& topic) {
     return shards_[GroupOf(topic)];
@@ -131,11 +201,10 @@ class Cache {
   bool InsertLocked(Shard& shard, const Message& msg, TimePoint now,
                     bool writeWal);
 
-  /// Sorted-by-name (topic id, name) list of a shard's non-empty histories.
-  /// Group outputs iterate this so their order matches the old
-  /// std::map<std::string, ...> behavior deterministically.
-  static std::vector<std::pair<TopicId, std::string_view>> SortedTopicsLocked(
-      const Shard& shard);
+  /// A shard's non-empty histories with their names, sorted by name: the
+  /// deterministic per-topic order of every group output.
+  static std::vector<std::pair<const TopicHistory*, std::string_view>>
+  SortedTopicsLocked(const Shard& shard);
 
   CacheConfig cfg_;
   std::vector<Shard> shards_;  // one per topic group

@@ -277,11 +277,12 @@ std::size_t ClientFrontDoor::MaxPendingBytes() const {
   return maxPending;
 }
 
-void ClientFrontDoor::RefreshBytesPerSession() const {
+void ClientFrontDoor::RefreshFootprint() const {
   // Slab accounting covers sessions (allocate_shared slots), registry
-  // FlatMap arrays + SmallVector spill, and cache deque blocks; the session
-  // table's hash nodes and the interned-name storage are the only engine
-  // state outside the arena, so they are added explicitly.
+  // FlatMap arrays and SmallVector spill; the session table's hash nodes and
+  // the interned-name storage are the only other per-session state, so they
+  // are added explicitly. Topic history is not per-session cost: the cache
+  // holds it outside the arena and reports it on a gauge of its own.
   const std::uint64_t active =
       static_cast<std::uint64_t>(std::max<std::int64_t>(m_.active.Value(), 0));
   const SlabStats slab = SlabArena::Default().Stats();
@@ -289,6 +290,9 @@ void ClientFrontDoor::RefreshBytesPerSession() const {
                                     TopicTable::Default().MemoryBytes();
   m_.bytesPerSession.Set(
       static_cast<std::int64_t>(engineBytes / std::max<std::uint64_t>(active, 1)));
+  if (opts_.cacheBytes) {
+    m_.cacheBytes.Set(static_cast<std::int64_t>(opts_.cacheBytes()));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +300,7 @@ void ClientFrontDoor::RefreshBytesPerSession() const {
 // ---------------------------------------------------------------------------
 
 void ClientFrontDoor::ServeMetrics(const SessionPtr& session) {
-  RefreshBytesPerSession();  // gauge is scrape-time derived, not event-driven
+  RefreshFootprint();  // gauges are scrape-time derived, not event-driven
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   // Every scrape doubles as a consistency check: the monitor flags any
   // counter that went backwards since the previous scrape.

@@ -75,6 +75,9 @@ class ClientFrontDoor {
     verify::Monitor* monitor = nullptr;
     /// Answer `GET /inject?kind=...` (needs a monitor; debug only).
     bool injectEndpoint = false;
+    /// The host's topic-cache footprint (Cache::Bytes()), read for
+    /// md_core_cache_bytes on each refresh. Unset: the gauge stays 0.
+    std::function<std::size_t()> cacheBytes;
   };
 
   /// `metrics` must outlive the front door; it is also what /metrics renders.
@@ -125,8 +128,9 @@ class ClientFrontDoor {
   void Clear() { sessions_.Clear(); }
   /// Largest send-queue depth among the open sessions.
   [[nodiscard]] std::size_t MaxPendingBytes() const;
-  /// Recomputes md_core_bytes_per_session (slab + tables / active sessions).
-  void RefreshBytesPerSession() const;
+  /// Recomputes md_core_bytes_per_session (slab + tables / active sessions)
+  /// and md_core_cache_bytes.
+  void RefreshFootprint() const;
 
  private:
   void OnClosed(const SessionPtr& session);

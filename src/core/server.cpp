@@ -38,7 +38,8 @@ Server::Server(ServerConfig cfg)
              .backpressure = cfg_.backpressure,
              .batch = cfg_.enableBatching ? std::optional(cfg_.batch) : std::nullopt,
              .monitor = monitor_.get(),
-             .injectEndpoint = cfg_.verifyInjectEndpoint},
+             .injectEndpoint = cfg_.verifyInjectEndpoint,
+             .cacheBytes = [this] { return cache_.Bytes(); }},
             {.onFrame = [this](const SessionPtr& s, Frame&& f) {
                return OnFrame(s, std::move(f));
              },
@@ -154,7 +155,7 @@ void Server::Stop() {
 }
 
 ServerStats Server::Stats() const {
-  door_.RefreshBytesPerSession();
+  door_.RefreshFootprint();
   ServerStats s;
   s.connectionsAccepted = m_.accepted.Value();
   s.connectionsActive = static_cast<std::uint64_t>(m_.active.Value());
@@ -171,10 +172,9 @@ ServerStats Server::Stats() const {
 // ---------------------------------------------------------------------------
 
 Status Server::OnFrame(const SessionPtr& session, Frame&& frame) {
-  if (const auto* connect = std::get_if<ConnectFrame>(&frame)) {
+  if (std::holds_alternative<ConnectFrame>(frame)) {
     // Answered here, before any later frame of the session reaches a Worker:
     // the ConnAck precedes every reply, whichever Worker sends it.
-    session->clientId = connect->clientId;
     auto wire = AcquireWireBuffer();
     EncodeForMode(ConnAckFrame{cfg_.serverId}, session->CurrentMode(), *wire);
     door_.WriteOut(session, std::move(wire));

@@ -105,7 +105,8 @@ class Server {
   void Stop();
 
   [[nodiscard]] std::uint16_t Port() const noexcept { return boundPort_; }
-  /// Also recomputes md_core_bytes_per_session, as /metrics scrapes do.
+  /// Also recomputes md_core_bytes_per_session and md_core_cache_bytes, as
+  /// /metrics scrapes do.
   [[nodiscard]] ServerStats Stats() const;
   /// What the last Start() replayed from the WAL (zeros when WAL disabled).
   [[nodiscard]] const wal::RecoveryStats& walRecovery() const noexcept {

@@ -65,9 +65,6 @@ struct Session : std::enable_shared_from_this<Session> {
   std::size_t ioIndex = 0;
   ByteQueue in;
 
-  // Set from CONNECT on the session's IoThread.
-  std::string clientId;
-
   // IoThread-side outgoing batcher/conflator (nullptr when unused).
   std::unique_ptr<Batcher> batcher;
   bool flushTimerArmed = false;

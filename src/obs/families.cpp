@@ -26,6 +26,9 @@ constexpr std::string_view kCoreProtoErrorsHelp =
 constexpr std::string_view kCoreBytesPerSession = "md_core_bytes_per_session";
 constexpr std::string_view kCoreBytesPerSessionHelp =
     "Slab-accounted engine bytes in use divided by active sessions";
+constexpr std::string_view kCoreCacheBytes = "md_core_cache_bytes";
+constexpr std::string_view kCoreCacheBytesHelp =
+    "Bytes held by the topic-history cache: chunks and per-topic records";
 
 // Renamed from md_transport_epoll_wakeups_total: the loop increments it once
 // per loop iteration — timer ticks and posted-task wakeups included — so the
@@ -177,7 +180,8 @@ CoreMetrics::CoreMetrics(MetricsRegistry& r, std::string_view labels)
       protoErrors(
           r.GetCounter(kCoreProtoErrors, kCoreProtoErrorsHelp, labels)),
       bytesPerSession(
-          r.GetGauge(kCoreBytesPerSession, kCoreBytesPerSessionHelp, labels)) {}
+          r.GetGauge(kCoreBytesPerSession, kCoreBytesPerSessionHelp, labels)),
+      cacheBytes(r.GetGauge(kCoreCacheBytes, kCoreCacheBytesHelp, labels)) {}
 
 TransportMetrics::TransportMetrics(MetricsRegistry& r, std::string_view labels)
     : loopIterations(

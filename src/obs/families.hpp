@@ -31,6 +31,9 @@ struct CoreMetrics {
   /// Slab-accounted engine bytes / active sessions, refreshed on Stats()
   /// and /metrics scrapes (DESIGN.md §15 byte budget).
   Gauge& bytesPerSession;
+  /// core::Cache::Bytes() of the host's topic cache, refreshed with
+  /// bytesPerSession.
+  Gauge& cacheBytes;
 };
 
 /// Transport loop counters (one bundle per host, shared by all its loops).

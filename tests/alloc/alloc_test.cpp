@@ -1,6 +1,7 @@
 // Allocation budget of the egress encoders (DESIGN.md §14): encoding a frame
 // into a warm pooled wire buffer, and taking and dropping that buffer, must
-// not touch the heap. This binary replaces the global operator new/delete
+// not touch the heap. The same holds for caching a message (DESIGN.md §15):
+// Cache::Append packs it into its topic's chunk chain. This binary replaces the global operator new/delete
 // with counting versions. That replacement covers every translation unit
 // linked into the executable, which is why these cases live in a binary of
 // their own.
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/cache.hpp"
 #include "core/front_door.hpp"
 #include "proto/codec.hpp"
 #include "transport/wire.hpp"
@@ -159,6 +161,41 @@ TEST(AllocationBudgetTest, DeliverEncodedFromTheMessageAllocatesNothing) {
     core::EncodeForMode(Frame(DeliverFrame{msg}), mode, viaFrame);
     EXPECT_EQ(*wire, viaFrame) << "mode " << static_cast<int>(mode);
   }
+}
+
+TEST(AllocationBudgetTest, WarmCacheAppendAllocatesOnlyWhenAChunkFills) {
+  core::CacheConfig cfg;
+  cfg.maxMessagesPerTopic = 200;
+  core::Cache cache(cfg);
+  Message msg = SampleMessage();
+  msg.seq = 1;
+  ASSERT_TRUE(cache.Append(msg));  // interns the topic, opens its history
+
+  // Filling: an append that leaves Bytes() as it was went into the newest
+  // chunk and allocated nothing; one that grew it opened a chunk (and, now
+  // and then, a longer chunk list).
+  while (msg.seq < cfg.maxMessagesPerTopic) {
+    ++msg.seq;
+    const std::size_t before = cache.Bytes();
+    const std::size_t allocations = AllocationsIn([&] { (void)cache.Append(msg); });
+    if (cache.Bytes() == before) {
+      EXPECT_EQ(allocations, 0u) << "seq " << msg.seq;
+    } else {
+      EXPECT_GE(allocations, 1u) << "seq " << msg.seq;
+      EXPECT_LE(allocations, 2u) << "seq " << msg.seq;
+    }
+  }
+  // At the retention cap every append evicts: a chunk is allocated only
+  // when the newest one fills (a 140 B payload packs 21 to a full chunk).
+  constexpr std::size_t kAppends = 2100;
+  const std::size_t allocations = AllocationsIn([&] {
+    for (std::size_t i = 0; i < kAppends; ++i) {
+      ++msg.seq;
+      (void)cache.Append(msg);
+    }
+  });
+  EXPECT_LE(allocations, kAppends / 20);
+  EXPECT_EQ(AllocationsIn([&] { (void)cache.Append(msg); }), 0u) << "a duplicate";
 }
 
 }  // namespace

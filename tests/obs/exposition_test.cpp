@@ -203,6 +203,7 @@ TEST(MetricsEndpointTest, LiveServerServesFullSchemaOverHttp) {
            "md_core_connections_active",
            "md_core_published_total",
            "md_core_bytes_out_total",
+           "md_core_cache_bytes",
            "md_transport_loop_iterations_total",
            "md_transport_bytes_written_total",
            "md_cluster_fences_total",
@@ -258,6 +259,11 @@ TEST(MetricsEndpointTest, LiveServerServesFullSchemaOverHttp) {
             std::string::npos);
   EXPECT_NE(after.find("md_core_delivered_total{server=\"metrics-live\"} 1"),
             std::string::npos);
+  // The cached publication shows on the cache gauge, refreshed by the scrape.
+  const std::string cacheSeries = "md_core_cache_bytes{server=\"metrics-live\"} ";
+  const std::size_t cacheAt = after.find(cacheSeries);
+  ASSERT_NE(cacheAt, std::string::npos);
+  EXPECT_GT(std::stoll(after.substr(cacheAt + cacheSeries.size())), 0);
   // That publication's stage record reached the wall-domain histograms.
   EXPECT_NE(after.find("md_trace_end_to_end_ns_count{domain=\"wall\"} 1"),
             std::string::npos);
